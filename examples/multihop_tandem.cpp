@@ -8,11 +8,15 @@
 // fresh greedy cross traffic at every hop and prints the end-to-end delay
 // under H-FSC versus FIFO.
 #include <cstdio>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "core/hfsc.hpp"
 #include "sched/fifo.hpp"
-#include "sim/tandem.hpp"
 #include "sim/sources.hpp"
+#include "sim/topology.hpp"
 #include "util/stats.hpp"
 
 using namespace hfsc;
@@ -23,26 +27,36 @@ constexpr RateBps kLinkRate = mbps(10);
 constexpr std::size_t kHops = 4;
 constexpr TimeNs kEnd = sec(5);
 constexpr ClassId kVoice = 1;
+constexpr ClassId kCross = 2;
 
 struct Result {
   double mean_ms, max_ms;
   std::size_t delivered;
 };
 
-Result run(Tandem::SchedFactory factory) {
+Result run(const std::function<std::unique_ptr<Scheduler>()>& make) {
   EventQueue ev;
-  Tandem tandem(ev, kHops, kLinkRate, std::move(factory));
-  CbrSource voice(kVoice, kbps(64), 160, 0, kEnd);
-  voice.install(ev, tandem.ingress());
-  // Fresh greedy cross traffic enters at every hop (class 2).
-  std::vector<std::unique_ptr<GreedySource>> cross;
+  std::vector<std::unique_ptr<Scheduler>> scheds;
+  Topology topo(ev);
+  // Both classes are forwarded through every hop.
+  std::vector<Topology::Hop> voice_hops, cross_hops;
   for (std::size_t h = 0; h < kHops; ++h) {
-    cross.push_back(std::make_unique<GreedySource>(2, 1500, 6, 0, kEnd));
-    cross.back()->install(ev, tandem.hop(h));
+    scheds.push_back(make());
+    const auto n =
+        topo.add_node("hop" + std::to_string(h), kLinkRate, *scheds.back());
+    voice_hops.push_back({n, kVoice});
+    cross_hops.push_back({n, kCross});
   }
-  ev.run_until(kEnd + msec(500));
-  return Result{tandem.e2e_mean_ms(kVoice), tandem.e2e_max_ms(kVoice),
-                tandem.delivered(kVoice)};
+  const std::size_t voice = topo.add_route(std::move(voice_hops));
+  (void)topo.add_route(std::move(cross_hops));
+  topo.add_source<CbrSource>(0, kVoice, kbps(64), 160, 0, kEnd);
+  // Fresh greedy cross traffic enters at every hop.
+  for (std::size_t h = 0; h < kHops; ++h) {
+    topo.add_source<GreedySource>(h, kCross, 1500, 6, 0, kEnd);
+  }
+  topo.run(kEnd + msec(500));
+  const SampleSet& delay = topo.e2e_delay_ms(voice);
+  return Result{delay.mean(), delay.max(), topo.delivered(voice)};
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -67,6 +68,10 @@ RateBps parse_rate(const std::string& tok) {
   } else {
     throw std::runtime_error("bad rate unit: " + tok);
   }
+  // The cast is only defined for values the integer type can hold.
+  if (!(bits / 8.0 < 0x1p64)) {
+    throw std::runtime_error("rate out of range: " + tok);
+  }
   return static_cast<RateBps>(bits / 8.0);
 }
 
@@ -88,6 +93,7 @@ TimeNs parse_time(const std::string& tok) {
   } else {
     throw std::runtime_error("bad time unit: " + tok);
   }
+  if (!(ns < 0x1p64)) throw std::runtime_error("time out of range: " + tok);
   return static_cast<TimeNs>(ns);
 }
 
@@ -193,6 +199,23 @@ ScenarioSource parse_source(std::istringstream& ls, const std::string& kind,
     if (!(ls >> tok)) fail_at(fname, line, std::string("source missing ") + what);
     return tok;
   };
+  // A zero-length packet costs no transmission time, so its source
+  // would emit forever without advancing the clock.
+  auto pkt = [&] {
+    const Bytes len = parse_bytes(want("pkt"));
+    if (len == 0) fail_at(fname, line, "source pkt must be > 0");
+    return len;
+  };
+  // A finite number spanning the whole token.
+  auto real = [&](const char* what) {
+    const std::string tok = want(what);
+    char* end = nullptr;
+    const double v = std::strtod(tok.c_str(), &end);
+    if (end == tok.c_str() || *end != '\0' || !std::isfinite(v)) {
+      fail_at(fname, line, std::string("bad ") + what + ": " + tok);
+    }
+    return v;
+  };
   auto span = [&] {
     if (timed) return;
     s.start = parse_time(want("start"));
@@ -201,18 +224,18 @@ ScenarioSource parse_source(std::istringstream& ls, const std::string& kind,
   if (kind == "cbr") {
     s.kind = ScenarioSource::Kind::kCbr;
     s.rate = parse_rate(want("rate"));
-    s.pkt_len = parse_bytes(want("pkt"));
+    s.pkt_len = pkt();
     span();
   } else if (kind == "poisson") {
     s.kind = ScenarioSource::Kind::kPoisson;
     s.rate = parse_rate(want("rate"));
-    s.pkt_len = parse_bytes(want("pkt"));
+    s.pkt_len = pkt();
     span();
     s.seed = parse_bytes(want("seed"));
   } else if (kind == "onoff") {
     s.kind = ScenarioSource::Kind::kOnOff;
     s.rate = parse_rate(want("peak rate"));
-    s.pkt_len = parse_bytes(want("pkt"));
+    s.pkt_len = pkt();
     s.mean_on = parse_time(want("mean_on"));
     s.mean_off = parse_time(want("mean_off"));
     span();
@@ -220,10 +243,10 @@ ScenarioSource parse_source(std::istringstream& ls, const std::string& kind,
   } else if (kind == "pareto") {
     s.kind = ScenarioSource::Kind::kPareto;
     s.rate = parse_rate(want("peak rate"));
-    s.pkt_len = parse_bytes(want("pkt"));
+    s.pkt_len = pkt();
     s.mean_on = parse_time(want("mean_on"));
     s.mean_off = parse_time(want("mean_off"));
-    s.alpha = std::stod(want("alpha"));
+    s.alpha = real("alpha");
     if (!(s.alpha > 1.0)) {
       fail_at(fname, line, "pareto alpha must be > 1 (finite mean)");
     }
@@ -231,21 +254,30 @@ ScenarioSource parse_source(std::istringstream& ls, const std::string& kind,
     s.seed = parse_bytes(want("seed"));
   } else if (kind == "greedy") {
     s.kind = ScenarioSource::Kind::kGreedy;
-    s.pkt_len = parse_bytes(want("pkt"));
+    s.pkt_len = pkt();
     s.window = static_cast<std::size_t>(parse_bytes(want("window")));
     span();
   } else if (kind == "tcpish") {
     s.kind = ScenarioSource::Kind::kTcpish;
-    s.pkt_len = parse_bytes(want("pkt"));
+    s.pkt_len = pkt();
     s.window = static_cast<std::size_t>(parse_bytes(want("max window")));
     if (s.window == 0) fail_at(fname, line, "tcpish max window must be > 0");
     span();
   } else if (kind == "video") {
     s.kind = ScenarioSource::Kind::kVideo;
-    s.fps = std::stod(want("fps"));
+    s.fps = real("fps");
+    // The frame interval 1s/fps must be a whole, representable number
+    // of nanoseconds: at least 1 ns, or the frames never advance time.
+    if (!(s.fps > 0.0 && 1e9 / s.fps >= 1.0 && 1e9 / s.fps < 0x1p64)) {
+      fail_at(fname, line, "video fps out of range (0, 1e9]");
+    }
     s.mean_frame = parse_bytes(want("mean_frame"));
     s.max_frame = parse_bytes(want("max_frame"));
+    if (s.mean_frame > s.max_frame) {
+      fail_at(fname, line, "video mean_frame exceeds max_frame");
+    }
     s.mtu = parse_bytes(want("mtu"));
+    if (s.mtu == 0) fail_at(fname, line, "video mtu must be > 0");
     span();
     s.seed = parse_bytes(want("seed"));
   } else {
@@ -700,59 +732,36 @@ std::vector<std::uint64_t> delay_histogram(const std::vector<double>& ms) {
 
 namespace {
 
-// Type-erased ownership of the per-kind source objects (they share an
-// install() shape, not a base class).
-struct AnySource {
-  virtual ~AnySource() = default;
-};
-template <class S>
-struct SourceHolder final : AnySource {
-  template <class... A>
-  explicit SourceHolder(A&&... a) : src(std::forward<A>(a)...) {}
-  S src;
-};
-
-template <class S, class... A>
-void emplace_source(std::vector<std::unique_ptr<AnySource>>& owned,
-                    EventQueue& ev, Link& link, A&&... a) {
-  auto h = std::make_unique<SourceHolder<S>>(std::forward<A>(a)...);
-  S& s = h->src;
-  owned.push_back(std::move(h));
-  s.install(ev, link);
-}
-
-void install_source(const ScenarioSource& s, ClassId cls, EventQueue& ev,
-                    Link& link, std::vector<std::unique_ptr<AnySource>>& owned) {
+void install_source(const ScenarioSource& s, ClassId cls, Topology& topo,
+                    Topology::NodeIndex n) {
   switch (s.kind) {
     case ScenarioSource::Kind::kCbr:
-      emplace_source<CbrSource>(owned, ev, link, cls, s.rate, s.pkt_len,
-                                s.start, s.stop);
+      topo.add_source<CbrSource>(n, cls, s.rate, s.pkt_len, s.start, s.stop);
       break;
     case ScenarioSource::Kind::kPoisson:
-      emplace_source<PoissonSource>(owned, ev, link, cls, s.rate, s.pkt_len,
-                                    s.start, s.stop, s.seed);
+      topo.add_source<PoissonSource>(n, cls, s.rate, s.pkt_len, s.start,
+                                     s.stop, s.seed);
       break;
     case ScenarioSource::Kind::kOnOff:
-      emplace_source<OnOffSource>(owned, ev, link, cls, s.rate, s.pkt_len,
-                                  s.mean_on, s.mean_off, s.start, s.stop,
-                                  s.seed);
+      topo.add_source<OnOffSource>(n, cls, s.rate, s.pkt_len, s.mean_on,
+                                   s.mean_off, s.start, s.stop, s.seed);
       break;
     case ScenarioSource::Kind::kPareto:
-      emplace_source<ParetoBurstSource>(owned, ev, link, cls, s.rate,
-                                        s.pkt_len, s.mean_on, s.mean_off,
-                                        s.alpha, s.start, s.stop, s.seed);
+      topo.add_source<ParetoBurstSource>(n, cls, s.rate, s.pkt_len, s.mean_on,
+                                         s.mean_off, s.alpha, s.start, s.stop,
+                                         s.seed);
       break;
     case ScenarioSource::Kind::kGreedy:
-      emplace_source<GreedySource>(owned, ev, link, cls, s.pkt_len, s.window,
-                                   s.start, s.stop);
+      topo.add_source<GreedySource>(n, cls, s.pkt_len, s.window, s.start,
+                                    s.stop);
       break;
     case ScenarioSource::Kind::kTcpish:
-      emplace_source<TcpishSource>(owned, ev, link, cls, s.pkt_len, s.window,
-                                   s.start, s.stop);
+      topo.add_source<TcpishSource>(n, cls, s.pkt_len, s.window, s.start,
+                                    s.stop);
       break;
     case ScenarioSource::Kind::kVideo:
-      emplace_source<VideoSource>(owned, ev, link, cls, s.fps, s.mean_frame,
-                                  s.max_frame, s.mtu, s.start, s.stop, s.seed);
+      topo.add_source<VideoSource>(n, cls, s.fps, s.mean_frame, s.max_frame,
+                                   s.mtu, s.start, s.stop, s.seed);
       break;
   }
 }
@@ -762,6 +771,7 @@ void install_source(const ScenarioSource& s, ClassId cls, EventQueue& ev,
 // provenance of every class name for merged reporting.
 struct NodeRun {
   Topology::NodeIndex idx = 0;
+  std::unique_ptr<Scheduler> sched;  // borrowed by the Topology node
   HierarchySpec spec;           // the node's static classes
   HierarchySpec::IdMap ids;     // static name -> id
   Hfsc* hfsc = nullptr;         // non-null when the family is H-FSC
@@ -848,10 +858,12 @@ ScenarioResult run_scenario(const Scenario& sc,
         std::string(to_string(kind)) + ")");
   }
 
-  EventQueue ev;
-  Topology topo(ev, sc.window);
+  // The node schedulers (owned by `runs`) outlive the Topology that
+  // borrows them.
   std::vector<NodeRun> runs;
   runs.reserve(sc.nodes.size());
+  EventQueue ev;
+  Topology topo(ev, sc.window);
 
   ScenarioResult out;
   for (const ScenarioNode& n : sc.nodes) {
@@ -863,7 +875,8 @@ ScenarioResult run_scenario(const Scenario& sc,
     HierarchySpec::Compiled compiled = nr.spec.compile(kind, n.rate, copts);
     nr.hfsc = compiled.hfsc;
     nr.ids = std::move(compiled.ids);
-    nr.idx = topo.add_node(n.name, n.rate, std::move(compiled.sched));
+    nr.sched = std::move(compiled.sched);
+    nr.idx = topo.add_node(n.name, n.rate, *nr.sched);
     for (const auto& [cname, id] : nr.ids) {
       nr.live.emplace(cname, id);
       nr.history[cname].push_back(id);
@@ -926,7 +939,6 @@ ScenarioResult run_scenario(const Scenario& sc,
     }
   }
 
-  std::vector<std::unique_ptr<AnySource>> owned;
   // Static sources first, in file order — the exact install sequence the
   // single-link engine used, which the bit-identity tests pin.
   for (const ScenarioSource& s : static_srcs) {
@@ -939,7 +951,7 @@ ScenarioResult run_scenario(const Scenario& sc,
                                "' was dropped by the " +
                                std::string(to_string(kind)) + " mapping");
     }
-    install_source(s, it->second, ev, topo.link(nr.idx), owned);
+    install_source(s, it->second, topo, nr.idx);
   }
 
   // Timed control plane.  Class creations/deletions at the same (node,
@@ -1012,7 +1024,6 @@ ScenarioResult run_scenario(const Scenario& sc,
       return true;
     };
     auto bookkeep = [&nr](const std::string& name, ClassId id) {
-      nr.live[name] = id;
       auto& hist = nr.history[name];
       if (std::find(hist.begin(), hist.end(), id) == hist.end()) {
         hist.push_back(id);
@@ -1023,59 +1034,38 @@ ScenarioResult run_scenario(const Scenario& sc,
       }
     };
 
-    // Batch attempt.
-    {
+    // One transaction over `batch` against the live view.  Returns false
+    // (nothing changed) when admission control refuses the commit;
+    // otherwise adopts the new view and counts each cascaded add (its
+    // parent was rejected earlier, so it yields no op) as one rejection.
+    auto commit = [&](const std::vector<const ScenarioEvent*>& batch) {
       Hfsc::Txn txn = nr.hfsc->begin();
       std::map<std::string, ClassId> view = nr.live;
       std::vector<std::pair<std::string, ClassId>> adds;
       std::uint64_t cascades = 0;
-      for (const ScenarioEvent* e : ordered) {
+      for (const ScenarioEvent* e : batch) {
         if (!apply_one(*e, view, txn, &adds)) ++cascades;
       }
-      bool ok = false;
       if (txn.num_ops() == 0) {
         txn.rollback();
-        ok = true;
       } else {
         try {
           txn.commit();
-          ok = true;
         } catch (const Error& err) {
           if (err.code() != Errc::kAdmissionRejected) throw;
           txn.rollback();
+          return false;
         }
       }
-      if (ok) {
-        nr.live = std::move(view);
-        for (auto& [name, id] : adds) bookkeep(name, id);
-        classes_rejected += cascades;
-        return;
-      }
-    }
-    // Per-op fallback: each mutation gets its own verdict.
+      nr.live = std::move(view);
+      for (auto& [name, id] : adds) bookkeep(name, id);
+      classes_rejected += cascades;
+      return true;
+    };
+    if (commit(ordered)) return;
+    // Refused as a batch: each mutation gets its own verdict.
     for (const ScenarioEvent* e : ordered) {
-      Hfsc::Txn txn = nr.hfsc->begin();
-      std::map<std::string, ClassId> view = nr.live;
-      std::vector<std::pair<std::string, ClassId>> adds;
-      if (!apply_one(*e, view, txn, &adds)) {
-        ++classes_rejected;
-        txn.rollback();
-        continue;
-      }
-      if (txn.num_ops() == 0) {
-        txn.rollback();
-        nr.live = std::move(view);
-        continue;
-      }
-      try {
-        txn.commit();
-        nr.live = std::move(view);
-        for (auto& [name, id] : adds) bookkeep(name, id);
-      } catch (const Error& err) {
-        if (err.code() != Errc::kAdmissionRejected) throw;
-        ++classes_rejected;
-        txn.rollback();
-      }
+      if (!commit({e})) ++classes_rejected;
     }
   };
 
@@ -1091,16 +1081,14 @@ ScenarioResult run_scenario(const Scenario& sc,
   // the class id up at fire time so they bind to the live incarnation.
   for (const ScenarioSource& s : timed_srcs) {
     NodeRun& nr = node_run(s.node);
-    Link& link = topo.link(nr.idx);
-    ev.schedule(s.start,
-                [s, &nr, &link, &ev, &owned, &sources_skipped](TimeNs) {
-                  const auto it = nr.live.find(s.cls);
-                  if (it == nr.live.end()) {
-                    ++sources_skipped;  // class rejected or already deleted
-                    return;
-                  }
-                  install_source(s, it->second, ev, link, owned);
-                });
+    ev.schedule(s.start, [s, &nr, &topo, &sources_skipped](TimeNs) {
+      const auto it = nr.live.find(s.cls);
+      if (it == nr.live.end()) {
+        ++sources_skipped;  // class rejected or already deleted
+        return;
+      }
+      install_source(s, it->second, topo, nr.idx);
+    });
   }
 
   topo.run(sc.duration);

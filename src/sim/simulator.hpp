@@ -1,4 +1,5 @@
-// Convenience bundle: event queue + link + tracker + owned sources.
+// Convenience bundle: an event queue plus a one-node Topology (link,
+// tracker and owned sources).
 //
 // Typical use (see examples/quickstart.cpp):
 //
@@ -10,13 +11,11 @@
 //     sim.tracker().mean_delay_ms(audio);
 #pragma once
 
-#include <memory>
-#include <vector>
+#include <utility>
 
 #include "sim/event_queue.hpp"
-#include "sim/flow_stats.hpp"
-#include "sim/link.hpp"
 #include "sim/sources.hpp"
+#include "sim/topology.hpp"
 
 namespace hfsc {
 
@@ -24,43 +23,27 @@ class Simulator {
  public:
   Simulator(RateBps link_rate, Scheduler& sched,
             TimeNs throughput_window = msec(100))
-      : link_(ev_, link_rate, sched), tracker_(throughput_window) {
-    tracker_.attach(link_);
+      : topo_(ev_, throughput_window) {
+    topo_.add_node("link", link_rate, sched);
   }
 
   // Constructs a source in place and installs it.
   template <typename SourceT, typename... Args>
   SourceT& add(Args&&... args) {
-    auto src = std::make_unique<Holder<SourceT>>(
-        SourceT(std::forward<Args>(args)...));
-    SourceT& ref = src->source;
-    sources_.push_back(std::move(src));
-    ref.install(ev_, link_);
-    return ref;
+    return topo_.add_source<SourceT>(0, std::forward<Args>(args)...);
   }
 
   void run(TimeNs until) { ev_.run_until(until); }
   void run_all() { ev_.run_all(); }
 
   EventQueue& events() noexcept { return ev_; }
-  Link& link() noexcept { return link_; }
-  const FlowTracker& tracker() const noexcept { return tracker_; }
+  Link& link() noexcept { return topo_.link(0); }
+  const FlowTracker& tracker() const noexcept { return topo_.tracker(0); }
   TimeNs now() const noexcept { return ev_.now(); }
 
  private:
-  struct HolderBase {
-    virtual ~HolderBase() = default;
-  };
-  template <typename SourceT>
-  struct Holder : HolderBase {
-    explicit Holder(SourceT s) : source(std::move(s)) {}
-    SourceT source;
-  };
-
   EventQueue ev_;
-  Link link_;
-  FlowTracker tracker_;
-  std::vector<std::unique_ptr<HolderBase>> sources_;
+  Topology topo_;
 };
 
 }  // namespace hfsc

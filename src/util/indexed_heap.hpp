@@ -137,18 +137,6 @@ class IndexedHeap {
     for (;;) {
       const std::size_t l = 2 * s + 1;
       const std::size_t r = 2 * s + 2;
-#if defined(HFSC_HEAP_PREFETCH) && (defined(__GNUC__) || defined(__clang__))
-      // Pull the grandchildren (the next iteration's candidates) toward
-      // the cache while this level's comparisons retire.  Off by default:
-      // at the hierarchy sizes the benchmarks track (<= 1000 slots the
-      // heap stays L1/L2-resident) the extra per-level branches and
-      // prefetch uops measured a 12-15% throughput LOSS on
-      // wide1000/dual_heap (docs/BENCH_NOTES.md); the flag exists for
-      // hierarchies large enough that the walk really is one dependent
-      // cache miss per level.
-      if (4 * s + 3 < n) __builtin_prefetch(&heap_[4 * s + 3]);
-      if (4 * s + 5 < n) __builtin_prefetch(&heap_[4 * s + 5]);
-#endif
       std::size_t smallest = s;
       if (l < n && less(heap_[l], heap_[smallest])) smallest = l;
       if (r < n && less(heap_[r], heap_[smallest])) smallest = r;

@@ -104,8 +104,8 @@ TEST(AnalysisRoutes, RouteWithoutEnvelopeGetsANoteAtTheRouteLine) {
   std::string text(kTwoHop);
   const auto pos = text.find("  envelope voice 160 256kbps\n");
   ASSERT_NE(pos, std::string::npos);
-  text.replace(pos, std::string("  envelope voice 160 256kbps\n").size(),
-               "\n");  // keep the line count stable
+  text.replace(pos, std::string("  envelope voice 160 256kbps\n").size(), 1,
+               '\n');  // keep the line count stable
   const auto dpos = text.find("deadline voice 20ms\n");
   ASSERT_NE(dpos, std::string::npos);
   text.erase(dpos);
@@ -120,8 +120,8 @@ TEST(AnalysisRoutes, DeadlineOnRoutedFlowWithoutEnvelopeIsUnverifiable) {
   std::string text(kTwoHop);
   const auto pos = text.find("  envelope voice 160 256kbps\n");
   ASSERT_NE(pos, std::string::npos);
-  text.replace(pos, std::string("  envelope voice 160 256kbps\n").size(),
-               "\n");
+  text.replace(pos, std::string("  envelope voice 160 256kbps\n").size(), 1,
+               '\n');
   const AnalysisReport r = analyze(parse_text(text));
   const Diagnostic d = find_diag(r, "deadline-unverifiable");
   EXPECT_EQ(d.severity, Severity::kWarning);

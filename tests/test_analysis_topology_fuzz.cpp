@@ -51,7 +51,7 @@ std::string random_scenario(std::mt19937_64& rng, std::size_t num_nodes) {
   std::vector<FlowGen> flows(static_cast<std::size_t>(num_flows(rng)));
   for (std::size_t i = 0; i < flows.size(); ++i) {
     FlowGen& f = flows[i];
-    f.name = "f" + std::to_string(i);
+    f.name = std::string("f").append(std::to_string(i));
     // Flow 0 spans the whole chain so every node carries traffic;
     // later flows may enter mid-chain (routes need >= 2 hops).
     f.first_hop =

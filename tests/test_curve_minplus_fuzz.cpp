@@ -216,7 +216,9 @@ TEST(MinPlusFuzz, SaturationHorizonStaysConservative) {
   const PiecewiseLinear sat_arrival =
       PiecewiseLinear::token_bucket(kBytesInfinity - 1, gbps(100));
   const auto gap = sat_arrival.max_vertical_gap(far_service);
-  if (gap) EXPECT_GE(*gap, sat_arrival.eval(0) - far_service.eval(0));
+  if (gap) {
+    EXPECT_GE(*gap, sat_arrival.eval(0) - far_service.eval(0));
+  }
 }
 
 }  // namespace

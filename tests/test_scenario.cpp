@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "sim/scenario.hpp"
 
@@ -103,6 +104,38 @@ TEST(ScenarioParse, ErrorsCarryLineNumbers) {
   expect_error("duration 1s\nclass a root ls linear 1Mbps\n", "missing link");
   expect_error("link 1Mbps\nclass a root ls linear 1Mbps\n",
                "missing duration");
+  // Bad numbers fail at their line instead of escaping untyped, hanging
+  // the run or reaching an undefined integer cast.
+  const std::string video = "link 10Mbps\nduration 1s\n"
+                            "class v root ls linear 1Mbps\nsource video v ";
+  expect_error((video + "fast 8000 16000 1500 0s 1s 1\n").c_str(),
+               "scenario line 4: bad fps: fast");
+  expect_error((video + "0 8000 16000 1500 0s 1s 1\n").c_str(),
+               "scenario line 4: video fps out of range");
+  expect_error((video + "-25 8000 16000 1500 0s 1s 1\n").c_str(),
+               "scenario line 4: video fps out of range");
+  expect_error((video + "inf 8000 16000 1500 0s 1s 1\n").c_str(),
+               "scenario line 4: bad fps: inf");
+  expect_error((video + "25 8000 16000 0 0s 1s 1\n").c_str(),
+               "scenario line 4: video mtu must be > 0");
+  expect_error((video + "25 16001 16000 1500 0s 1s 1\n").c_str(),
+               "scenario line 4: video mean_frame exceeds max_frame");
+  const std::string pareto = "link 10Mbps\nduration 1s\n"
+                             "class p root ls linear 1Mbps\nsource pareto p "
+                             "2Mbps 1000 10ms 10ms ";
+  expect_error((pareto + "heavy 0s 1s 1\n").c_str(),
+               "scenario line 4: bad alpha: heavy");
+  expect_error((pareto + "inf 0s 1s 1\n").c_str(),
+               "scenario line 4: bad alpha: inf");
+  expect_error("link 10Mbps\nduration 1s\nclass a root ls linear 1Mbps\n"
+               "source cbr a 1Mbps 0 0s 1s\n",
+               "scenario line 4: source pkt must be > 0");
+  expect_error("link 100000000000000000000000000Gbps\nduration 1s\n"
+               "class a root ls linear 1Mbps\n",
+               "rate out of range: 100000000000000000000000000Gbps");
+  expect_error("link 10Mbps\nduration 100000000000000000000s\n"
+               "class a root ls linear 1Mbps\n",
+               "time out of range: 100000000000000000000s");
 }
 
 TEST(ScenarioParse, RejectsZeroRateServiceCurves) {

@@ -113,8 +113,9 @@ case "${what}" in
       -L sim
     echo "=== Release: perf smoke vs committed baseline ==="
     # A focused smoke run of the headline combination, compared against
-    # the committed trajectory: > 10% regression warns, and fails the
-    # stage when HFSC_PERF_GATE=1 (tools/perf_smoke_check.py).
+    # the committed trajectory: a regression of more than 25%
+    # (REGRESSION_PCT) warns, and fails the stage when HFSC_PERF_GATE=1
+    # (tools/perf_smoke_check.py).
     "${repo}/build-ci-release/bench/bench_throughput" --smoke \
       --workload=wide1000 --kind=dual_heap \
       --out="${repo}/build-ci-release/PERF_smoke.json"
