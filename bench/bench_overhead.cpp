@@ -123,11 +123,10 @@ void BM_HPfq(benchmark::State& state) {
   state.SetLabel("H-PFQ (2-level)");
 }
 
-template <EligibleSetKind kKind>
 void BM_Hfsc(benchmark::State& state) {
   drive(
       state,
-      [] { return std::make_unique<Hfsc>(kLink, kKind); },
+      [] { return std::make_unique<Hfsc>(kLink); },
       [](Hfsc& s, int n) {
         const RateBps r = kLink / static_cast<RateBps>(n);
         return s.add_class(kRootClass,
@@ -176,9 +175,7 @@ BENCHMARK(BM_VirtualClock)->RangeMultiplier(4)->Range(kLo, kHi);
 BENCHMARK(BM_Sced)->RangeMultiplier(4)->Range(kLo, kHi);
 BENCHMARK(BM_Wf2qPlus)->RangeMultiplier(4)->Range(kLo, kHi);
 BENCHMARK(BM_HPfq)->RangeMultiplier(4)->Range(kLo, kHi);
-BENCHMARK(BM_Hfsc<EligibleSetKind::kDualHeap>)
-    ->RangeMultiplier(4)
-    ->Range(kLo, kHi);
+BENCHMARK(BM_Hfsc)->RangeMultiplier(4)->Range(kLo, kHi);
 BENCHMARK(BM_HfscTwoLevel)->RangeMultiplier(4)->Range(kLo, kHi);
 
 }  // namespace

@@ -1,8 +1,8 @@
 // bench_throughput — the canonical hot-path benchmark (machine-readable).
 //
 // Drives a steady-state backlogged workload through H-FSC and reports
-// dequeue throughput plus per-dequeue latency percentiles for every
-// EligibleSet kind on two hierarchy shapes:
+// dequeue throughput plus per-dequeue latency percentiles on two
+// hierarchy shapes:
 //
 //   * wide1000 — 1000 leaves directly under the root (the eligible-set
 //     and active-children heaps dominate);
@@ -14,7 +14,7 @@
 // can keep a trajectory of numbers across PRs: run it from the repo root
 // and commit the refreshed BENCH_throughput.json.
 //
-// Besides the H-FSC (workload, eligible-set) grid, each workload also runs
+// Besides the H-FSC (workload, batch size) grid, each workload also runs
 // once under H-PFQ and CBQ, compiled from the same HierarchySpec
 // (config/hierarchy_spec.hpp), so the trajectory tracks the comparison
 // families' hot paths too.  Those loops go through the virtual Scheduler
@@ -22,14 +22,14 @@
 // estimators recover), so their figure is served packets over wall time.
 //
 //   $ bench_throughput [--packets=N] [--smoke] [--out=FILE]
-//                      [--workload=wide1000|deep8] [--kind=NAME]
+//                      [--workload=wide1000|deep8]
 //
 // --smoke cuts the packet count so CI can gate on "the bench still runs
 // and produces sane JSON" without paying for a full measurement.
 //
-// Methodology: two phases per (workload, kind) combination.  Phase A
-// times the whole steady-state loop (one dequeue + one refill enqueue
-// per packet) with two clock reads total, giving an undisturbed
+// Methodology: two phases per (workload, batch size) combination.
+// Phase A times the whole steady-state loop (one dequeue + one refill
+// enqueue per packet) with two clock reads total, giving an undisturbed
 // throughput figure.  Phase B re-runs a sample of the same loop with a
 // clock read around each dequeue to collect the latency distribution;
 // the two phases are reported separately because per-op timing itself
@@ -106,22 +106,11 @@ std::vector<ClassId> build_deep(Hfsc& s) {
   return level;
 }
 
-const char* kind_name(EligibleSetKind k) {
-  switch (k) {
-    case EligibleSetKind::kDualHeap:
-      return "dual_heap";
-    case EligibleSetKind::kAugTree:
-      return "aug_tree";
-    case EligibleSetKind::kCalendar:
-      return "calendar";
-  }
-  return "?";
-}
-
 struct Result {
   std::string workload;
   std::string scheduler = "hfsc";
-  std::string kind;  // eligible-set kind; "-" for non-H-FSC rows
+  // H-FSC's eligible set (core/eligible_set.hpp); "-" for non-H-FSC rows.
+  std::string eligible_set = "dual_heap";
   int shards = 1;    // > 1 only for the supervised sharded-runtime rows
   int batch = 1;     // dequeues per dequeue_batch() call (1 = single API)
   std::uint64_t packets = 0;
@@ -199,9 +188,9 @@ std::uint64_t run_loop_batch(S& s, TimeNs& now, const TimeNs step,
   return served;
 }
 
-Result run_one(const Workload& w, EligibleSetKind kind, std::uint64_t packets,
+Result run_one(const Workload& w, std::uint64_t packets,
                std::uint64_t lat_samples, std::size_t batch) {
-  Hfsc s(kLink, kind);
+  Hfsc s(kLink);
   const std::vector<ClassId> leaves = w.build(s);
   TimeNs now = 0;
   std::uint64_t seq = 0;
@@ -226,7 +215,6 @@ Result run_one(const Workload& w, EligibleSetKind kind, std::uint64_t packets,
 
   Result res;
   res.workload = w.name;
-  res.kind = kind_name(kind);
   res.batch = static_cast<int>(batch);
   res.packets = packets;
 
@@ -238,8 +226,9 @@ Result run_one(const Workload& w, EligibleSetKind kind, std::uint64_t packets,
   res.wall_ns = now_ns() - t0;
   if (served != packets) {
     std::fprintf(stderr,
-                 "FATAL: %s/%s served %llu of %llu packets — broken config\n",
-                 res.workload.c_str(), res.kind.c_str(),
+                 "FATAL: %s/k=%d served %llu of %llu packets — broken "
+                 "config\n",
+                 res.workload.c_str(), res.batch,
                  static_cast<unsigned long long>(served),
                  static_cast<unsigned long long>(packets));
     std::exit(1);
@@ -281,7 +270,6 @@ Result run_one_runtime(const Workload& w, std::uint64_t packets,
                        std::uint64_t lat_samples) {
   RuntimeOptions opts;
   opts.link_rate = kLink;
-  opts.es_kind = EligibleSetKind::kDualHeap;
   // The benchmark intentionally holds a constant multi-megabyte backlog;
   // raise the ladder thresholds so the governor observes it and stays at
   // level 0 (the level-0 cost is what this row prices).
@@ -308,7 +296,6 @@ Result run_one_runtime(const Workload& w, std::uint64_t packets,
   Result res;
   res.workload = w.name;
   res.scheduler = "runtime";
-  res.kind = kind_name(EligibleSetKind::kDualHeap);
   res.packets = packets;
 
   const std::uint64_t t0 = now_ns();
@@ -361,7 +348,6 @@ Result run_one_sharded(const HierarchySpec& spec, int shards,
   so.shards = shards;
   RuntimeOptions& o = so.shard.runtime;
   o.link_rate = kLink;
-  o.es_kind = EligibleSetKind::kDualHeap;
   // Same idle-governor thresholds as run_one_runtime: the constant
   // multi-megabyte backlog must read as steady state, not overload.
   o.governor.enter_backlog[0] = 64 * 1024 * 1024;
@@ -419,7 +405,6 @@ Result run_one_sharded(const HierarchySpec& spec, int shards,
   Result res;
   res.workload = "wide1000";
   res.scheduler = "sharded";
-  res.kind = kind_name(EligibleSetKind::kDualHeap);
   res.shards = shards;
   res.packets = served;
   res.wall_ns = wall;
@@ -499,7 +484,7 @@ Result run_one_family(const char* workload, const HierarchySpec& spec,
   res.scheduler = std::string(to_string(kind));
   // Single-char assign dodges GCC 12's -Wrestrict false positive (PR
   // 105651) on string-from-short-literal at -O3 under -Werror.
-  res.kind = '-';
+  res.eligible_set = '-';
   res.packets = packets;
 
   const std::uint64_t t0 = now_ns();
@@ -560,8 +545,8 @@ void write_json(const std::vector<Result>& results, std::uint64_t packets,
         "\"eligible_set\": \"%s\", \"shards\": %d, \"batch\": %d, "
         "\"packets\": %llu, \"wall_ns\": %llu, \"pkts_per_sec\": %.0f, "
         "\"lat_samples\": %llu",
-        r.workload.c_str(), r.scheduler.c_str(), r.kind.c_str(), r.shards,
-        r.batch, static_cast<unsigned long long>(r.packets),
+        r.workload.c_str(), r.scheduler.c_str(), r.eligible_set.c_str(),
+        r.shards, r.batch, static_cast<unsigned long long>(r.packets),
         static_cast<unsigned long long>(r.wall_ns), r.pkts_per_sec,
         static_cast<unsigned long long>(r.lat_samples));
     // Rows with no latency samples (the sharded runtime measures its
@@ -591,7 +576,6 @@ int main(int argc, char** argv) {
   bool smoke = false;
   std::string out = "BENCH_throughput.json";
   std::string only_workload;
-  std::string only_kind;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -607,13 +591,10 @@ int main(int argc, char** argv) {
       out = o;
     } else if (const char* w = val("--workload=")) {
       only_workload = w;
-    } else if (const char* k = val("--kind=")) {
-      only_kind = k;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--packets=N] [--smoke] [--out=FILE]\n"
-                   "          [--workload=wide1000|deep8] "
-                   "[--kind=dual_heap|aug_tree|calendar]\n",
+                   "          [--workload=wide1000|deep8]\n",
                    argv[0]);
       return 2;
     }
@@ -628,17 +609,15 @@ int main(int argc, char** argv) {
       {"wide1000", &build_wide},
       {"deep8", &build_deep},
   };
-  const EligibleSetKind kinds[] = {EligibleSetKind::kDualHeap,
-                                   EligibleSetKind::kAugTree,
-                                   EligibleSetKind::kCalendar};
 
   std::vector<Result> results;
   auto show = [](const Result& r) {
     std::printf(
         "%-8s %-5s %-9s k=%-2d  %10.0f pkts/s  mean %6.1f ns  p50 %4llu ns  "
         "p99 %4llu ns\n",
-        r.workload.c_str(), r.scheduler.c_str(), r.kind.c_str(), r.batch,
-        r.pkts_per_sec, r.ns_mean, static_cast<unsigned long long>(r.ns_p50),
+        r.workload.c_str(), r.scheduler.c_str(), r.eligible_set.c_str(),
+        r.batch, r.pkts_per_sec, r.ns_mean,
+        static_cast<unsigned long long>(r.ns_p50),
         static_cast<unsigned long long>(r.ns_p99));
   };
   // Batch sizes for the H-FSC grid: k=1 is the classic single-dequeue
@@ -648,42 +627,35 @@ int main(int argc, char** argv) {
   constexpr std::size_t kBatchSizes[] = {1, 8, 32};
   for (const Workload& w : workloads) {
     if (!only_workload.empty() && only_workload != w.name) continue;
-    for (const EligibleSetKind k : kinds) {
-      if (!only_kind.empty() && only_kind != kind_name(k)) continue;
-      for (const std::size_t b : kBatchSizes) {
-        const Result r = run_one(w, k, packets, lat_samples, b);
-        show(r);
-        results.push_back(r);
-      }
+    for (const std::size_t b : kBatchSizes) {
+      const Result r = run_one(w, packets, lat_samples, b);
+      show(r);
+      results.push_back(r);
     }
   }
   // Resilience-runtime rows: the same workloads through RuntimeHost with
   // the governor idle at level 0, plus the overhead vs the bare
   // hfsc/dual_heap row (budget: < 3%).
-  if (only_kind.empty() || only_kind == "dual_heap") {
-    for (const Workload& w : workloads) {
-      if (!only_workload.empty() && only_workload != w.name) continue;
-      const Result r = run_one_runtime(w, packets, lat_samples);
-      show(r);
-      for (const Result& base : results) {
-        if (base.workload == r.workload && base.scheduler == "hfsc" &&
-            base.kind == "dual_heap" && base.batch == 1 &&
-            base.pkts_per_sec > 0) {
-          std::printf("%-8s governor-at-level-0 overhead vs hfsc/dual_heap: "
-                      "%+.2f%%\n",
-                      r.workload.c_str(),
-                      100.0 * (base.pkts_per_sec - r.pkts_per_sec) /
-                          base.pkts_per_sec);
-        }
+  for (const Workload& w : workloads) {
+    if (!only_workload.empty() && only_workload != w.name) continue;
+    const Result r = run_one_runtime(w, packets, lat_samples);
+    show(r);
+    for (const Result& base : results) {
+      if (base.workload == r.workload && base.scheduler == "hfsc" &&
+          base.batch == 1 && base.pkts_per_sec > 0) {
+        std::printf("%-8s governor-at-level-0 overhead vs hfsc/dual_heap: "
+                    "%+.2f%%\n",
+                    r.workload.c_str(),
+                    100.0 * (base.pkts_per_sec - r.pkts_per_sec) /
+                        base.pkts_per_sec);
       }
-      results.push_back(r);
     }
+    results.push_back(r);
   }
   // Supervised sharded-runtime rows: wide1000 hash-partitioned across
   // 1/2/4/8 shards, steady-state refill under live heartbeat
   // supervision (runtime/supervisor.hpp).
-  if (only_kind.empty() &&
-      (only_workload.empty() || only_workload == "wide1000")) {
+  if (only_workload.empty() || only_workload == "wide1000") {
     const HierarchySpec wide = spec_wide();
     for (const int n : {1, 2, 4, 8}) {
       const Result r = run_one_sharded(wide, n, packets);
@@ -693,25 +665,21 @@ int main(int argc, char** argv) {
     }
   }
   // Comparison-family rows: the same hierarchies through H-PFQ and CBQ.
-  // The H-FSC-only --kind filter skips them (they have no eligible set).
-  if (only_kind.empty()) {
-    const std::pair<const char*, HierarchySpec> specs[] = {
-        {"wide1000", spec_wide()},
-        {"deep8", spec_deep()},
-    };
-    for (const auto& [wname, spec] : specs) {
-      if (!only_workload.empty() && only_workload != wname) continue;
-      for (const SchedulerKind kind :
-           {SchedulerKind::kHpfq, SchedulerKind::kCbq}) {
-        const Result r =
-            run_one_family(wname, spec, kind, packets, lat_samples);
-        show(r);
-        results.push_back(r);
-      }
+  const std::pair<const char*, HierarchySpec> specs[] = {
+      {"wide1000", spec_wide()},
+      {"deep8", spec_deep()},
+  };
+  for (const auto& [wname, spec] : specs) {
+    if (!only_workload.empty() && only_workload != wname) continue;
+    for (const SchedulerKind kind :
+         {SchedulerKind::kHpfq, SchedulerKind::kCbq}) {
+      const Result r = run_one_family(wname, spec, kind, packets, lat_samples);
+      show(r);
+      results.push_back(r);
     }
   }
   if (results.empty()) {
-    std::fprintf(stderr, "no (workload, kind) combination selected\n");
+    std::fprintf(stderr, "no workload selected\n");
     return 2;
   }
 #ifdef HFSC_CACHE_STATS

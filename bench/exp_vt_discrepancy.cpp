@@ -33,7 +33,7 @@ constexpr RateBps kLink = mbps(80);
 constexpr TimeNs kDuration = sec(4);
 
 double worst_placement_error_ms(int n, SystemVtPolicy policy) {
-  Hfsc sched(kLink, EligibleSetKind::kDualHeap, policy);
+  Hfsc sched(kLink, policy);
   std::vector<ClassId> leaves;
   const RateBps share = kLink / static_cast<RateBps>(n);
   for (int i = 0; i < n; ++i) {

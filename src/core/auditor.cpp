@@ -42,7 +42,7 @@ AuditReport audit(const Hfsc& s) {
       if (c == kRootClass) fail(c, "root marked deleted");
       if (h.active()) fail(c, "deleted but active");
       if (queues.has(c)) fail(c, "deleted but has queued packets");
-      if (s.rt_requests_->contains(c)) fail(c, "deleted but in eligible set");
+      if (s.rt_requests_.contains(c)) fail(c, "deleted but in eligible set");
       if (!n.children.empty()) fail(c, "deleted with live children");
       continue;
     }
@@ -130,7 +130,7 @@ AuditReport audit(const Hfsc& s) {
     // Real-time side: eligible-set membership <=> backlogged rt leaf, and
     // the cached (e, d) equal the curves' inverses at the operating point.
     const bool should_request = is_leaf && h.has_rt() && backlogged;
-    if (s.rt_requests_->contains(c) != should_request) {
+    if (s.rt_requests_.contains(c) != should_request) {
       fail(c, should_request ? "backlogged rt leaf missing from eligible set"
                              : "stale entry in the eligible set");
     }

@@ -70,8 +70,9 @@ void checkpoint(const Hfsc& s, std::ostream& out) {
 
 void checkpoint(const Hfsc& s, std::ostream& out, std::string_view ext) {
   out << "hfsc-checkpoint " << kCheckpointVersion << '\n';
-  out << "link " << s.link_rate_ << ' ' << static_cast<int>(s.es_kind_) << ' '
-      << static_cast<int>(s.vt_policy_) << '\n';
+  // The second field is the retired eligible-set kind; always 0 now.
+  out << "link " << s.link_rate_ << " 0 " << static_cast<int>(s.vt_policy_)
+      << '\n';
   out << "maxpkt " << s.max_packet_len_ << '\n';
   out << "clock " << s.last_now_ << ' ' << s.ls_next_fit_ << '\n';
   out << "selections " << s.rt_selections_ << ' ' << s.ls_selections_ << ' '
@@ -139,19 +140,21 @@ Hfsc restore_checkpoint(std::istream& in, std::string* ext) {
 
   expect(in, "link");
   const RateBps link = num<RateBps>(in, "link rate");
-  const int es_kind = num<int>(in, "eligible-set kind");
+  const int kind = num<int>(in, "eligible-set kind");
   const int vt_policy = num<int>(in, "vt policy");
   if (link == 0) bad("zero link rate");
-  if (es_kind < 0 || es_kind > static_cast<int>(EligibleSetKind::kCalendar)) {
-    bad("unknown eligible-set kind " + std::to_string(es_kind));
+  // Images from builds that let the caller pick the eligible set carry
+  // 1 or 2 here.  The set is rebuilt from the restored (e, d) below, so
+  // those restore exactly like 0.
+  if (kind < 0 || kind > 2) {
+    bad("unknown eligible-set kind " + std::to_string(kind));
   }
   if (vt_policy < 0 ||
       vt_policy > static_cast<int>(SystemVtPolicy::kMidpoint)) {
     bad("unknown vt policy " + std::to_string(vt_policy));
   }
 
-  Hfsc s(link, static_cast<EligibleSetKind>(es_kind),
-         static_cast<SystemVtPolicy>(vt_policy));
+  Hfsc s(link, static_cast<SystemVtPolicy>(vt_policy));
 
   expect(in, "maxpkt");
   s.max_packet_len_ = num<Bytes>(in, "max packet length");
@@ -306,7 +309,7 @@ Hfsc restore_checkpoint(std::istream& in, std::string* ext) {
         !s.queues_.has(c)) {
       continue;
     }
-    s.rt_requests_->update(c, h.e, h.d, s.last_now_);
+    s.rt_requests_.update(c, h.e, h.d, s.last_now_);
   }
   if (adm_on) {
     auto fresh = std::make_unique<AdmissionControl>(adm_rate);

@@ -256,16 +256,4 @@ TimeNs CalendarEligibleSet::next_eligible_time() const {
   return best;
 }
 
-std::unique_ptr<EligibleSet> make_eligible_set(EligibleSetKind kind) {
-  switch (kind) {
-    case EligibleSetKind::kAugTree:
-      return std::make_unique<AugTreeEligibleSet>();
-    case EligibleSetKind::kCalendar:
-      return std::make_unique<CalendarEligibleSet>();
-    case EligibleSetKind::kDualHeap:
-      break;
-  }
-  return std::make_unique<DualHeapEligibleSet>();
-}
-
 }  // namespace hfsc

@@ -3,18 +3,17 @@
 // The real-time criterion needs, at each dequeue:
 //     among classes with eligible time e <= now, the minimum deadline d.
 //
-// The paper proposes two implementations; both are provided behind one
-// interface so the ablation bench (E10) can compare them:
+// The paper proposes two implementations, both O(log n).  Three concrete
+// classes with the same member functions are provided.  Hfsc holds a
+// DualHeapEligibleSet by value; the other two are Section V reference
+// structures that the tests check against it and the E10 bench measures:
 //
-//  * DualHeapEligibleSet — "a calendar queue for keeping track of the
-//    eligible times in conjunction with a heap for maintaining the
-//    requests' deadlines": a pending heap keyed by e plus a ready heap
-//    keyed by d; requests migrate as the clock passes their eligible
-//    time.  (We use an indexed heap rather than a literal calendar queue;
-//    same O(log n) bound, simpler memory behavior.)  This is the default
-//    kind, and its methods are defined inline in this header so that
-//    Hfsc's sealed fast path (core/hfsc.hpp) can call them without
-//    virtual dispatch and inline them into the dequeue loop.
+//  * DualHeapEligibleSet — the one H-FSC uses.  A pending heap keyed by e
+//    plus a ready heap keyed by d; requests migrate as the clock passes
+//    their eligible time.  (An indexed heap stands in for the paper's
+//    calendar queue on the pending side; same O(log n) bound, simpler
+//    memory behavior.)  Its methods are defined inline in this header so
+//    they inline into Hfsc's dequeue loop.
 //
 //  * AugTreeEligibleSet — "an augmented binary tree data structure as the
 //    one described in [16]": a balanced search tree ordered by e where
@@ -24,15 +23,22 @@
 //    pool (chunked arena + free list), so steady-state update/erase
 //    cycles never touch the allocator.
 //
-// Shared contract:
+//  * CalendarEligibleSet — the literal calendar queue plus deadline heap
+//    (see the class comment below).
+//
+// Shared contract (every class provides update, erase, contains, empty,
+// min_deadline_eligible and next_eligible_time):
+//
+//  * update(cls, e, d, now) inserts or updates the (e, d) request of cls.
 //
 //  * `now` must be monotone non-decreasing across calls on one instance
 //    (Hfsc guarantees this via its clock clamp); behavior under a
 //    regressed clock is safe but unspecified.
 //
-//  * Deadline ties break toward the smallest ClassId in every
-//    implementation, so all three kinds produce identical
-//    min_deadline_eligible() sequences for identical inputs (pinned by
+//  * min_deadline_eligible(now) returns the class with the smallest
+//    deadline among those with e <= now.  Deadline ties break toward the
+//    smallest ClassId in every implementation, so all three produce
+//    identical sequences for identical inputs (pinned by
 //    tests/test_eligible_ablation_fuzz.cpp).
 //
 //  * next_eligible_time() returns the earliest time at which
@@ -52,29 +58,9 @@
 
 namespace hfsc {
 
-class EligibleSet {
+class DualHeapEligibleSet {
  public:
-  virtual ~EligibleSet() = default;
-
-  // Inserts or updates the (e, d) request of `cls`.
-  virtual void update(ClassId cls, TimeNs e, TimeNs d, TimeNs now) = 0;
-  virtual void erase(ClassId cls) = 0;
-  virtual bool contains(ClassId cls) const = 0;
-  virtual bool empty() const = 0;
-
-  // The class with the smallest deadline among those with e <= now, if any
-  // (deadline ties break by smallest ClassId).
-  virtual std::optional<ClassId> min_deadline_eligible(TimeNs now) = 0;
-
-  // Earliest time at which min_deadline_eligible() could start returning a
-  // class: 0 if one is already eligible (see header comment),
-  // kTimeInfinity if empty.
-  virtual TimeNs next_eligible_time() const = 0;
-};
-
-class DualHeapEligibleSet final : public EligibleSet {
- public:
-  void update(ClassId cls, TimeNs e, TimeNs d, TimeNs now) override {
+  void update(ClassId cls, TimeNs e, TimeNs d, TimeNs now) {
     if (cls >= deadline_of_.size()) deadline_of_.resize(cls + 1, 0);
     deadline_of_[cls] = d;
     // In-place re-key when the request stays on the same side of `now`;
@@ -89,7 +75,7 @@ class DualHeapEligibleSet final : public EligibleSet {
     }
   }
 
-  void erase(ClassId cls) override {
+  void erase(ClassId cls) {
     if (pending_.contains(cls)) {
       pending_.erase(cls);
     } else if (ready_.contains(cls)) {
@@ -97,12 +83,12 @@ class DualHeapEligibleSet final : public EligibleSet {
     }
   }
 
-  bool contains(ClassId cls) const override {
+  bool contains(ClassId cls) const {
     return pending_.contains(cls) || ready_.contains(cls);
   }
-  bool empty() const override { return pending_.empty() && ready_.empty(); }
+  bool empty() const { return pending_.empty() && ready_.empty(); }
 
-  std::optional<ClassId> min_deadline_eligible(TimeNs now) override {
+  std::optional<ClassId> min_deadline_eligible(TimeNs now) {
     while (!pending_.empty() && pending_.top_key() <= now) {
       const ClassId cls = pending_.pop();
       ready_.push(cls, deadline_of_[cls]);
@@ -111,7 +97,7 @@ class DualHeapEligibleSet final : public EligibleSet {
     return ready_.top_id();
   }
 
-  TimeNs next_eligible_time() const override {
+  TimeNs next_eligible_time() const {
     if (!ready_.empty()) return 0;
     if (pending_.empty()) return kTimeInfinity;
     return pending_.top_key();
@@ -123,17 +109,17 @@ class DualHeapEligibleSet final : public EligibleSet {
   std::vector<TimeNs> deadline_of_;  // ClassId -> d (for promotions)
 };
 
-class AugTreeEligibleSet final : public EligibleSet {
+class AugTreeEligibleSet {
  public:
   AugTreeEligibleSet();
-  ~AugTreeEligibleSet() override;
+  ~AugTreeEligibleSet();
 
-  void update(ClassId cls, TimeNs e, TimeNs d, TimeNs now) override;
-  void erase(ClassId cls) override;
-  bool contains(ClassId cls) const override;
-  bool empty() const override;
-  std::optional<ClassId> min_deadline_eligible(TimeNs now) override;
-  TimeNs next_eligible_time() const override;
+  void update(ClassId cls, TimeNs e, TimeNs d, TimeNs now);
+  void erase(ClassId cls);
+  bool contains(ClassId cls) const;
+  bool empty() const;
+  std::optional<ClassId> min_deadline_eligible(TimeNs now);
+  TimeNs next_eligible_time() const;
 
  private:
   struct Node;
@@ -179,7 +165,7 @@ class AugTreeEligibleSet final : public EligibleSet {
 // therefore carry their exact eligible time, and migrate() only promotes
 // an entry once e <= now — a future-revolution entry is skipped and
 // stays in its bucket (pinned by EligibleSetTest.CalendarDayRollover).
-class CalendarEligibleSet final : public EligibleSet {
+class CalendarEligibleSet {
  public:
   // bucket_width: the calendar's time granularity; requests whose
   // eligible times fall in the same bucket migrate together (they are
@@ -187,12 +173,12 @@ class CalendarEligibleSet final : public EligibleSet {
   explicit CalendarEligibleSet(TimeNs bucket_width = usec(100),
                                std::size_t num_buckets = 256);
 
-  void update(ClassId cls, TimeNs e, TimeNs d, TimeNs now) override;
-  void erase(ClassId cls) override;
-  bool contains(ClassId cls) const override;
-  bool empty() const override { return size_ == 0; }
-  std::optional<ClassId> min_deadline_eligible(TimeNs now) override;
-  TimeNs next_eligible_time() const override;
+  void update(ClassId cls, TimeNs e, TimeNs d, TimeNs now);
+  void erase(ClassId cls);
+  bool contains(ClassId cls) const;
+  bool empty() const { return size_ == 0; }
+  std::optional<ClassId> min_deadline_eligible(TimeNs now);
+  TimeNs next_eligible_time() const;
 
  private:
   struct Request {
@@ -221,9 +207,5 @@ class CalendarEligibleSet final : public EligibleSet {
   std::size_t size_ = 0;
   TimeNs migrated_until_ = 0;  // clock position of the calendar scan
 };
-
-enum class EligibleSetKind { kDualHeap, kAugTree, kCalendar };
-
-std::unique_ptr<EligibleSet> make_eligible_set(EligibleSetKind kind);
 
 }  // namespace hfsc

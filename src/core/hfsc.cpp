@@ -14,13 +14,9 @@ constexpr TimeNs avg(TimeNs a, TimeNs b) noexcept {
 }
 }  // namespace
 
-Hfsc::Hfsc(RateBps link_rate, EligibleSetKind kind, SystemVtPolicy vt_policy)
-    : link_rate_(link_rate), es_kind_(kind), vt_policy_(vt_policy),
-      rt_requests_(make_eligible_set(kind)) {
+Hfsc::Hfsc(RateBps link_rate, SystemVtPolicy vt_policy)
+    : link_rate_(link_rate), vt_policy_(vt_policy) {
   ensure(link_rate > 0, Errc::kInvalidArgument, "link rate must be > 0");
-  if (kind == EligibleSetKind::kDualHeap) {
-    rt_fast_ = static_cast<DualHeapEligibleSet*>(rt_requests_.get());
-  }
   nodes_.emplace_back();  // root
   hot_.emplace_back();
   curves_.emplace_back();
@@ -131,7 +127,7 @@ void Hfsc::update_ed(ClassId cls, TimeNs now) {
   if (rt.m1 < rt.m2) cc.ec.flatten_to_second_slope();
   h.e = cc.ec.y2x(h.cumul);
   h.d = cc.dc.y2x(sat_add(h.cumul, queues_.head(cls).len));
-  es_update(cls, h.e, h.d, now);
+  rt_requests_.update(cls, h.e, h.d, now);
 }
 
 void Hfsc::update_d(ClassId cls) {
@@ -259,10 +255,10 @@ Packet Hfsc::serve(ClassId leaf, Criterion crit, TimeNs now) {
       // Fig. 5(b): after a link-sharing service only the deadline moves
       // (c did not change but the head packet's length may differ).
       update_d(leaf);
-      es_update(leaf, h.e, h.d, now);
+      rt_requests_.update(leaf, h.e, h.d, now);
     }
   } else {
-    if (h.has_rt()) es_erase(leaf);
+    if (h.has_rt()) rt_requests_.erase(leaf);
     if (h.active()) set_passive(leaf);
   }
   last_criterion_ = crit;
@@ -301,10 +297,10 @@ void Hfsc::change_class(TimeNs now, ClassId cls, ClassConfig cfg) {
     if (queues_.has(cls)) {
       h.e = cc.ec.y2x(h.cumul);
       h.d = cc.dc.y2x(sat_add(h.cumul, queues_.head(cls).len));
-      es_update(cls, h.e, h.d, now);
+      rt_requests_.update(cls, h.e, h.d, now);
     }
-  } else if (es_contains(cls)) {
-    es_erase(cls);
+  } else if (rt_requests_.contains(cls)) {
+    rt_requests_.erase(cls);
   }
 
   // Link-sharing side: re-anchor at (v, w).
@@ -357,7 +353,7 @@ void Hfsc::delete_class(ClassId cls) {
     ++n.pkts_dropped;
     n.bytes_dropped += p.len;
   }
-  if (es_contains(cls)) es_erase(cls);
+  if (rt_requests_.contains(cls)) rt_requests_.erase(cls);
   if (h.active()) set_passive(cls);
   if (h.has_ul()) --num_ul_;
 
@@ -437,7 +433,7 @@ bool Hfsc::drop_tail(ClassId cls) {
   ++n.pkts_dropped;
   n.bytes_dropped += p.len;
   if (!queues_.has(cls)) {
-    if (h.has_rt() && es_contains(cls)) es_erase(cls);
+    if (h.has_rt() && rt_requests_.contains(cls)) rt_requests_.erase(cls);
     if (h.active()) set_passive(cls);
   }
   return true;
@@ -450,7 +446,7 @@ std::optional<Packet> Hfsc::dequeue(TimeNs now) {
   if (queues_.packets() == 0) return std::nullopt;
   // Real-time criterion: used exactly when some leaf is eligible — i.e.
   // when leaving the choice to link-sharing could endanger a guarantee.
-  if (auto cls = es_min_deadline_eligible(now)) {
+  if (auto cls = rt_requests_.min_deadline_eligible(now)) {
     return serve(*cls, Criterion::kRealTime, now);
   }
   if (auto leaf = ls_select(now)) {
@@ -479,7 +475,7 @@ std::size_t Hfsc::dequeue_batch(TimeNs now, std::size_t max_pkts,
     maybe_self_check();
     if (queues_.packets() == 0) break;
     Criterion crit = Criterion::kRealTime;
-    std::optional<ClassId> leaf = es_min_deadline_eligible(now);
+    std::optional<ClassId> leaf = rt_requests_.min_deadline_eligible(now);
     if (!leaf) {
       leaf = ls_select(now);
       crit = Criterion::kLinkShare;
@@ -492,7 +488,7 @@ std::size_t Hfsc::dequeue_batch(TimeNs now, std::size_t max_pkts,
 }
 
 TimeNs Hfsc::next_wakeup(TimeNs /*now*/) const noexcept {
-  return std::min(es_next_eligible_time(), ls_next_fit_);
+  return std::min(rt_requests_.next_eligible_time(), ls_next_fit_);
 }
 
 // ----------------------------------------------------- admission control

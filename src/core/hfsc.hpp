@@ -94,7 +94,6 @@ class Hfsc final : public Scheduler {
 
   // Throws Error{kInvalidArgument} if link_rate == 0.
   explicit Hfsc(RateBps link_rate,
-                EligibleSetKind kind = EligibleSetKind::kDualHeap,
                 SystemVtPolicy vt_policy = SystemVtPolicy::kMidpoint);
 
   // Adds a class under `parent` (kRootClass for top level).  Only leaf
@@ -467,49 +466,14 @@ class Hfsc final : public Scheduler {
   }
   void maybe_self_check();
 
-  // --- Sealed eligible-set fast path ---------------------------------------
-  // The default DualHeapEligibleSet is final with header-inline methods;
-  // when it is the configured kind, rt_fast_ points at the concrete object
-  // and these wrappers call it directly (devirtualized and inlinable into
-  // the dequeue loop).  Other kinds fall back to one virtual dispatch.
-  void es_update(ClassId cls, TimeNs e, TimeNs d, TimeNs now) {
-    if (rt_fast_) {
-      rt_fast_->update(cls, e, d, now);
-    } else {
-      rt_requests_->update(cls, e, d, now);
-    }
-  }
-  void es_erase(ClassId cls) {
-    if (rt_fast_) {
-      rt_fast_->erase(cls);
-    } else {
-      rt_requests_->erase(cls);
-    }
-  }
-  bool es_contains(ClassId cls) const {
-    return rt_fast_ ? rt_fast_->contains(cls) : rt_requests_->contains(cls);
-  }
-  std::optional<ClassId> es_min_deadline_eligible(TimeNs now) {
-    return rt_fast_ ? rt_fast_->min_deadline_eligible(now)
-                    : rt_requests_->min_deadline_eligible(now);
-  }
-  TimeNs es_next_eligible_time() const {
-    return rt_fast_ ? rt_fast_->next_eligible_time()
-                    : rt_requests_->next_eligible_time();
-  }
-
   RateBps link_rate_;
-  EligibleSetKind es_kind_;  // recorded for checkpoint/restore
   SystemVtPolicy vt_policy_;
   std::vector<Node> nodes_;       // nodes_[0] = root (cold state)
   std::vector<HotClass> hot_;     // parallel to nodes_ (hot slab)
   std::vector<ClassCurves> curves_;  // parallel to nodes_ (curve slab)
   ClassQueues queues_;
-  std::unique_ptr<EligibleSet> rt_requests_;
-  // Non-owning view of rt_requests_ when es_kind_ == kDualHeap (the
-  // sealed fast path above); null otherwise.  Points at the pointee, so
-  // it stays valid across moves of the owning Hfsc.
-  DualHeapEligibleSet* rt_fast_ = nullptr;
+  // Real-time requests (e, d) of the backlogged rt leaves (Section V).
+  DualHeapEligibleSet rt_requests_;
   // Scratch for ls_select: upper-limit-blocked children set aside during
   // the descent.  A member so the steady-state path never allocates.
   std::vector<std::pair<std::uint32_t, TimeNs>> ls_blocked_;

@@ -50,7 +50,7 @@ const char* to_string(CrashPoint p) noexcept {
 
 RuntimeHost::RuntimeHost(const RuntimeOptions& opts)
     : opts_(opts),
-      sched_(opts.link_rate, opts.es_kind, opts.vt_policy),
+      sched_(opts.link_rate, opts.vt_policy),
       gov_(opts.governor) {
   if (opts_.admission_rate > 0) {
     sched_.enable_admission_control(opts_.admission_rate);
@@ -92,11 +92,7 @@ void RuntimeHost::change_class(TimeNs now, ClassId cls, ClassConfig cfg) {
 
 void RuntimeHost::delete_class(ClassId cls) {
   sched_.delete_class(cls);
-  // A deleted class can no longer be governed; dropping it from the
-  // saved-state maps here is mirrored by the `del` replay path, so
-  // recovery converges to the same governor state.
-  gov_.forget_clamp(cls);
-  gov_.forget_quarantine(cls);
+  forget_governed(cls);
   maybe_crash(CrashPoint::kAfterApply);
   journal_append("del " + std::to_string(cls));
   maybe_crash(CrashPoint::kAfterJournalAppend);
@@ -129,6 +125,9 @@ void RuntimeHost::commit_batch(const std::vector<BatchOp>& ops) {
     }
   }
   txn.commit();  // throws without journaling on a failed batch
+  for (const BatchOp& op : ops) {
+    if (op.kind == BatchOp::Kind::kDelete) forget_governed(op.cls);
+  }
   maybe_crash(CrashPoint::kAfterApply);
   std::ostringstream p;
   p << "txn " << ops.size() << '\n';
@@ -372,8 +371,7 @@ void RuntimeHost::apply_record(const std::string& payload) {
     ClassId cls = 0;
     if (!(in >> cls)) bad_record(payload);
     sched_.delete_class(cls);
-    gov_.forget_clamp(cls);
-    gov_.forget_quarantine(cls);
+    forget_governed(cls);
   } else if (op == "qlim") {
     ClassId cls = 0;
     std::size_t limit = 0;
@@ -383,6 +381,7 @@ void RuntimeHost::apply_record(const std::string& payload) {
     std::size_t n = 0;
     if (!(in >> n)) bad_record(payload);
     Hfsc::Txn txn = sched_.begin();
+    std::vector<ClassId> deleted;
     for (std::size_t i = 0; i < n; ++i) {
       std::string sub;
       if (!(in >> sub)) bad_record(payload);
@@ -399,6 +398,7 @@ void RuntimeHost::apply_record(const std::string& payload) {
         ClassId cls = 0;
         if (!(in >> cls)) bad_record(payload);
         txn.delete_class(cls);
+        deleted.push_back(cls);
       } else if (sub == "qlim") {
         ClassId cls = 0;
         std::size_t limit = 0;
@@ -409,6 +409,7 @@ void RuntimeHost::apply_record(const std::string& payload) {
       }
     }
     txn.commit();
+    for (const ClassId cls : deleted) forget_governed(cls);
   } else if (op == "gov") {
     std::size_t n = 0;
     if (!(in >> n)) bad_record(payload);

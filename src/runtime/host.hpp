@@ -69,7 +69,6 @@ struct CrashSignal {
 
 struct RuntimeOptions {
   RateBps link_rate = 0;
-  EligibleSetKind es_kind = EligibleSetKind::kDualHeap;
   SystemVtPolicy vt_policy = SystemVtPolicy::kMidpoint;
   bool governor_enabled = true;
   GovernorConfig governor{};
@@ -192,6 +191,13 @@ class RuntimeHost {
   // Executes a governor plan through direct scheduler mutations and
   // journals the whole intervention as one `gov` record.
   void execute(const GovActions& actions, TimeNs now);
+  // Drops a deleted class from the governor's saved state.  Every delete
+  // path (direct, batched, and their journal replays) calls it, so
+  // recovery converges to the same governor state.
+  void forget_governed(ClassId cls) {
+    gov_.forget_clamp(cls);
+    gov_.forget_quarantine(cls);
+  }
   // Replays one journal payload onto the scheduler (recovery path).
   void apply_record(const std::string& payload);
   // True if `cls` is a live leaf carrying an rt curve.

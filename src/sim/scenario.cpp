@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -177,7 +178,11 @@ void parse_class_attrs(std::istringstream& ls, ScenarioClass* c,
         fail_at(fname, line,
                 "shard pins are only allowed on top-level classes");
       }
-      c->shard = static_cast<int>(parse_bytes(n));
+      const Bytes shard = parse_bytes(n);
+      if (shard > static_cast<Bytes>(std::numeric_limits<int>::max())) {
+        fail_at(fname, line, "shard index out of range: " + n);
+      }
+      c->shard = static_cast<int>(shard);
     } else {
       fail_at(fname, line, "unknown class attribute: " + key);
     }

@@ -1,9 +1,11 @@
 // Checkpoint/restore tests (core/checkpoint.{hpp,cpp}): a mid-backlog
 // round trip must audit clean, match the original's state digest, and
-// dequeue packet-for-packet identically until drain; malformed streams
+// dequeue packet-for-packet identically until drain, also from images
+// whose `link` line carries a legacy eligible-set kind; malformed streams
 // must throw Error{kBadCheckpoint}.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -24,8 +26,7 @@ struct Busy {
   TimeNs now = 0;
   std::uint64_t seq = 0;
 
-  explicit Busy(EligibleSetKind kind)
-      : sched(mbps(20), kind) {
+  Busy() : sched(mbps(20)) {
     const RateBps link = mbps(20);
     const ClassId org1 = sched.add_class(
         kRootClass, ClassConfig::link_share_only(ServiceCurve::linear(link / 2)));
@@ -63,16 +64,35 @@ struct Busy {
   }
 };
 
-class CheckpointRoundTrip
-    : public ::testing::TestWithParam<EligibleSetKind> {};
+// Replaces the eligible-set kind (the second field of the `link` line)
+// in a checkpoint image.
+std::string with_kind(const std::string& image, const std::string& kind) {
+  const std::size_t line = image.find("\nlink ") + 1;
+  const std::size_t from = image.find(' ', line + 5) + 1;
+  const std::size_t to = image.find(' ', from);
+  return image.substr(0, from) + kind + image.substr(to);
+}
+
+// The eligible-set kind an image's `link` line carries.  Builds that let
+// H-FSC run the augmented tree (1) or the calendar queue (2) wrote those
+// values; the set is rebuilt from the restored requests, so every kind
+// must restore exactly.  (A bare struct prints as its bytes, which keeps
+// the row names of the suite that ran each kind natively.)
+struct KindTag {
+  std::int32_t value;
+};
+
+class CheckpointRoundTrip : public ::testing::TestWithParam<KindTag> {};
 
 TEST_P(CheckpointRoundTrip, MidBacklogRestoreIsExact) {
-  Busy b(GetParam());
+  Busy b;
   ASSERT_GT(b.sched.backlog_packets(), 0u);
 
   std::stringstream buf;
   checkpoint(b.sched, buf);
-  Hfsc restored = restore_checkpoint(buf);
+  std::istringstream tagged(
+      with_kind(buf.str(), std::to_string(GetParam().value)));
+  Hfsc restored = restore_checkpoint(tagged);
 
   const AuditReport report = audit(restored);
   ASSERT_TRUE(report.ok()) << report.to_string();
@@ -132,9 +152,26 @@ TEST_P(CheckpointRoundTrip, MidBacklogRestoreIsExact) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEligibleSets, CheckpointRoundTrip,
-                         ::testing::Values(EligibleSetKind::kDualHeap,
-                                           EligibleSetKind::kAugTree,
-                                           EligibleSetKind::kCalendar));
+                         ::testing::Values(KindTag{0}, KindTag{1},
+                                           KindTag{2}));
+
+TEST(Checkpoint, RejectsUnknownKindField) {
+  Busy b;
+  std::stringstream buf;
+  checkpoint(b.sched, buf);
+  for (const char* kind : {"3", "-1"}) {
+    std::istringstream in(with_kind(buf.str(), kind));
+    try {
+      restore_checkpoint(in);
+      FAIL() << "eligible-set kind " << kind << " must be rejected";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), Errc::kBadCheckpoint);
+      EXPECT_NE(std::string(e.what()).find("eligible-set kind"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
 
 TEST(Checkpoint, RejectsForeignMagic) {
   std::istringstream in("not-a-checkpoint 1\n");
@@ -158,7 +195,7 @@ TEST(Checkpoint, RejectsUnknownVersion) {
 }
 
 TEST(Checkpoint, RejectsTruncation) {
-  Busy b(EligibleSetKind::kDualHeap);
+  Busy b;
   std::stringstream buf;
   checkpoint(b.sched, buf);
   const std::string full = buf.str();

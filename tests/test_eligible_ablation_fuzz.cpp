@@ -1,7 +1,9 @@
-// Differential fuzz across the three EligibleSet implementations.
+// Differential fuzz across the three eligible-set structures of Section V.
 //
-// The eligible-set ablation (bench/bench_throughput.cpp) only measures a
-// like-for-like comparison if all three kinds are observably identical:
+// H-FSC runs the dual heap; the augmented tree and the calendar queue are
+// reference structures, and the E10 ablation
+// (bench/bench_eligible_ablation.cpp) only compares like with like if all
+// three are observably identical:
 // same winner from min_deadline_eligible() — *including* exact deadline
 // ties, which must break toward the smallest ClassId — and the same
 // next_eligible_time() under the shared contract (0 once eligible, min
@@ -9,7 +11,7 @@
 //
 // Unlike tests/test_eligible_set.cpp's equivalence fuzz (which only
 // compares the winning deadline *value*), this one drives identical
-// update/erase/query sequences through all three kinds and asserts the
+// update/erase/query sequences through all three and asserts the
 // returned ClassId matches exactly.  Deadlines are quantized to a coarse
 // grid so exact ties happen constantly rather than almost never.
 #include <gtest/gtest.h>
@@ -27,9 +29,9 @@ class EligibleAblationFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(EligibleAblationFuzz, AllKindsReturnIdenticalClassIds) {
   Rng rng(GetParam());
-  auto dual = make_eligible_set(EligibleSetKind::kDualHeap);
-  auto tree = make_eligible_set(EligibleSetKind::kAugTree);
-  auto cal = make_eligible_set(EligibleSetKind::kCalendar);
+  DualHeapEligibleSet dual;
+  AugTreeEligibleSet tree;
+  CalendarEligibleSet cal;
   struct Req {
     TimeNs e, d;
   };
@@ -44,16 +46,16 @@ TEST_P(EligibleAblationFuzz, AllKindsReturnIdenticalClassIds) {
         const TimeNs e =
             sat_sub(now + msec(rng.uniform(0, 12)), msec(4));
         const TimeNs d = e + msec(rng.uniform(1, 6));
-        dual->update(cls, e, d, now);
-        tree->update(cls, e, d, now);
-        cal->update(cls, e, d, now);
+        dual.update(cls, e, d, now);
+        tree.update(cls, e, d, now);
+        cal.update(cls, e, d, now);
         model[cls] = {e, d};
         break;
       }
       case 1:
-        dual->erase(cls);
-        tree->erase(cls);
-        cal->erase(cls);
+        dual.erase(cls);
+        tree.erase(cls);
+        cal.erase(cls);
         model.erase(cls);
         break;
       case 2: {
@@ -65,9 +67,9 @@ TEST_P(EligibleAblationFuzz, AllKindsReturnIdenticalClassIds) {
         for (const auto& [id, r] : model) {
           if (r.e <= now && (!want || r.d < model[*want].d)) want = id;
         }
-        const auto got_dual = dual->min_deadline_eligible(now);
-        const auto got_tree = tree->min_deadline_eligible(now);
-        const auto got_cal = cal->min_deadline_eligible(now);
+        const auto got_dual = dual.min_deadline_eligible(now);
+        const auto got_tree = tree.min_deadline_eligible(now);
+        const auto got_cal = cal.min_deadline_eligible(now);
         ASSERT_EQ(got_dual, want) << "dual_heap diverges at step " << step;
         ASSERT_EQ(got_tree, want) << "aug_tree diverges at step " << step;
         ASSERT_EQ(got_cal, want) << "calendar diverges at step " << step;
@@ -77,18 +79,18 @@ TEST_P(EligibleAblationFuzz, AllKindsReturnIdenticalClassIds) {
         for (const auto& [id, r] : model) {
           want_next = std::min(want_next, r.e <= now ? TimeNs{0} : r.e);
         }
-        ASSERT_EQ(dual->next_eligible_time(), want_next) << "step " << step;
-        ASSERT_EQ(tree->next_eligible_time(), want_next) << "step " << step;
-        ASSERT_EQ(cal->next_eligible_time(), want_next) << "step " << step;
+        ASSERT_EQ(dual.next_eligible_time(), want_next) << "step " << step;
+        ASSERT_EQ(tree.next_eligible_time(), want_next) << "step " << step;
+        ASSERT_EQ(cal.next_eligible_time(), want_next) << "step " << step;
         break;
       }
     }
-    ASSERT_EQ(dual->contains(cls), model.count(cls) != 0);
-    ASSERT_EQ(tree->contains(cls), model.count(cls) != 0);
-    ASSERT_EQ(cal->contains(cls), model.count(cls) != 0);
-    ASSERT_EQ(dual->empty(), model.empty());
-    ASSERT_EQ(tree->empty(), model.empty());
-    ASSERT_EQ(cal->empty(), model.empty());
+    ASSERT_EQ(dual.contains(cls), model.count(cls) != 0);
+    ASSERT_EQ(tree.contains(cls), model.count(cls) != 0);
+    ASSERT_EQ(cal.contains(cls), model.count(cls) != 0);
+    ASSERT_EQ(dual.empty(), model.empty());
+    ASSERT_EQ(tree.empty(), model.empty());
+    ASSERT_EQ(cal.empty(), model.empty());
   }
 }
 

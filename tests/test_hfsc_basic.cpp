@@ -127,29 +127,6 @@ TEST(HfscBasic, WorkConservingWithLsCurves) {
   EXPECT_GT(sim.link().busy_time(), sec(2) - msec(1));
 }
 
-TEST(HfscBasic, BothEligibleSetKindsDeliverSameTotals) {
-  // The two Section-V data structures must produce equivalent schedules
-  // (identical per-class byte totals on a deterministic workload).
-  auto run = [](EligibleSetKind kind) {
-    Hfsc sched(mbps(8), kind);
-    const ClassId a = sched.add_class(
-        kRootClass,
-        ClassConfig::both(ServiceCurve{mbps(6), msec(5), mbps(2)}));
-    const ClassId b = sched.add_class(
-        kRootClass, ClassConfig::both(ServiceCurve{0, msec(20), mbps(6)}));
-    Simulator sim(mbps(8), sched);
-    sim.add<PoissonSource>(a, mbps(2), 700, 0, sec(2), 77);
-    sim.add<GreedySource>(b, 1400, 4, 0, sec(2));
-    sim.run(sec(2));
-    return std::pair{sim.tracker().bytes(a), sim.tracker().bytes(b)};
-  };
-  const auto dual = run(EligibleSetKind::kDualHeap);
-  const auto tree = run(EligibleSetKind::kAugTree);
-  const auto cal = run(EligibleSetKind::kCalendar);
-  EXPECT_EQ(dual, tree);
-  EXPECT_EQ(dual, cal);
-}
-
 TEST(HfscBasic, DeepHierarchyDeliversAllTraffic) {
   Hfsc sched(mbps(10));
   ClassId parent = kRootClass;

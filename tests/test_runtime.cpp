@@ -6,6 +6,7 @@
 // pinned deterministically.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -252,6 +253,123 @@ TEST(RuntimeHost, TornAppendLosesOnlyTheTornRecord) {
                                           live.journal_image());
   EXPECT_EQ(back.sched().queue_limit_of(1), 64u);
   EXPECT_TRUE(back.audit_runtime().ok());
+}
+
+// A host whose governor has clamped a flooded bulk leaf (level 2): one
+// rt leaf and four link-share leaves, flooded past the ladder thresholds
+// until the first clamp lands.  `checkpoint_first` snapshots before the
+// flood, so the clamp lives in the journal tail.
+struct ClampedHost {
+  RuntimeOptions opts;
+  RuntimeHost host;
+  ClassId victim = kRootClass;
+
+  static RuntimeOptions overload_opts() {
+    RuntimeOptions o;
+    o.link_rate = mbps(100);
+    o.admission_rate = mbps(100);
+    o.watchdog_horizon = msec(20);
+    o.sample_interval = usec(200);
+    GovernorConfig& g = o.governor;
+    g.enter_backlog[0] = 64 * 1024;
+    g.enter_backlog[1] = 192 * 1024;
+    g.enter_backlog[2] = 480 * 1024;
+    g.exit_backlog[0] = 32 * 1024;
+    g.exit_backlog[1] = 96 * 1024;
+    g.exit_backlog[2] = 240 * 1024;
+    g.class_threshold = 160 * 1024;
+    g.quarantine_qlimit = 200;
+    return o;
+  }
+
+  explicit ClampedHost(bool checkpoint_first)
+      : opts(overload_opts()), host(opts) {
+    const ServiceCurve rt = ServiceCurve::linear(mbps(20));
+    host.add_class(kRootClass, ClassConfig::both(rt));
+    std::vector<ClassId> bulk;
+    for (int i = 0; i < 4; ++i) {
+      bulk.push_back(host.add_class(
+          kRootClass,
+          ClassConfig::link_share_only(ServiceCurve::linear(mbps(20)))));
+    }
+    if (checkpoint_first) host.save_checkpoint();
+    std::uint64_t seq = 1;
+    TimeNs next_tx = usec(1);
+    for (TimeNs now = usec(1);
+         host.governor().clamped().empty() && now < msec(500);
+         now += usec(100)) {
+      while (next_tx <= now) {
+        const std::optional<Packet> p = host.dequeue(next_tx);
+        if (!p) {
+          next_tx = now + 1;
+          break;
+        }
+        next_tx += tx_time(p->len, opts.link_rate);
+      }
+      for (const ClassId b : bulk) {
+        for (int k = 0; k < 3; ++k) {
+          host.enqueue(now, Packet{b, 1200, now, seq++});
+        }
+      }
+    }
+    if (!host.governor().clamped().empty()) {
+      victim = host.governor().clamped().begin()->first;
+    }
+  }
+};
+
+std::vector<RuntimeHost::BatchOp> delete_op(ClassId cls) {
+  RuntimeHost::BatchOp op;
+  op.kind = RuntimeHost::BatchOp::Kind::kDelete;
+  op.cls = cls;
+  return {op};
+}
+
+TEST(RuntimeHost, BatchDeleteOfClampedClassRecovers) {
+  // Deleting a governed class through commit_batch must drop its saved
+  // state exactly like delete_class does, live and on replay; otherwise
+  // the audit finds a clamp on a dead class and recovery refuses a
+  // durable, committed state.
+  ClampedHost c(/*checkpoint_first=*/false);
+  ASSERT_NE(c.victim, kRootClass) << "the flood never triggered a clamp";
+  ASSERT_GE(c.host.gov_level(), 2);
+  c.host.save_checkpoint();
+  c.host.commit_batch(delete_op(c.victim));
+  EXPECT_EQ(c.host.governor().clamped().count(c.victim), 0u);
+  ASSERT_TRUE(c.host.audit_runtime().ok())
+      << c.host.audit_runtime().to_string();
+
+  // Checkpoint + journal: the tail replays the batch delete.
+  RuntimeHost back = RuntimeHost::recover(c.opts, c.host.checkpoint_image(),
+                                          c.host.journal_image());
+  EXPECT_EQ(back.digest(), c.host.digest());
+  EXPECT_EQ(back.governor().serialize(), c.host.governor().serialize());
+}
+
+TEST(RuntimeHost, ReplayedBatchDeleteOfClampedClassRecovers) {
+  // Same, with the clamp itself in the journal: checkpoint before the
+  // flood, and a never-checkpointed twin that replays everything.
+  ClampedHost c(/*checkpoint_first=*/true);
+  ASSERT_NE(c.victim, kRootClass) << "the flood never triggered a clamp";
+  c.host.commit_batch(delete_op(c.victim));
+  ASSERT_TRUE(c.host.audit_runtime().ok())
+      << c.host.audit_runtime().to_string();
+
+  const RuntimeHost from_cp = RuntimeHost::recover(
+      c.opts, c.host.checkpoint_image(), c.host.journal_image());
+  EXPECT_EQ(from_cp.governor().clamped().count(c.victim), 0u);
+  EXPECT_TRUE(from_cp.sched().is_deleted(c.victim));
+
+  ClampedHost twin(/*checkpoint_first=*/false);
+  ASSERT_EQ(twin.victim, c.victim);
+  twin.host.commit_batch(delete_op(twin.victim));
+  const RuntimeHost from_journal =
+      RuntimeHost::recover(twin.opts, "", twin.host.journal_image());
+  EXPECT_EQ(from_journal.governor().clamped().count(c.victim), 0u);
+  EXPECT_TRUE(from_journal.sched().is_deleted(c.victim));
+  // The data path is not journaled, so both recoveries hold the same
+  // control-plane state and an empty backlog: equal digests.
+  EXPECT_EQ(from_journal.digest(), from_cp.digest());
 }
 
 TEST(RuntimeHost, CorruptImagesRaiseTypedErrors) {

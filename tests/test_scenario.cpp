@@ -136,6 +136,14 @@ TEST(ScenarioParse, ErrorsCarryLineNumbers) {
   expect_error("link 10Mbps\nduration 100000000000000000000s\n"
                "class a root ls linear 1Mbps\n",
                "time out of range: 100000000000000000000s");
+  // A shard index past INT_MAX would wrap to -1 (unpinned) or to a
+  // small shard instead of failing.
+  expect_error("link 10Mbps\nduration 1s\n"
+               "class a root ls linear 1Mbps shard 4294967295\n",
+               "scenario line 3: shard index out of range: 4294967295");
+  expect_error("link 10Mbps\nduration 1s\n"
+               "class a root ls linear 1Mbps shard 4294967296\n",
+               "scenario line 3: shard index out of range: 4294967296");
 }
 
 TEST(ScenarioParse, RejectsZeroRateServiceCurves) {

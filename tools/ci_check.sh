@@ -30,7 +30,8 @@
 #
 # The randomized long-running suites carry the ctest label "fuzz"
 # (tests/CMakeLists.txt) — fault injection, transaction atomicity,
-# batched/eligible-set ablation, the min-plus curve-operator fuzz
+# batched-versus-single dequeue equivalence, agreement of the three
+# Section V eligible-set structures, the min-plus curve-operator fuzz
 # (test_curve_minplus_fuzz) and the analyzer-vs-simulator topology fuzz
 # (test_analysis_topology_fuzz: measured delay/backlog never exceed the
 # analytic route bounds).  They run in every configuration; exclude them
@@ -112,12 +113,13 @@ case "${what}" in
     ctest --test-dir "${repo}/build-ci-release" --output-on-failure \
       -L sim
     echo "=== Release: perf smoke vs committed baseline ==="
-    # A focused smoke run of the headline combination, compared against
-    # the committed trajectory: a regression of more than 25%
+    # A focused smoke run of the wide1000 workload (its H-FSC, runtime,
+    # sharded and H-PFQ/CBQ rows), whose hfsc batch=1 row is compared
+    # against the committed trajectory: a regression of more than 25%
     # (REGRESSION_PCT) warns, and fails the stage when HFSC_PERF_GATE=1
     # (tools/perf_smoke_check.py).
     "${repo}/build-ci-release/bench/bench_throughput" --smoke \
-      --workload=wide1000 --kind=dual_heap \
+      --workload=wide1000 \
       --out="${repo}/build-ci-release/PERF_smoke.json"
     python3 "${repo}/tools/perf_smoke_check.py" \
       "${repo}/BENCH_throughput.json" \
@@ -131,7 +133,7 @@ case "${what}" in
     cmake --build "${repo}/build-ci-stats" -j "${jobs}" \
       --target bench_throughput
     "${repo}/build-ci-stats/bench/bench_throughput" --smoke \
-      --workload=wide1000 --kind=dual_heap \
+      --workload=wide1000 \
       --out="${repo}/build-ci-stats/PERF_smoke_stats.json"
     ;;&
   sanitize|all)

@@ -3,14 +3,17 @@
 committed BENCH_throughput.json trajectory.
 
 Usage:
-    perf_smoke_check.py BASELINE_JSON SMOKE_JSON [workload kind]
+    perf_smoke_check.py BASELINE_JSON SMOKE_JSON [workload]
 
-Compares the hfsc single-dequeue (batch=1) row for the given workload and
-eligible-set kind (default: wide1000 dual_heap — the headline combination
-docs/BENCH_NOTES.md tracks).  A smoke run uses far fewer packets than the
-committed full run, so the comparison is deliberately loose: a short run
-spends a larger fraction of its wall time warming caches and measures
-~10-15% below the full-run figure even on an identical tree.
+Compares the hfsc single-dequeue (batch=1) dual_heap row for the given
+workload (default: wide1000 — the headline row docs/BENCH_NOTES.md
+tracks).  The committed baseline also holds aug_tree and calendar rows
+from builds that let H-FSC run those eligible sets; they are skipped.
+
+A smoke run uses far fewer packets than the committed full run, so the
+comparison is deliberately loose: a short run spends a larger fraction
+of its wall time warming caches and measures ~10-15% below the full-run
+figure even on an identical tree.
 
   * regression of more than REGRESSION_PCT (25%) prints a loud warning;
   * with HFSC_PERF_GATE=1 in the environment the warning becomes a
@@ -30,30 +33,29 @@ import sys
 REGRESSION_PCT = 25.0
 
 
-def load_row(path, workload, kind):
+def load_row(path, workload):
     with open(path) as f:
         doc = json.load(f)
     for row in doc.get("results", []):
         if (
             row.get("workload") == workload
             and row.get("scheduler") == "hfsc"
-            and row.get("eligible_set") == kind
+            and row.get("eligible_set") == "dual_heap"
             and row.get("batch", 1) == 1
         ):
             return row
     sys.exit(
-        f"FATAL: {path}: no hfsc/{workload}/{kind} batch=1 row "
+        f"FATAL: {path}: no hfsc/{workload}/dual_heap batch=1 row "
         f"(schema_version={doc.get('schema_version')})"
     )
 
 
 def main(argv):
-    if len(argv) not in (3, 5):
-        sys.exit(f"usage: {argv[0]} BASELINE_JSON SMOKE_JSON [workload kind]")
-    workload = argv[3] if len(argv) == 5 else "wide1000"
-    kind = argv[4] if len(argv) == 5 else "dual_heap"
-    base = load_row(argv[1], workload, kind)
-    smoke = load_row(argv[2], workload, kind)
+    if len(argv) not in (3, 4):
+        sys.exit(f"usage: {argv[0]} BASELINE_JSON SMOKE_JSON [workload]")
+    workload = argv[3] if len(argv) == 4 else "wide1000"
+    base = load_row(argv[1], workload)
+    smoke = load_row(argv[2], workload)
 
     base_pps = float(base["pkts_per_sec"])
     smoke_pps = float(smoke["pkts_per_sec"])
@@ -61,14 +63,14 @@ def main(argv):
         sys.exit(f"FATAL: baseline {argv[1]} has pkts_per_sec <= 0")
     delta_pct = 100.0 * (smoke_pps - base_pps) / base_pps
     print(
-        f"perf-smoke {workload}/{kind}: baseline {base_pps:,.0f} pkts/s "
+        f"perf-smoke {workload}: baseline {base_pps:,.0f} pkts/s "
         f"({base['packets']} pkts), smoke {smoke_pps:,.0f} pkts/s "
         f"({smoke['packets']} pkts): {delta_pct:+.1f}%"
     )
 
     if delta_pct < -REGRESSION_PCT:
         msg = (
-            f"perf-smoke: {workload}/{kind} regressed {-delta_pct:.1f}% "
+            f"perf-smoke: {workload} regressed {-delta_pct:.1f}% "
             f"(> {REGRESSION_PCT:.0f}% threshold) vs committed baseline"
         )
         if os.environ.get("HFSC_PERF_GATE") == "1":
