@@ -14,8 +14,7 @@
 // can keep a trajectory of numbers across PRs: run it from the repo root
 // and commit the refreshed BENCH_throughput.json.
 //
-// Besides the H-FSC (workload, batch size) grid, each workload also runs
-// once under H-PFQ and CBQ, compiled from the same HierarchySpec
+// Besides the H-FSC row, each workload also runs once under H-PFQ and CBQ, compiled from the same HierarchySpec
 // (config/hierarchy_spec.hpp), so the trajectory tracks the comparison
 // families' hot paths too.  Those loops go through the virtual Scheduler
 // interface and tolerate refused dequeues (CBQ shapes; it may idle while
@@ -27,7 +26,7 @@
 // --smoke cuts the packet count so CI can gate on "the bench still runs
 // and produces sane JSON" without paying for a full measurement.
 //
-// Methodology: two phases per (workload, batch size) combination.
+// Methodology: two phases per row.
 // Phase A times the whole steady-state loop (one dequeue + one refill
 // enqueue per packet) with two clock reads total, giving an undisturbed
 // throughput figure.  Phase B re-runs a sample of the same loop with a
@@ -112,7 +111,6 @@ struct Result {
   // H-FSC's eligible set (core/eligible_set.hpp); "-" for non-H-FSC rows.
   std::string eligible_set = "dual_heap";
   int shards = 1;    // > 1 only for the supervised sharded-runtime rows
-  int batch = 1;     // dequeues per dequeue_batch() call (1 = single API)
   std::uint64_t packets = 0;
   std::uint64_t wall_ns = 0;
   double pkts_per_sec = 0.0;
@@ -151,45 +149,8 @@ std::uint64_t run_loop(S& s, TimeNs& now, const TimeNs step,
   return served;
 }
 
-// The batched variant of run_loop: advances the clock by k steps at once,
-// drains up to k packets with one dequeue_batch() call, then refills each
-// served class.  Latency samples are per-dequeue figures derived from the
-// batch call (wall / served), so batch rows and single rows report the
-// same unit; schema v4 tags each row with its batch size.
-template <class S>
-std::uint64_t run_loop_batch(S& s, TimeNs& now, const TimeNs step,
-                             std::size_t k, std::uint64_t iters,
-                             std::uint64_t& seq,
-                             std::vector<std::uint32_t>* lat,
-                             std::vector<Packet>& buf) {
-  std::uint64_t served = 0;
-  for (std::uint64_t i = 0; i < iters; i += k) {
-    const std::size_t want = static_cast<std::size_t>(
-        std::min<std::uint64_t>(k, iters - i));
-    now += step * static_cast<TimeNs>(want);
-    buf.clear();
-    std::size_t got;
-    if (lat) {
-      const std::uint64_t t0 = now_ns();
-      got = s.dequeue_batch(now, want, buf);
-      const std::uint64_t t1 = now_ns();
-      if (got > 0) {
-        lat->push_back(static_cast<std::uint32_t>(
-            std::min<std::uint64_t>((t1 - t0) / got, 0xFFFFFFFFu)));
-      }
-    } else {
-      got = s.dequeue_batch(now, want, buf);
-    }
-    served += got;
-    for (std::size_t j = 0; j < got; ++j) {
-      s.enqueue(now, Packet{buf[j].cls, kPktLen, now, seq++});
-    }
-  }
-  return served;
-}
-
 Result run_one(const Workload& w, std::uint64_t packets,
-               std::uint64_t lat_samples, std::size_t batch) {
+               std::uint64_t lat_samples) {
   Hfsc s(kLink);
   const std::vector<ClassId> leaves = w.build(s);
   TimeNs now = 0;
@@ -200,35 +161,24 @@ Result run_one(const Workload& w, std::uint64_t packets,
     }
   }
   const TimeNs step = tx_time(kPktLen, kLink);
-  std::vector<Packet> buf;
-  buf.reserve(batch);
 
   // Warmup: reach the steady state (heaps at final size, curves past
-  // their knees) before the timed phase — through the same API the timed
-  // phase will use.
-  std::uint64_t warm = std::min<std::uint64_t>(packets / 10, 100'000);
-  if (batch > 1) {
-    run_loop_batch(s, now, step, batch, warm, seq, nullptr, buf);
-  } else {
-    run_loop(s, now, step, warm, seq, nullptr);
-  }
+  // their knees) before the timed phase.
+  const std::uint64_t warm = std::min<std::uint64_t>(packets / 10, 100'000);
+  run_loop(s, now, step, warm, seq, nullptr);
 
   Result res;
   res.workload = w.name;
-  res.batch = static_cast<int>(batch);
   res.packets = packets;
 
   const std::uint64_t t0 = now_ns();
-  const std::uint64_t served =
-      batch > 1 ? run_loop_batch(s, now, step, batch, packets, seq, nullptr,
-                                 buf)
-                : run_loop(s, now, step, packets, seq, nullptr);
+  const std::uint64_t served = run_loop(s, now, step, packets, seq, nullptr);
   res.wall_ns = now_ns() - t0;
   if (served != packets) {
     std::fprintf(stderr,
-                 "FATAL: %s/k=%d served %llu of %llu packets — broken "
+                 "FATAL: %s/hfsc served %llu of %llu packets — broken "
                  "config\n",
-                 res.workload.c_str(), res.batch,
+                 res.workload.c_str(),
                  static_cast<unsigned long long>(served),
                  static_cast<unsigned long long>(packets));
     std::exit(1);
@@ -239,11 +189,7 @@ Result run_one(const Workload& w, std::uint64_t packets,
 
   std::vector<std::uint32_t> lat;
   lat.reserve(lat_samples);
-  if (batch > 1) {
-    run_loop_batch(s, now, step, batch, lat_samples, seq, &lat, buf);
-  } else {
-    run_loop(s, now, step, lat_samples, seq, &lat);
-  }
+  run_loop(s, now, step, lat_samples, seq, &lat);
   res.lat_samples = lat.size();
   if (!lat.empty()) {
     std::uint64_t sum = 0;
@@ -539,14 +485,16 @@ void write_json(const std::vector<Result>& results, std::uint64_t packets,
   std::fprintf(f, "  \"results\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const Result& r = results[i];
+    // "batch" stays in schema v4 as a constant: every row makes one
+    // dequeue() call per packet.
     std::fprintf(
         f,
         "    {\"workload\": \"%s\", \"scheduler\": \"%s\", "
-        "\"eligible_set\": \"%s\", \"shards\": %d, \"batch\": %d, "
+        "\"eligible_set\": \"%s\", \"shards\": %d, \"batch\": 1, "
         "\"packets\": %llu, \"wall_ns\": %llu, \"pkts_per_sec\": %.0f, "
         "\"lat_samples\": %llu",
         r.workload.c_str(), r.scheduler.c_str(), r.eligible_set.c_str(),
-        r.shards, r.batch, static_cast<unsigned long long>(r.packets),
+        r.shards, static_cast<unsigned long long>(r.packets),
         static_cast<unsigned long long>(r.wall_ns), r.pkts_per_sec,
         static_cast<unsigned long long>(r.lat_samples));
     // Rows with no latency samples (the sharded runtime measures its
@@ -613,25 +561,18 @@ int main(int argc, char** argv) {
   std::vector<Result> results;
   auto show = [](const Result& r) {
     std::printf(
-        "%-8s %-5s %-9s k=%-2d  %10.0f pkts/s  mean %6.1f ns  p50 %4llu ns  "
+        "%-8s %-7s %-9s  %10.0f pkts/s  mean %6.1f ns  p50 %4llu ns  "
         "p99 %4llu ns\n",
         r.workload.c_str(), r.scheduler.c_str(), r.eligible_set.c_str(),
-        r.batch, r.pkts_per_sec, r.ns_mean,
+        r.pkts_per_sec, r.ns_mean,
         static_cast<unsigned long long>(r.ns_p50),
         static_cast<unsigned long long>(r.ns_p99));
   };
-  // Batch sizes for the H-FSC grid: k=1 is the classic single-dequeue
-  // API; k=8/32 drive the same steady state through dequeue_batch()
-  // (bit-identical service — tests/test_batch_ablation_fuzz.cpp — so the
-  // delta between rows is pure call-overhead amortization).
-  constexpr std::size_t kBatchSizes[] = {1, 8, 32};
   for (const Workload& w : workloads) {
     if (!only_workload.empty() && only_workload != w.name) continue;
-    for (const std::size_t b : kBatchSizes) {
-      const Result r = run_one(w, packets, lat_samples, b);
-      show(r);
-      results.push_back(r);
-    }
+    const Result r = run_one(w, packets, lat_samples);
+    show(r);
+    results.push_back(r);
   }
   // Resilience-runtime rows: the same workloads through RuntimeHost with
   // the governor idle at level 0, plus the overhead vs the bare
@@ -642,7 +583,7 @@ int main(int argc, char** argv) {
     show(r);
     for (const Result& base : results) {
       if (base.workload == r.workload && base.scheduler == "hfsc" &&
-          base.batch == 1 && base.pkts_per_sec > 0) {
+          base.pkts_per_sec > 0) {
         std::printf("%-8s governor-at-level-0 overhead vs hfsc/dual_heap: "
                     "%+.2f%%\n",
                     r.workload.c_str(),

@@ -9,6 +9,7 @@
 #include "curve/piecewise.hpp"
 #include "sim/scenario.hpp"
 #include "util/errors.hpp"
+#include "util/json.hpp"
 
 namespace hfsc {
 
@@ -934,28 +935,6 @@ std::string AnalysisReport::to_text() const {
 }
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
-}
 
 // `"key_ns": N,"key_ms": x` (or null/null) for an optional duration.
 void json_opt_time(std::ostringstream& os, const char* key,

@@ -8,6 +8,7 @@
 
 #include "core/auditor.hpp"
 #include "core/hfsc.hpp"
+#include "util/hash.hpp"
 
 namespace hfsc {
 
@@ -331,13 +332,7 @@ Hfsc restore_checkpoint(std::istream& in, std::string* ext) {
 std::uint64_t state_digest(const Hfsc& s) {
   std::ostringstream out;
   checkpoint(s, out);
-  const std::string bytes = out.str();
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a 64-bit offset basis
-  for (const char ch : bytes) {
-    h ^= static_cast<unsigned char>(ch);
-    h *= 1099511628211ull;  // FNV prime
-  }
-  return h;
+  return fnv1a64(out.str());
 }
 
 }  // namespace hfsc

@@ -458,35 +458,6 @@ std::optional<Packet> Hfsc::dequeue(TimeNs now) {
   return std::nullopt;
 }
 
-std::size_t Hfsc::dequeue_batch(TimeNs now, std::size_t max_pkts,
-                                std::vector<Packet>& out) {
-  // Bit-identical to a loop of single dequeue() calls stopping at the
-  // first nullopt: clamp_now is idempotent at a fixed `now` (the first
-  // call advances the watermark, later calls return it unchanged) and so
-  // is maybe_watchdog (its scan window moves past `now` on the first
-  // call), so both hoist out of the loop.  maybe_self_check stays inside
-  // so the audit cadence — and therefore op_count_ — matches the single
-  // calls exactly, including the final failing call's check when the
-  // batch ends early.
-  now = clamp_now(now);
-  maybe_watchdog(now);
-  std::size_t served = 0;
-  while (served < max_pkts) {
-    maybe_self_check();
-    if (queues_.packets() == 0) break;
-    Criterion crit = Criterion::kRealTime;
-    std::optional<ClassId> leaf = rt_requests_.min_deadline_eligible(now);
-    if (!leaf) {
-      leaf = ls_select(now);
-      crit = Criterion::kLinkShare;
-      if (!leaf) break;
-    }
-    out.push_back(serve(*leaf, crit, now));
-    ++served;
-  }
-  return served;
-}
-
 TimeNs Hfsc::next_wakeup(TimeNs /*now*/) const noexcept {
   return std::min(rt_requests_.next_eligible_time(), ls_next_fit_);
 }

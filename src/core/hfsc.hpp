@@ -235,16 +235,11 @@ class Hfsc final : public Scheduler {
   // class, a zero-length packet, or one above the maximum length is
   // dropped and counted in data_path_counters(); a `now` that runs
   // backwards is clamped to the last time seen (and counted) so internal
-  // curves stay monotone under clock anomalies.
+  // curves stay monotone under clock anomalies.  dequeue() is Fig. 4's
+  // get_packet and the only serve path: one real-time-or-link-sharing
+  // decision per packet.
   void enqueue(TimeNs now, Packet pkt) override;
   std::optional<Packet> dequeue(TimeNs now) override;
-  // Batched dequeue: bit-identical to `max_pkts` single dequeue() calls
-  // (same packet order, same state_digest — fuzzer-proven), but pays the
-  // per-call overhead (clock clamp, watchdog scan check, virtual
-  // dispatch) once and keeps the hot slab / heap lines resident across
-  // the k selections.
-  std::size_t dequeue_batch(TimeNs now, std::size_t max_pkts,
-                            std::vector<Packet>& out) override;
 
   // Push-out buffer management (runtime/governor.hpp): drops the *newest*
   // queued packet of `cls`, counted against the class like any other

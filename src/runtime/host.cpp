@@ -25,13 +25,88 @@ void put_cfg(std::ostream& out, const ClassConfig& cfg) {
   put_sc(out, cfg.ul);
 }
 
-ClassConfig read_cfg(std::istream& in, const std::string& payload) {
-  ClassConfig cfg;
-  if (!(in >> cfg.rt.m1 >> cfg.rt.d >> cfg.rt.m2 >> cfg.ls.m1 >> cfg.ls.d >>
-        cfg.ls.m2 >> cfg.ul.m1 >> cfg.ul.d >> cfg.ul.m2)) {
+using BatchOp = RuntimeHost::BatchOp;
+using OpKind = BatchOp::Kind;
+
+// The journal text of one control-plane op: the only writer of
+// add/chg/del/qlim lines, for direct mutators, commit_batch and
+// governor interventions alike.
+std::string op_text(const BatchOp& op) {
+  std::ostringstream p;
+  switch (op.kind) {
+    case OpKind::kAdd:
+      p << "add " << op.parent << ' ';
+      put_cfg(p, op.cfg);
+      break;
+    case OpKind::kChange:
+      p << "chg " << op.now << ' ' << op.cls << ' ';
+      put_cfg(p, op.cfg);
+      break;
+    case OpKind::kDelete:
+      p << "del " << op.cls;
+      break;
+    case OpKind::kQueueLimit:
+      p << "qlim " << op.cls << ' ' << op.limit;
+      break;
+  }
+  return p.str();
+}
+
+// Throws kBadJournal unless `in` parsed cleanly and holds no more tokens.
+void expect_end(std::istream& in, const std::string& payload) {
+  std::string extra;
+  if (in.fail() || in >> extra) bad_record(payload);
+}
+
+// The only reader of op_text's output: parses one op's whole text.
+BatchOp read_op(const std::string& text, const std::string& payload) {
+  std::istringstream in(text);
+  std::string name;
+  in >> name;
+  BatchOp op;
+  auto read_cfg = [&] {
+    in >> op.cfg.rt.m1 >> op.cfg.rt.d >> op.cfg.rt.m2 >> op.cfg.ls.m1 >>
+        op.cfg.ls.d >> op.cfg.ls.m2 >> op.cfg.ul.m1 >> op.cfg.ul.d >>
+        op.cfg.ul.m2;
+  };
+  if (name == "add") {
+    op.kind = OpKind::kAdd;
+    in >> op.parent;
+    read_cfg();
+  } else if (name == "chg") {
+    op.kind = OpKind::kChange;
+    in >> op.now >> op.cls;
+    read_cfg();
+  } else if (name == "del") {
+    op.kind = OpKind::kDelete;
+    in >> op.cls;
+  } else if (name == "qlim") {
+    op.kind = OpKind::kQueueLimit;
+    in >> op.cls >> op.limit;
+  } else {
     bad_record(payload);
   }
-  return cfg;
+  expect_end(in, payload);
+  return op;
+}
+
+// Applies one op to the scheduler or to an open Txn (same mutators).
+template <class Target>
+void apply_op(Target& target, const BatchOp& op) {
+  switch (op.kind) {
+    case OpKind::kAdd:
+      target.add_class(op.parent, op.cfg);
+      break;
+    case OpKind::kChange:
+      target.change_class(op.now, op.cls, op.cfg);
+      break;
+    case OpKind::kDelete:
+      target.delete_class(op.cls);
+      break;
+    case OpKind::kQueueLimit:
+      target.set_queue_limit(op.cls, op.limit);
+      break;
+  }
 }
 
 }  // namespace
@@ -72,10 +147,7 @@ RuntimeHost::RuntimeHost(const RuntimeOptions& opts, Hfsc&& restored,
 ClassId RuntimeHost::add_class(ClassId parent, ClassConfig cfg) {
   const ClassId id = sched_.add_class(parent, cfg);
   maybe_crash(CrashPoint::kAfterApply);
-  std::ostringstream p;
-  p << "add " << parent << ' ';
-  put_cfg(p, cfg);
-  journal_append(p.str());
+  journal_append(op_text({.kind = OpKind::kAdd, .parent = parent, .cfg = cfg}));
   maybe_crash(CrashPoint::kAfterJournalAppend);
   return id;
 }
@@ -83,10 +155,8 @@ ClassId RuntimeHost::add_class(ClassId parent, ClassConfig cfg) {
 void RuntimeHost::change_class(TimeNs now, ClassId cls, ClassConfig cfg) {
   sched_.change_class(now, cls, cfg);
   maybe_crash(CrashPoint::kAfterApply);
-  std::ostringstream p;
-  p << "chg " << now << ' ' << cls << ' ';
-  put_cfg(p, cfg);
-  journal_append(p.str());
+  journal_append(
+      op_text({.kind = OpKind::kChange, .cls = cls, .cfg = cfg, .now = now}));
   maybe_crash(CrashPoint::kAfterJournalAppend);
 }
 
@@ -94,63 +164,29 @@ void RuntimeHost::delete_class(ClassId cls) {
   sched_.delete_class(cls);
   forget_governed(cls);
   maybe_crash(CrashPoint::kAfterApply);
-  journal_append("del " + std::to_string(cls));
+  journal_append(op_text({.kind = OpKind::kDelete, .cls = cls}));
   maybe_crash(CrashPoint::kAfterJournalAppend);
 }
 
 void RuntimeHost::set_queue_limit(ClassId cls, std::size_t max_packets) {
   sched_.set_queue_limit(cls, max_packets);
   maybe_crash(CrashPoint::kAfterApply);
-  journal_append("qlim " + std::to_string(cls) + ' ' +
-                 std::to_string(max_packets));
+  journal_append(op_text(
+      {.kind = OpKind::kQueueLimit, .cls = cls, .limit = max_packets}));
   maybe_crash(CrashPoint::kAfterJournalAppend);
 }
 
 void RuntimeHost::commit_batch(const std::vector<BatchOp>& ops) {
   Hfsc::Txn txn = sched_.begin();
-  for (const BatchOp& op : ops) {
-    switch (op.kind) {
-      case BatchOp::Kind::kAdd:
-        txn.add_class(op.parent, op.cfg);
-        break;
-      case BatchOp::Kind::kChange:
-        txn.change_class(op.now, op.cls, op.cfg);
-        break;
-      case BatchOp::Kind::kDelete:
-        txn.delete_class(op.cls);
-        break;
-      case BatchOp::Kind::kQueueLimit:
-        txn.set_queue_limit(op.cls, op.limit);
-        break;
-    }
-  }
+  for (const BatchOp& op : ops) apply_op(txn, op);
   txn.commit();  // throws without journaling on a failed batch
   for (const BatchOp& op : ops) {
-    if (op.kind == BatchOp::Kind::kDelete) forget_governed(op.cls);
+    if (op.kind == OpKind::kDelete) forget_governed(op.cls);
   }
   maybe_crash(CrashPoint::kAfterApply);
-  std::ostringstream p;
-  p << "txn " << ops.size() << '\n';
-  for (const BatchOp& op : ops) {
-    switch (op.kind) {
-      case BatchOp::Kind::kAdd:
-        p << "add " << op.parent << ' ';
-        put_cfg(p, op.cfg);
-        break;
-      case BatchOp::Kind::kChange:
-        p << "chg " << op.now << ' ' << op.cls << ' ';
-        put_cfg(p, op.cfg);
-        break;
-      case BatchOp::Kind::kDelete:
-        p << "del " << op.cls;
-        break;
-      case BatchOp::Kind::kQueueLimit:
-        p << "qlim " << op.cls << ' ' << op.limit;
-        break;
-    }
-    p << '\n';
-  }
-  journal_append(p.str());
+  std::string p = "txn " + std::to_string(ops.size()) + '\n';
+  for (const BatchOp& op : ops) p += op_text(op) + '\n';
+  journal_append(p);
   maybe_crash(CrashPoint::kAfterJournalAppend);
 }
 
@@ -186,23 +222,10 @@ std::optional<Packet> RuntimeHost::dequeue(TimeNs now) {
 std::size_t RuntimeHost::dequeue_batch(TimeNs now, std::size_t max_pkts,
                                        std::vector<Packet>& out) {
   std::size_t served = 0;
-  while (served < max_pkts) {
-    if (opts_.governor_enabled && now >= next_sample_) {
-      // A sample is due: its plan may mutate the scheduler, so serve one
-      // packet and sample, exactly like the single-dequeue path.  With a
-      // positive sample interval this runs at most once per batch.
-      std::optional<Packet> p = dequeue(now);
-      if (!p) break;
-      out.push_back(*p);
-      ++served;
-      continue;
-    }
-    // No sample can fire before `now` moves, so the per-packet
-    // maybe_sample calls the single path would make are all no-ops and
-    // the core batch is state-identical to the remaining singles.
-    const std::size_t got = sched_.dequeue_batch(now, max_pkts - served, out);
-    served += got;
-    break;  // the core stops only at max_pkts or an empty/idle scheduler
+  for (; served < max_pkts; ++served) {
+    std::optional<Packet> p = dequeue(now);
+    if (!p) break;
+    out.push_back(*p);
   }
   return served;
 }
@@ -266,19 +289,15 @@ void RuntimeHost::execute(const GovActions& actions, TimeNs now) {
         1, static_cast<RateBps>(static_cast<double>(original.ls.m2) * f));
     sched_.change_class(now, cls, clamped);
     gov_.note_clamped(cls, original);
-    std::ostringstream m;
-    m << "chg " << now << ' ' << cls << ' ';
-    put_cfg(m, clamped);
-    mutations.push_back(m.str());
+    mutations.push_back(op_text(
+        {.kind = OpKind::kChange, .cls = cls, .cfg = clamped, .now = now}));
   }
   for (const ClassId cls : actions.unclamp) {
     const ClassConfig original = gov_.saved_config(cls);
     if (governable(cls)) {
       sched_.change_class(now, cls, original);
-      std::ostringstream m;
-      m << "chg " << now << ' ' << cls << ' ';
-      put_cfg(m, original);
-      mutations.push_back(m.str());
+      mutations.push_back(op_text(
+          {.kind = OpKind::kChange, .cls = cls, .cfg = original, .now = now}));
     }
     gov_.forget_clamp(cls);
   }
@@ -288,15 +307,15 @@ void RuntimeHost::execute(const GovActions& actions, TimeNs now) {
     const std::size_t qlim = opts_.governor.quarantine_qlimit;
     sched_.set_queue_limit(cls, qlim);
     gov_.note_quarantined(cls, saved);
-    mutations.push_back("qlim " + std::to_string(cls) + ' ' +
-                        std::to_string(qlim));
+    mutations.push_back(
+        op_text({.kind = OpKind::kQueueLimit, .cls = cls, .limit = qlim}));
   }
   for (const ClassId cls : actions.release) {
     const std::size_t saved = gov_.saved_qlimit(cls);
     if (governable(cls)) {
       sched_.set_queue_limit(cls, saved);
-      mutations.push_back("qlim " + std::to_string(cls) + ' ' +
-                          std::to_string(saved));
+      mutations.push_back(
+          op_text({.kind = OpKind::kQueueLimit, .cls = cls, .limit = saved}));
     }
     gov_.forget_quarantine(cls);
   }
@@ -355,90 +374,62 @@ void RuntimeHost::save_checkpoint() {
 }
 
 void RuntimeHost::apply_record(const std::string& payload) {
+  // A record is one bare op, or a "txn N" / "gov N" header line followed
+  // by N op lines (and, for gov, the governor's state blob).
   std::istringstream in(payload);
-  std::string op;
-  if (!(in >> op)) bad_record(payload);
-  if (op == "add") {
-    ClassId parent = 0;
-    if (!(in >> parent)) bad_record(payload);
-    sched_.add_class(parent, read_cfg(in, payload));
-  } else if (op == "chg") {
-    TimeNs now = 0;
-    ClassId cls = 0;
-    if (!(in >> now >> cls)) bad_record(payload);
-    sched_.change_class(now, cls, read_cfg(in, payload));
-  } else if (op == "del") {
-    ClassId cls = 0;
-    if (!(in >> cls)) bad_record(payload);
-    sched_.delete_class(cls);
-    forget_governed(cls);
-  } else if (op == "qlim") {
-    ClassId cls = 0;
-    std::size_t limit = 0;
-    if (!(in >> cls >> limit)) bad_record(payload);
-    sched_.set_queue_limit(cls, limit);
-  } else if (op == "txn") {
-    std::size_t n = 0;
-    if (!(in >> n)) bad_record(payload);
+  std::string head;
+  std::getline(in, head);
+  std::istringstream hs(head);
+  std::string kind;
+  hs >> kind;
+  if (kind != "txn" && kind != "gov") {
+    const BatchOp op = read_op(payload, payload);
+    apply_op(sched_, op);
+    if (op.kind == OpKind::kDelete) forget_governed(op.cls);
+    return;
+  }
+  std::size_t n = 0;
+  hs >> n;
+  expect_end(hs, payload);
+  std::string line;
+  if (kind == "txn") {
     Hfsc::Txn txn = sched_.begin();
     std::vector<ClassId> deleted;
     for (std::size_t i = 0; i < n; ++i) {
-      std::string sub;
-      if (!(in >> sub)) bad_record(payload);
-      if (sub == "add") {
-        ClassId parent = 0;
-        if (!(in >> parent)) bad_record(payload);
-        txn.add_class(parent, read_cfg(in, payload));
-      } else if (sub == "chg") {
-        TimeNs now = 0;
-        ClassId cls = 0;
-        if (!(in >> now >> cls)) bad_record(payload);
-        txn.change_class(now, cls, read_cfg(in, payload));
-      } else if (sub == "del") {
-        ClassId cls = 0;
-        if (!(in >> cls)) bad_record(payload);
-        txn.delete_class(cls);
-        deleted.push_back(cls);
-      } else if (sub == "qlim") {
-        ClassId cls = 0;
-        std::size_t limit = 0;
-        if (!(in >> cls >> limit)) bad_record(payload);
-        txn.set_queue_limit(cls, limit);
-      } else {
-        bad_record(payload);
-      }
+      if (!std::getline(in, line)) bad_record(payload);
+      const BatchOp op = read_op(line, payload);
+      apply_op(txn, op);
+      if (op.kind == OpKind::kDelete) deleted.push_back(op.cls);
     }
+    expect_end(in, payload);
     txn.commit();
     for (const ClassId cls : deleted) forget_governed(cls);
-  } else if (op == "gov") {
-    std::size_t n = 0;
-    if (!(in >> n)) bad_record(payload);
-    for (std::size_t i = 0; i < n; ++i) {
-      std::string sub;
-      if (!(in >> sub)) bad_record(payload);
-      if (sub == "chg") {
-        TimeNs now = 0;
-        ClassId cls = 0;
-        if (!(in >> now >> cls)) bad_record(payload);
-        sched_.change_class(now, cls, read_cfg(in, payload));
-      } else if (sub == "qlim") {
-        ClassId cls = 0;
-        std::size_t limit = 0;
-        if (!(in >> cls >> limit)) bad_record(payload);
-        sched_.set_queue_limit(cls, limit);
-      } else if (sub == "adm") {
-        RateBps rate = 0;
-        if (!(in >> rate)) bad_record(payload);
-        sched_.enable_admission_control(rate);
-      } else {
-        bad_record(payload);
-      }
+    return;
+  }
+  // gov: the plan's chg/qlim ops and admission retunes, then the state.
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!std::getline(in, line)) bad_record(payload);
+    std::istringstream ls(line);
+    std::string name;
+    RateBps rate = 0;
+    if (ls >> name && name == "adm") {
+      ls >> rate;
+      expect_end(ls, payload);
+      sched_.enable_admission_control(rate);
+      continue;
     }
-    const std::string blob{std::istreambuf_iterator<char>(in),
-                           std::istreambuf_iterator<char>()};
+    const BatchOp op = read_op(line, payload);
+    if (op.kind != OpKind::kChange && op.kind != OpKind::kQueueLimit) {
+      bad_record(payload);
+    }
+    apply_op(sched_, op);
+  }
+  const std::string blob{std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>()};
+  try {
     gov_.restore(blob);
-  } else {
-    bad_record(payload);
+  } catch (const Error&) {
+    bad_record(payload);  // a journal fault, not a checkpoint one
   }
 }
 

@@ -115,11 +115,10 @@ class RuntimeHost {
   // sampling.  Inherits the core's never-throws contract.
   void enqueue(TimeNs now, Packet pkt);
   std::optional<Packet> dequeue(TimeNs now);
-  // Batched drain: appends up to max_pkts packets to `out` and returns
-  // how many were served.  Produces exactly the state k single dequeue()
-  // calls at the same `now` would — when the governor is due to sample
-  // it falls back to the per-packet cadence so interventions land
-  // between the same two packets.
+  // Drains up to max_pkts packets into `out` and returns how many were
+  // served: a loop of dequeue(now) that stops at the first nullopt, so
+  // governor samples land between the same two packets as k single
+  // calls.
   std::size_t dequeue_batch(TimeNs now, std::size_t max_pkts,
                             std::vector<Packet>& out);
 

@@ -2,18 +2,11 @@
 
 #include <cstring>
 
+#include "util/hash.hpp"
+
 namespace hfsc {
 
 namespace {
-
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char ch : bytes) {
-    h ^= static_cast<unsigned char>(ch);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 template <typename T>
 void put(std::string& out, T v) {

@@ -229,34 +229,6 @@ void Shard::run_worker() {
           ++fed;
           maybe_die(ShardDeathPoint::kAfterEnqueue);
         } else if (busy && served < cfg_.serve_burst && local_now_ < gate) {
-          if (cfg_.refill && head == nullptr) {
-            // Steady-state bench mode with nothing to merge from the
-            // ring: drain the rest of the burst through the batched API
-            // (the frontier gate is off, so no merge-order constraint
-            // pins us to one dequeue per iteration).  Delay is measured
-            // against the advancing link clock — the same instant the
-            // single-step path would observe each packet at.
-            batch_buf_.clear();
-            const std::size_t got = host_->dequeue_batch(
-                local_now_, cfg_.serve_burst - served, batch_buf_);
-            if (got == 0) break;  // backlogged but nothing eligible yet
-            for (const Packet& bp : batch_buf_) {
-              sent_total_.fetch_add(1, std::memory_order_release);
-              if (bp.cls < rt_leaf_.size() && rt_leaf_[bp.cls]) {
-                const TimeNs d =
-                    local_now_ >= bp.arrival ? local_now_ - bp.arrival : 0;
-                if (d > max_rt_delay_.load(std::memory_order_relaxed)) {
-                  max_rt_delay_.store(d, std::memory_order_release);
-                }
-              }
-              local_now_ += tx_time(bp.len, cfg_.runtime.link_rate);
-              host_->enqueue(local_now_,
-                             Packet{bp.cls, bp.len, local_now_, refill_seq_++});
-              ++served;
-              maybe_die(ShardDeathPoint::kAfterDequeue);
-            }
-            continue;
-          }
           std::optional<Packet> p = host_->dequeue(local_now_);
           if (!p) {
             // Backlog present but nothing eligible yet (upper-limit

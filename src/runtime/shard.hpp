@@ -76,6 +76,8 @@ struct ShardConfig {
   std::size_t serve_burst = 16;
   // Steady-state bench mode: every dequeued packet is immediately
   // re-enqueued to the same class, and the frontier gate is ignored.
+  // Packets are still served one host dequeue at a time, so the link
+  // clock advances between every two packets exactly as in live mode.
   bool refill = false;
 };
 
@@ -224,7 +226,6 @@ class Shard {
   std::uint64_t refill_seq_ = 1u << 20;
   std::size_t pops_since_ckpt_ = 0;
   std::vector<bool> rt_leaf_;
-  std::vector<Packet> batch_buf_;  // refill-mode batched-drain scratch
 
   // Flags and the stats segment.
   std::atomic<bool> abort_{false};

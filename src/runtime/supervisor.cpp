@@ -3,18 +3,11 @@
 #include <sstream>
 #include <string_view>
 
+#include "util/hash.hpp"
+
 namespace hfsc {
 
 namespace {
-
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char ch : bytes) {
-    h ^= static_cast<unsigned char>(ch);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 // What the host accounts for: every packet it was ever handed is in
 // exactly one of sent / dropped / rejected / backlog (PR 6's

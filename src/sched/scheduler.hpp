@@ -22,7 +22,6 @@
 #include <cstddef>
 #include <optional>
 #include <string_view>
-#include <vector>
 
 #include "sched/packet.hpp"
 #include "util/errors.hpp"
@@ -63,28 +62,10 @@ class Scheduler {
   virtual void enqueue(TimeNs now, Packet pkt) = 0;
 
   // Releases the next packet to transmit, or nullopt if nothing may be
-  // sent at `now`.  `now` must be nondecreasing across calls.
+  // sent at `now`.  `now` must be nondecreasing across calls.  This is
+  // the only way a scheduler releases a packet; a caller that wants a
+  // burst loops over it.
   virtual std::optional<Packet> dequeue(TimeNs now) = 0;
-
-  // Releases up to `max_pkts` packets at `now`, appending them to `out`,
-  // and returns how many were released.  Semantically exactly a loop of
-  // single dequeue() calls stopping at the first nullopt — same packet
-  // order, same resulting scheduler state — which is what this default
-  // does, so every family supports batching.  Families with a batched
-  // hot path (Hfsc) override it to amortize per-call overhead; the
-  // override must stay packet-for-packet bit-identical to the loop
-  // (pinned by tests/test_batch_ablation_fuzz.cpp).
-  virtual std::size_t dequeue_batch(TimeNs now, std::size_t max_pkts,
-                                    std::vector<Packet>& out) {
-    std::size_t n = 0;
-    while (n < max_pkts) {
-      std::optional<Packet> p = dequeue(now);
-      if (!p) break;
-      out.push_back(*p);
-      ++n;
-    }
-    return n;
-  }
 
   virtual std::size_t backlog_packets() const noexcept = 0;
   virtual Bytes backlog_bytes() const noexcept = 0;

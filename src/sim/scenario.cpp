@@ -14,6 +14,7 @@
 #include "core/checkpoint.hpp"
 #include "sim/sources.hpp"
 #include "sim/topology.hpp"
+#include "util/json.hpp"
 #include "util/stats.hpp"
 
 namespace hfsc {
@@ -790,28 +791,6 @@ struct NodeRun {
   std::vector<std::string> at_names;
   std::set<std::string> at_seen;
 };
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 void json_num(std::ostream& os, double v) {
   if (!std::isfinite(v)) {

@@ -1,31 +1,33 @@
-// Differential fuzz: Hfsc::dequeue_batch(k) vs k single dequeue() calls.
+// Differential fuzz: RuntimeHost::dequeue_batch(k) vs k single dequeue()
+// calls.
 //
-// The batched hot path only earns its keep if it is *observably free*:
-// the contract (core/hfsc.hpp) promises bit-identity with the single-
-// dequeue loop — same packets in the same order, same state_digest, same
-// counters — so callers can mix APIs freely and every existing proof
-// about dequeue() transfers to the batch.  This fuzzer drives two
-// schedulers built identically through the same random tape; at every
-// service point one side serves k packets with single calls and the
-// other with one dequeue_batch(now, k), and the digests must agree
-// exactly.  The tape interleaves the hard cases:
+// dequeue() is the only way a scheduler releases a packet; the host's
+// batch call is a plain loop over its own dequeue(now), so a caller may
+// mix the two freely.  This fuzzer pins that: it drives two hosts built
+// identically through the same random tape; at every service point one
+// twin serves k packets with single calls and the other with one
+// dequeue_batch(now, k), and the twins must agree exactly — packets,
+// state_digest, governor state and journal bytes.  The governor is on
+// with low thresholds and a short sample interval (zero for some seeds,
+// so a sample falls due before every packet, mid-batch included), so its
+// interventions land inside batches.  The tape interleaves the hard
+// cases:
 //
 //   * enqueues (including queue-limit drop-tail pressure),
-//   * clock jumps (idle gaps, watchdog cadence),
-//   * Txn churn — committed batches and failing batches that must
-//     roll back on both sides identically,
-//   * checkpoint/restore of the batch-side scheduler mid-run (the
-//     restored instance must keep matching the never-restored one),
+//   * clock jumps (idle gaps, watchdog and sampling cadence),
+//   * commit_batch churn — committed batches and failing batches that
+//     must roll back on both twins identically,
+//   * save_checkpoint + recover round trips, applied to both twins at
+//     the same step (recovery resets the sampling clock and the
+//     governor's streaks, so a one-sided round trip would diverge),
 //
 // for k in {1, 2, 7, 32}.
 #include <gtest/gtest.h>
 
 #include <optional>
-#include <sstream>
 #include <vector>
 
-#include "core/checkpoint.hpp"
-#include "core/hfsc.hpp"
+#include "runtime/host.hpp"
 #include "util/rng.hpp"
 
 namespace hfsc {
@@ -63,29 +65,62 @@ ClassConfig random_leaf_cfg(Rng& rng) {
   }
 }
 
+// A governor that climbs its ladder at the fuzzer's few-kilobyte
+// backlogs, with admission on so level 3 journals `adm` records.
+RuntimeOptions fuzz_opts(Rng& rng) {
+  RuntimeOptions o;
+  o.link_rate = mbps(100);
+  o.admission_rate = gbps(1);
+  o.watchdog_horizon = msec(3);
+  constexpr TimeNs kIntervals[] = {0, usec(20), usec(200)};
+  o.sample_interval = kIntervals[static_cast<std::size_t>(rng.uniform(0, 2))];
+  o.governor.enter_backlog[0] = 6 * 1024;
+  o.governor.enter_backlog[1] = 12 * 1024;
+  o.governor.enter_backlog[2] = 24 * 1024;
+  o.governor.exit_backlog[0] = 3 * 1024;
+  o.governor.exit_backlog[1] = 6 * 1024;
+  o.governor.exit_backlog[2] = 12 * 1024;
+  o.governor.class_threshold = 4 * 1024;
+  return o;
+}
+
+::testing::AssertionResult twins_agree(const RuntimeHost& single,
+                                       const RuntimeHost& batch) {
+  if (single.digest() != batch.digest()) {
+    return ::testing::AssertionFailure() << "state digests differ";
+  }
+  if (single.governor().serialize() != batch.governor().serialize()) {
+    return ::testing::AssertionFailure() << "governor states differ";
+  }
+  if (single.journal_image() != batch.journal_image()) {
+    return ::testing::AssertionFailure() << "journals differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST_P(BatchAblationFuzz, BatchIsBitIdenticalToSingles) {
   Rng rng(GetParam().seed);
-  const RateBps link = mbps(100);
-  Hfsc single(link);
-  Hfsc batch(link);
+  const RuntimeOptions opts = fuzz_opts(rng);
+  std::optional<RuntimeHost> single(std::in_place, opts);
+  std::optional<RuntimeHost> batch(std::in_place, opts);
 
-  // Identical random hierarchy on both sides.
+  // Identical random hierarchy on both twins.
   std::vector<ClassId> leaves;
   const int num_orgs = rng.uniform(1, 3);
   for (int o = 0; o < num_orgs; ++o) {
     const ClassConfig org_cfg = ClassConfig::link_share_only(
-        ServiceCurve::linear(link / static_cast<RateBps>(num_orgs)));
-    const ClassId org_s = single.add_class(kRootClass, org_cfg);
-    const ClassId org_b = batch.add_class(kRootClass, org_cfg);
+        ServiceCurve::linear(opts.link_rate / static_cast<RateBps>(num_orgs)));
+    const ClassId org_s = single->add_class(kRootClass, org_cfg);
+    const ClassId org_b = batch->add_class(kRootClass, org_cfg);
     ASSERT_EQ(org_s, org_b);
     const int n_leaves = rng.uniform(2, 5);
     for (int l = 0; l < n_leaves; ++l) {
       const ClassConfig cfg = random_leaf_cfg(rng);
-      const ClassId leaf = single.add_class(org_s, cfg);
-      ASSERT_EQ(leaf, batch.add_class(org_b, cfg));
+      const ClassId leaf = single->add_class(org_s, cfg);
+      ASSERT_EQ(leaf, batch->add_class(org_b, cfg));
       if (rng.chance(0.3)) {
-        single.set_queue_limit(leaf, 6);
-        batch.set_queue_limit(leaf, 6);
+        single->set_queue_limit(leaf, 6);
+        batch->set_queue_limit(leaf, 6);
       }
       leaves.push_back(leaf);
     }
@@ -95,6 +130,28 @@ TEST_P(BatchAblationFuzz, BatchIsBitIdenticalToSingles) {
   TimeNs now = 0;
   std::uint64_t seq = 0;
   std::vector<Packet> out;
+  std::size_t got = 0;
+  // One service point: `batch` takes one dequeue_batch(now, k) and
+  // `single` the matching loop of dequeue(now) calls, failing call
+  // included, so both twins make the same calls at the same instant.
+  auto serve_both = [&](std::size_t k, int step) {
+    out.clear();
+    got = batch->dequeue_batch(now, k, out);
+    ASSERT_EQ(got, out.size());
+    std::size_t served = 0;
+    for (; served < k; ++served) {
+      std::optional<Packet> p = single->dequeue(now);
+      if (!p) break;
+      ASSERT_LT(served, got)
+          << "singles served more than the batch at step " << step;
+      EXPECT_EQ(p->cls, out[served].cls) << "order diverged, step " << step;
+      EXPECT_EQ(p->seq, out[served].seq) << "order diverged, step " << step;
+      EXPECT_EQ(p->len, out[served].len) << "order diverged, step " << step;
+    }
+    ASSERT_EQ(served, got) << "served-count diverged at step " << step;
+    ASSERT_TRUE(twins_agree(*single, *batch))
+        << "after k=" << k << " at step " << step;
+  };
 
   for (int step = 0; step < 1200; ++step) {
     switch (rng.uniform(0, 9)) {
@@ -108,93 +165,77 @@ TEST_P(BatchAblationFuzz, BatchIsBitIdenticalToSingles) {
                   0, static_cast<int>(leaves.size()) - 1))];
           const Bytes len = static_cast<Bytes>(rng.uniform(64, 1500));
           const Packet pkt{cls, len, now, seq++};
-          single.enqueue(now, pkt);
-          batch.enqueue(now, pkt);
+          single->enqueue(now, pkt);
+          batch->enqueue(now, pkt);
         }
         break;
       }
-      case 3: {  // idle gap (watchdog / eligibility flips)
+      case 3: {  // idle gap (watchdog / sampling / eligibility flips)
         now += static_cast<TimeNs>(rng.uniform(0, static_cast<int>(msec(2))));
         break;
       }
-      case 4: {  // Txn churn, identical on both sides
+      case 4: {  // commit_batch churn, identical on both twins
         const bool fail = rng.chance(0.3);
-        const ClassId victim =
-            leaves[static_cast<std::size_t>(rng.uniform(
-                0, static_cast<int>(leaves.size()) - 1))];
-        auto run_txn = [&](Hfsc& s) -> bool {
-          Hfsc::Txn txn = s.begin();
-          txn.set_queue_limit(victim, static_cast<std::size_t>(
-                                          rng.uniform(4, 12)));
-          if (fail) txn.delete_class(kRootClass);  // always rejected
+        RuntimeHost::BatchOp qlim;
+        qlim.kind = RuntimeHost::BatchOp::Kind::kQueueLimit;
+        qlim.cls = leaves[static_cast<std::size_t>(
+            rng.uniform(0, static_cast<int>(leaves.size()) - 1))];
+        qlim.limit = static_cast<std::size_t>(rng.uniform(4, 12));
+        std::vector<RuntimeHost::BatchOp> ops{qlim};
+        if (fail) {  // deleting the root is always rejected
+          RuntimeHost::BatchOp del;
+          del.kind = RuntimeHost::BatchOp::Kind::kDelete;
+          del.cls = kRootClass;
+          ops.push_back(del);
+        }
+        auto commit = [&](RuntimeHost& h) -> bool {
           try {
-            txn.commit();
+            h.commit_batch(ops);
             return true;
           } catch (const Error&) {
             return false;
           }
         };
-        // One rng tape: draw the limit once, replay on both.
-        Rng fork = rng;
-        const bool ok_s = run_txn(single);
-        rng = fork;
-        const bool ok_b = run_txn(batch);
-        ASSERT_EQ(ok_s, ok_b) << "txn outcome diverged at step " << step;
+        const bool ok_s = commit(*single);
+        const bool ok_b = commit(*batch);
+        ASSERT_EQ(ok_s, ok_b) << "commit outcome diverged at step " << step;
+        ASSERT_EQ(ok_s, !fail) << "unexpected commit outcome at step " << step;
+        ASSERT_TRUE(twins_agree(*single, *batch))
+            << "after commit_batch at step " << step;
         break;
       }
-      case 5: {  // checkpoint/restore the batch side mid-run
-        std::ostringstream img;
-        checkpoint(batch, img);
-        std::istringstream in(img.str());
-        batch = restore_checkpoint(in);
-        ASSERT_EQ(state_digest(single), state_digest(batch))
-            << "restore broke digest parity at step " << step;
+      case 5: {  // checkpoint + recover both twins mid-run
+        for (std::optional<RuntimeHost>* h : {&single, &batch}) {
+          (*h)->save_checkpoint();
+          const std::string cp = (*h)->checkpoint_image();
+          const std::string journal = (*h)->journal_image();
+          h->emplace(RuntimeHost::recover(opts, cp, journal));
+        }
+        ASSERT_TRUE(twins_agree(*single, *batch))
+            << "after recovery at step " << step;
         break;
       }
       default: {  // the differential service point
         const std::size_t k =
             kBatchSizes[static_cast<std::size_t>(rng.uniform(0, 3))];
-        out.clear();
-        const std::size_t got = batch.dequeue_batch(now, k, out);
-        ASSERT_EQ(got, out.size());
-        std::size_t served = 0;
-        for (; served < k; ++served) {
-          std::optional<Packet> p = single.dequeue(now);
-          if (!p) break;
-          ASSERT_LT(served, got)
-              << "singles served more than the batch at step " << step;
-          EXPECT_EQ(p->cls, out[served].cls) << "order diverged, step " << step;
-          EXPECT_EQ(p->seq, out[served].seq) << "order diverged, step " << step;
-          EXPECT_EQ(p->len, out[served].len) << "order diverged, step " << step;
-        }
-        ASSERT_EQ(served, got) << "served-count diverged at step " << step;
-        ASSERT_EQ(state_digest(single), state_digest(batch))
-            << "state digest diverged after k=" << k << " at step " << step;
+        ASSERT_NO_FATAL_FAILURE(serve_both(k, step));
         break;
       }
     }
   }
 
-  // Drain both completely through opposite APIs and compare the full
-  // remaining order plus final counters.
-  for (;;) {
+  // Drain both completely and compare the full remaining order plus
+  // final counters.
+  do {
     now += usec(200);
-    out.clear();
-    const std::size_t got = batch.dequeue_batch(now, 32, out);
-    for (std::size_t i = 0; i < got; ++i) {
-      std::optional<Packet> p = single.dequeue(now);
-      ASSERT_TRUE(p.has_value());
-      EXPECT_EQ(p->seq, out[i].seq);
-    }
-    if (got == 0) {
-      ASSERT_FALSE(single.dequeue(now).has_value());
-      if (batch.backlog_packets() == 0) break;
-    }
-  }
-  ASSERT_EQ(state_digest(single), state_digest(batch));
+    ASSERT_NO_FATAL_FAILURE(serve_both(32, -1));
+  } while (got > 0 || batch->sched().backlog_packets() > 0);
+  ASSERT_TRUE(twins_agree(*single, *batch)) << "after the drain";
   for (const ClassId leaf : leaves) {
-    EXPECT_EQ(single.packets_sent(leaf), batch.packets_sent(leaf));
-    EXPECT_EQ(single.class_drops(leaf), batch.class_drops(leaf));
+    EXPECT_EQ(single->sched().packets_sent(leaf),
+              batch->sched().packets_sent(leaf));
+    EXPECT_EQ(single->sched().class_drops(leaf),
+              batch->sched().class_drops(leaf));
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runtime/governor.hpp"
@@ -388,6 +389,54 @@ TEST(RuntimeHost, CorruptImagesRaiseTypedErrors) {
     FAIL() << "corrupt journal recovered";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), Errc::kBadJournal);
+  }
+}
+
+// A journal image holding a valid `add` of class 1 followed by `record`.
+std::string journal_after_add(const std::string& record) {
+  RuntimeHost h(small_opts());
+  h.add_class(kRootClass,
+              ClassConfig::link_share_only(ServiceCurve::linear(mbps(1))));
+  Journal j;
+  j.append(h.journal().records_after(0).at(0).payload);
+  j.append(record);
+  return j.image();
+}
+
+TEST(RuntimeHost, TrailingTokensInJournalRecordsAreRejected) {
+  const std::string gov_state = OverloadGovernor{GovernorConfig{}}.serialize();
+  // Each well-formed record recovers; the same record with one more
+  // token anywhere is a corrupt journal, not a silent partial replay.
+  const std::pair<std::string, std::string> cases[] = {
+      {"del 1", "del 1 junk"},
+      {"qlim 1 5", "qlim 1 5 junk"},
+      {"txn 1\ndel 1\n", "txn 1\ndel 1 junk\n"},
+      {"txn 1\ndel 1\n", "txn 1 junk\ndel 1\n"},
+      {"txn 1\ndel 1\n", "txn 1\ndel 1\njunk"},
+      {"gov 1\nqlim 1 5\n" + gov_state, "gov 1\nqlim 1 5 junk\n" + gov_state},
+  };
+  for (const auto& [good, bad] : cases) {
+    SCOPED_TRACE(bad);
+    EXPECT_NO_THROW(RuntimeHost::recover(small_opts(), "",
+                                         journal_after_add(good)));
+    try {
+      RuntimeHost::recover(small_opts(), "", journal_after_add(bad));
+      ADD_FAILURE() << "a record with a trailing token recovered";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), Errc::kBadJournal) << e.what();
+    }
+  }
+}
+
+TEST(RuntimeHost, MalformedGovernorBlobInJournalIsBadJournal) {
+  // The checkpoint is fine (there is none); the fault is in a journal
+  // record, so it must be reported as one.
+  try {
+    RuntimeHost::recover(small_opts(), "",
+                         journal_after_add("gov 0\nnot-a-gov-state"));
+    FAIL() << "a gov record with a malformed governor blob recovered";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), Errc::kBadJournal) << e.what();
   }
 }
 

@@ -17,6 +17,7 @@
 #include "core/hfsc.hpp"
 #include "sim/scenario.hpp"
 #include "sim/simulator.hpp"
+#include "util/hash.hpp"
 
 namespace hfsc {
 namespace {
@@ -171,15 +172,6 @@ TEST(ScenarioDiff, EveryFamilyMatchesTheLegacyEngine) {
 // engine as it was before the simulation layer was collapsed onto it.
 // Each pin is the H-FSC state digest (0 for other families) plus an
 // FNV-1a-64 of the full JSON report.
-std::uint64_t fnv1a64(const std::string& bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 struct GoldenPin {
   const char* what;
   std::uint64_t state_digest;

@@ -30,7 +30,7 @@
 #
 # The randomized long-running suites carry the ctest label "fuzz"
 # (tests/CMakeLists.txt) — fault injection, transaction atomicity,
-# batched-versus-single dequeue equivalence, agreement of the three
+# RuntimeHost batched-versus-single drain equivalence, agreement of the three
 # Section V eligible-set structures, the min-plus curve-operator fuzz
 # (test_curve_minplus_fuzz) and the analyzer-vs-simulator topology fuzz
 # (test_analysis_topology_fuzz: measured delay/backlog never exceed the
@@ -113,17 +113,18 @@ case "${what}" in
     ctest --test-dir "${repo}/build-ci-release" --output-on-failure \
       -L sim
     echo "=== Release: perf smoke vs committed baseline ==="
-    # A focused smoke run of the wide1000 workload (its H-FSC, runtime,
-    # sharded and H-PFQ/CBQ rows), whose hfsc batch=1 row is compared
-    # against the committed trajectory: a regression of more than 25%
+    # A smoke run of both workloads (their H-FSC, runtime, sharded and
+    # H-PFQ/CBQ rows); each workload's hfsc row is compared against the
+    # committed trajectory: a regression of more than 25%
     # (REGRESSION_PCT) warns, and fails the stage when HFSC_PERF_GATE=1
     # (tools/perf_smoke_check.py).
     "${repo}/build-ci-release/bench/bench_throughput" --smoke \
-      --workload=wide1000 \
       --out="${repo}/build-ci-release/PERF_smoke.json"
-    python3 "${repo}/tools/perf_smoke_check.py" \
-      "${repo}/BENCH_throughput.json" \
-      "${repo}/build-ci-release/PERF_smoke.json"
+    for workload in wide1000 deep8; do
+      python3 "${repo}/tools/perf_smoke_check.py" \
+        "${repo}/BENCH_throughput.json" \
+        "${repo}/build-ci-release/PERF_smoke.json" "${workload}"
+    done
     echo "=== Release: curve-cache hit rate (HFSC_CACHE_STATS build) ==="
     # Separate build dir: the stats counters are two atomic increments on
     # the hottest path, so the gated comparison above must not pay for

@@ -5,10 +5,8 @@ committed BENCH_throughput.json trajectory.
 Usage:
     perf_smoke_check.py BASELINE_JSON SMOKE_JSON [workload]
 
-Compares the hfsc single-dequeue (batch=1) dual_heap row for the given
-workload (default: wide1000 — the headline row docs/BENCH_NOTES.md
-tracks).  The committed baseline also holds aug_tree and calendar rows
-from builds that let H-FSC run those eligible sets; they are skipped.
+Compares the hfsc row for the given workload (default: wide1000 — the
+headline row docs/BENCH_NOTES.md tracks; CI also checks deep8).
 
 A smoke run uses far fewer packets than the committed full run, so the
 comparison is deliberately loose: a short run spends a larger fraction
@@ -18,9 +16,6 @@ figure even on an identical tree.
   * regression of more than REGRESSION_PCT (25%) prints a loud warning;
   * with HFSC_PERF_GATE=1 in the environment the warning becomes a
     non-zero exit, failing CI.
-
-The baseline may be schema v3 (no "batch" field; rows are implicitly
-batch=1) or v4, so the gate keeps working across the schema bump.
 """
 
 import json
@@ -37,15 +32,10 @@ def load_row(path, workload):
     with open(path) as f:
         doc = json.load(f)
     for row in doc.get("results", []):
-        if (
-            row.get("workload") == workload
-            and row.get("scheduler") == "hfsc"
-            and row.get("eligible_set") == "dual_heap"
-            and row.get("batch", 1) == 1
-        ):
+        if row.get("workload") == workload and row.get("scheduler") == "hfsc":
             return row
     sys.exit(
-        f"FATAL: {path}: no hfsc/{workload}/dual_heap batch=1 row "
+        f"FATAL: {path}: no hfsc/{workload} row "
         f"(schema_version={doc.get('schema_version')})"
     )
 
