@@ -128,19 +128,21 @@ std::string fmt_ms(TimeNs t) {
 
 // ---------------------------------------------------------------- checks
 
-// (a) Link-level rt admissibility — the *same* algebra the runtime uses:
+// (a) Link-level rt admissibility — the *same* check the runtime uses:
 // admit every leaf rt curve through an AdmissionControl in declaration
-// order.  The verdict is order-independent (curves are nonnegative and
-// nondecreasing, so if the total sum fits under the link curve every
-// prefix does), which the differential fuzzer re-proves against shuffled
-// insertion orders.
+// order.  AdmissionControl keeps its aggregate exactly, so the verdict is
+// order-independent: it is "the total sum fits under the link curve"
+// (curves are nonnegative and nondecreasing, so every prefix of a
+// feasible sum fits too), the runtime reaches the same verdict whatever
+// order its classes arrived in, and the differential fuzzer re-proves it
+// against shuffled insertion orders.
 void check_link_admissibility(Ctx& ctx) {
   AdmissionControl ac(ctx.link_rate);
-  PiecewiseLinear total;  // full aggregate, even past a rejection
+  RateBps reserved = 0;  // every leaf's long-term rate, even past a rejection
   for (std::size_t i = 0; i < ctx.spec.classes.size(); ++i) {
     const ClassSpec& c = ctx.spec.classes[i];
     if (!ctx.leaf[i] || c.rt.is_zero()) continue;
-    total = total.sum(PiecewiseLinear::from_service_curve(c.rt));
+    reserved += c.rt.m2;
     if (!ac.admit(c.rt)) {
       ctx.report->rt_feasible = false;
       ctx.diag(Severity::kError, "rt-link-infeasible", c.name,
@@ -154,8 +156,7 @@ void check_link_admissibility(Ctx& ctx) {
     }
   }
   ctx.report->rt_utilization =
-      static_cast<double>(total.tail_rate()) /
-      static_cast<double>(ctx.link_rate);
+      static_cast<double>(reserved) / static_cast<double>(ctx.link_rate);
 }
 
 // (a, recursive) Upper-limit feasibility at every node that declares an

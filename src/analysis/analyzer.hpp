@@ -140,10 +140,10 @@ struct AnalysisReport {
   std::vector<Diagnostic> diagnostics;
 
   // Link-level rt admissibility: true iff AdmissionControl would admit
-  // every leaf rt curve (proved by running the same curve algebra over
-  // the declaration order; the verdict is order-independent because
-  // curves are nonnegative and nondecreasing, so every prefix of a
-  // feasible sum is feasible).
+  // every leaf rt curve (proved by running the same exact aggregate over
+  // the declaration order; the verdict is order-independent because the
+  // aggregate is exact and curves are nonnegative and nondecreasing, so
+  // every prefix of a feasible sum is feasible).
   bool rt_feasible = true;
   // Long-term fraction of the link the leaf rt curves reserve.
   double rt_utilization = 0.0;

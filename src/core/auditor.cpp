@@ -181,32 +181,24 @@ AuditReport audit(const Hfsc& s) {
                          std::to_string(ul_count) + " live)");
   }
 
-  // Admission bookkeeping: the tracked aggregate must equal the sum over
-  // the live leaves' rt curves, and that sum must still fit under the
-  // link curve (normalized PiecewiseLinear representations are canonical,
-  // so == is curve equality).
+  // Admission bookkeeping: the tracked aggregate must equal one rebuilt
+  // from the live leaves' rt curves (the aggregate is exact, so == holds
+  // whatever order the curves arrived in), and it must still fit under
+  // the link curve.
   if (s.admission_) {
-    PiecewiseLinear expect;
-    std::size_t expect_count = 0;
-    for (ClassId c = 1; c < nodes.size(); ++c) {
-      const auto& n = nodes[c];
-      if (n.deleted || !n.children.empty() || !s.hot_[c].has_rt()) continue;
-      expect = expect.sum(PiecewiseLinear::from_service_curve(n.cfg.rt));
-      ++expect_count;
-    }
-    if (s.admission_->admitted() != expect_count) {
+    const AdmissionControl expect =
+        s.leaf_aggregate(s.admission_->link_rate());
+    if (s.admission_->admitted() != expect.admitted()) {
       fail(kRootClass, "admission bookkeeping tracks " +
                            std::to_string(s.admission_->admitted()) +
                            " curves but the tree has " +
-                           std::to_string(expect_count) + " rt leaves");
+                           std::to_string(expect.admitted()) + " rt leaves");
     }
-    if (!(s.admission_->aggregate() == expect)) {
+    if (!(*s.admission_ == expect)) {
       fail(kRootClass,
            "admission aggregate curve out of sync with the leaf rt curves");
     }
-    const PiecewiseLinear link = PiecewiseLinear::from_service_curve(
-        ServiceCurve::linear(s.admission_->link_rate()));
-    if (!link.dominates(expect)) {
+    if (!expect.fits()) {
       fail(kRootClass, "admitted rt curves exceed the admission link curve");
     }
   }

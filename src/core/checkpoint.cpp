@@ -313,11 +313,10 @@ Hfsc restore_checkpoint(std::istream& in, std::string* ext) {
     s.rt_requests_.update(c, h.e, h.d, s.last_now_);
   }
   if (adm_on) {
-    auto fresh = std::make_unique<AdmissionControl>(adm_rate);
-    for (const ServiceCurve& sc : s.leaf_rt_curves()) {
-      if (!fresh->admit(sc)) {
-        bad("checkpointed hierarchy does not fit its admission link rate");
-      }
+    auto fresh =
+        std::make_unique<AdmissionControl>(s.leaf_aggregate(adm_rate));
+    if (!fresh->fits()) {
+      bad("checkpointed hierarchy does not fit its admission link rate");
     }
     s.admission_ = std::move(fresh);
   }

@@ -60,18 +60,17 @@ ClassId Hfsc::add_class(ClassId parent, ClassConfig cfg) {
   ensure(parent == kRootClass || hot_[parent].has_ls(), Errc::kMissingCurve,
          "interior classes need a link-sharing curve");
   check_config(cfg, /*leaf=*/true);
+  maybe_self_check();  // audits the state before the gate moves it
   if (admission_ && !in_txn_apply_) {
-    std::vector<ServiceCurve> curves = leaf_rt_curves();
+    std::vector<ServiceCurve> out;
     if (parent != kRootClass && nodes_[parent].children.empty() &&
         hot_[parent].has_rt()) {
-      // The parent turns interior; its rt curve becomes inert.
-      curves.erase(
-          std::find(curves.begin(), curves.end(), nodes_[parent].cfg.rt));
+      out.push_back(nodes_[parent].cfg.rt);  // turns interior: rt inert
     }
-    if (!cfg.rt.is_zero()) curves.push_back(cfg.rt);
-    apply_admission(curves);
+    std::vector<ServiceCurve> in;
+    if (!cfg.rt.is_zero()) in.push_back(cfg.rt);
+    gate_direct(out, in);
   }
-  maybe_self_check();
 
   Node n;
   n.cfg = cfg;
@@ -271,15 +270,14 @@ void Hfsc::change_class(TimeNs now, ClassId cls, ClassConfig cfg) {
   HotClass& h = hot_[cls];
   ClassCurves& cc = curves_[cls];
   check_config(cfg, /*leaf=*/n.children.empty());
-  if (admission_ && !in_txn_apply_ && n.children.empty()) {
-    std::vector<ServiceCurve> curves = leaf_rt_curves();
-    if (h.has_rt()) {
-      curves.erase(std::find(curves.begin(), curves.end(), n.cfg.rt));
-    }
-    if (!cfg.rt.is_zero()) curves.push_back(cfg.rt);
-    apply_admission(curves);
-  }
   maybe_self_check();
+  if (admission_ && !in_txn_apply_ && n.children.empty()) {
+    std::vector<ServiceCurve> out;
+    if (h.has_rt()) out.push_back(n.cfg.rt);
+    std::vector<ServiceCurve> in;
+    if (!cfg.rt.is_zero()) in.push_back(cfg.rt);
+    gate_direct(out, in);
+  }
   now = clamp_now(now);
 
   const bool had_ls = h.has_ls();
@@ -332,20 +330,19 @@ void Hfsc::delete_class(ClassId cls) {
   Node& n = nodes_[cls];
   HotClass& h = hot_[cls];
   ensure(n.children.empty(), Errc::kHasChildren, "delete children first");
+  maybe_self_check();
   if (admission_ && !in_txn_apply_) {
-    std::vector<ServiceCurve> curves = leaf_rt_curves();
-    if (h.has_rt()) {
-      curves.erase(std::find(curves.begin(), curves.end(), n.cfg.rt));
-    }
+    std::vector<ServiceCurve> out;
+    if (h.has_rt()) out.push_back(n.cfg.rt);
+    std::vector<ServiceCurve> in;
     if (h.parent != kRootClass && nodes_[h.parent].children.size() == 1 &&
         hot_[h.parent].has_rt()) {
       // The parent becomes a leaf again; its rt guarantee re-activates
       // and must fit back under the link curve.
-      curves.push_back(nodes_[h.parent].cfg.rt);
+      in.push_back(nodes_[h.parent].cfg.rt);
     }
-    apply_admission(curves);
+    gate_direct(out, in);
   }
-  maybe_self_check();
 
   // Purge queued packets, counting them as drops.
   while (queues_.has(cls)) {
@@ -464,49 +461,65 @@ TimeNs Hfsc::next_wakeup(TimeNs /*now*/) const noexcept {
 
 // ----------------------------------------------------- admission control
 
-std::vector<ServiceCurve> Hfsc::leaf_rt_curves() const {
-  std::vector<ServiceCurve> out;
+AdmissionControl Hfsc::leaf_aggregate(RateBps link_rate) const {
+  AdmissionControl ac(link_rate);
   for (ClassId c = 1; c < nodes_.size(); ++c) {
     const Node& n = nodes_[c];
-    if (!n.deleted && n.children.empty() && hot_[c].has_rt()) {
-      out.push_back(n.cfg.rt);
-    }
+    if (!n.deleted && n.children.empty() && hot_[c].has_rt()) ac.add(n.cfg.rt);
   }
-  return out;
+  return ac;
 }
 
-void Hfsc::apply_admission(const std::vector<ServiceCurve>& curves) {
-  AdmissionControl fresh(admission_->link_rate());
-  for (const ServiceCurve& sc : curves) {
-    if (!fresh.admit(sc)) {
-      ++admission_rejections_;
-      throw Error(
-          Errc::kAdmissionRejected,
-          "real-time curve " + to_string(sc) +
-              " pushes the aggregate above the link curve (link rate " +
-              std::to_string(fresh.link_rate()) + " B/s, " +
-              std::to_string(fresh.utilization() * 100.0) +
-              "% already reserved); lower the curve, delete another "
-              "real-time class, or raise the admission link rate");
-    }
+bool Hfsc::apply_admission_delta(const std::vector<ServiceCurve>& out,
+                                 const std::vector<ServiceCurve>& in) {
+  if (admission_->replace(out, in)) return true;
+  ++admission_rejections_;
+  return false;
+}
+
+void Hfsc::gate_direct(const std::vector<ServiceCurve>& out,
+                       const std::vector<ServiceCurve>& in) {
+  if (apply_admission_delta(out, in)) return;
+  // Releasing curves only lowers a fitting aggregate, so a misfit always
+  // has a curve to blame.
+  assert(!in.empty());
+  const RateBps link = admission_->link_rate();
+  double reserved = admission_->utilization();
+  for (const ServiceCurve& sc : out) {
+    reserved -= static_cast<double>(sc.m2) / static_cast<double>(link);
   }
-  *admission_ = std::move(fresh);
+  throw Error(Errc::kAdmissionRejected,
+              "real-time curve " + to_string(in.back()) +
+                  " pushes the aggregate above the link curve (link rate " +
+                  std::to_string(link) + " B/s, " +
+                  std::to_string(reserved * 100.0) +
+                  "% already reserved); lower the curve, delete another "
+                  "real-time class, or raise the admission link rate");
 }
 
 void Hfsc::enable_admission_control(RateBps link_rate) {
   // The AdmissionControl constructor rejects link_rate == 0.  Validate
   // the existing hierarchy before enabling so a failure leaves the
   // previous admission state (enabled or not) untouched.
-  auto fresh = std::make_unique<AdmissionControl>(link_rate);
-  for (const ServiceCurve& sc : leaf_rt_curves()) {
-    if (!fresh->admit(sc)) {
-      ++admission_rejections_;
-      throw Error(Errc::kAdmissionRejected,
-                  "existing real-time curves already exceed the link curve "
-                  "(offending curve " +
-                      to_string(sc) +
-                      "); admission control left unchanged");
+  auto fresh = std::make_unique<AdmissionControl>(leaf_aggregate(link_rate));
+  if (!fresh->fits()) {
+    ++admission_rejections_;
+    // Cold path: name the first curve, in class-id order, that overflows.
+    AdmissionControl scan(link_rate);
+    ServiceCurve offending{};
+    for (ClassId c = 1; c < nodes_.size(); ++c) {
+      const Node& n = nodes_[c];
+      if (n.deleted || !n.children.empty() || !hot_[c].has_rt()) continue;
+      if (!scan.admit(n.cfg.rt)) {
+        offending = n.cfg.rt;
+        break;
+      }
     }
+    throw Error(Errc::kAdmissionRejected,
+                "existing real-time curves already exceed the link curve "
+                "(offending curve " +
+                    to_string(offending) +
+                    "); admission control left unchanged");
   }
   admission_ = std::move(fresh);
 }

@@ -172,14 +172,18 @@ class Hfsc final : public Scheduler {
     struct Op;
     struct Shadow;
 
-    Shadow make_shadow() const;
     // Replays one op onto the shadow, throwing on any rule the live
     // mutators would reject; returns the id assigned (adds only).
     static ClassId replay(Shadow& sh, const Op& op);
+    // Applies the batch's admission delta, or throws
+    // Error{kAdmissionRejected} naming the first class, in id order, whose
+    // rt curve the final state cannot fit.
+    void admit_batch(Shadow& sh);
 
     Hfsc* s_;
     std::vector<Op> ops_;
     std::size_t base_classes_;  // num_classes() at begin; id prediction base
+    std::size_t staged_adds_ = 0;  // kAdd entries in ops_
     bool open_ = true;
   };
 
@@ -441,13 +445,22 @@ class Hfsc final : public Scheduler {
   }
   // Validates a ClassConfig for a class with/without children; throws.
   static void check_config(const ClassConfig& cfg, bool leaf);
-  // The rt curves of all live leaves — the set the admission check gates.
-  std::vector<ServiceCurve> leaf_rt_curves() const;
-  // Re-admits `curves` into a fresh AdmissionControl and installs it, or
-  // throws Error{kAdmissionRejected} (counting the rejection) leaving the
-  // previous bookkeeping in place.  No-op when admission is disabled or a
-  // Txn commit is mid-apply (the commit validated the final state).
-  void apply_admission(const std::vector<ServiceCurve>& curves);
+  // A fresh admission aggregate of the rt curves of all live leaves — the
+  // set the admission check gates — unchecked (callers test fits() once).
+  AdmissionControl leaf_aggregate(RateBps link_rate) const;
+  // One mutation's admission delta: releases the rt curves of classes
+  // that stop being rt leaves (`out`), adds those of classes that become
+  // rt leaves (`in`) and checks the link curve once.  On a misfit counts
+  // the rejection, leaves the aggregate exactly as it was and returns
+  // false.  Requires admission to be enabled.
+  bool apply_admission_delta(const std::vector<ServiceCurve>& out,
+                             const std::vector<ServiceCurve>& in);
+  // The direct mutators' gate: applies the delta or throws
+  // Error{kAdmissionRejected} naming the curve in `in` that does not fit.
+  // Callers skip it when admission is disabled or a Txn commit is
+  // mid-apply (the commit applied the whole batch's delta up front).
+  void gate_direct(const std::vector<ServiceCurve>& out,
+                   const std::vector<ServiceCurve>& in);
   // Scans for newly starved leaves; rate-limited to every horizon/4.
   void maybe_watchdog(TimeNs now);
   // Clamps a data-path clock that ran backwards, counting the anomaly.

@@ -1,14 +1,20 @@
 // Hfsc::Txn — transactional live reconfiguration.
 //
 // A Txn records mutations without touching the scheduler.  commit()
-// replays the whole batch onto a Shadow — a minimal structural model of
-// the hierarchy (parent links, configs, child counts, backlog flags) —
-// enforcing exactly the rules the live mutators enforce, plus the
-// admission check over the final state when admission control is on.
-// Only after every op validates does commit() apply the batch through
-// the live mutators, so any hfsc::Error leaves the scheduler bit-for-bit
-// untouched (tests/test_txn_atomicity_fuzz.cpp proves this by state
-// digest over >= 10k failing batches).
+// replays the whole batch onto a Shadow — a sparse overlay on the live
+// hierarchy holding only the classes the batch touches (parent links,
+// configs, child counts, backlog flags) plus its staged adds — enforcing
+// exactly the rules the live mutators enforce.  When admission control is
+// on it then applies only the batch's admission delta: each touched class
+// releases its live rt-leaf curve and admits its final one (a parent that
+// turns interior drops out, one that turns back into a leaf re-enters),
+// and the exact aggregate is checked against the link curve once.  A
+// commit therefore costs O(ops * log n + B) for B distinct rt knee times,
+// whatever the size of the hierarchy.  Only after every op and the
+// admission check validate does commit() apply the batch through the live
+// mutators, so any hfsc::Error leaves the scheduler — and the admission
+// aggregate — bit-for-bit untouched (tests/test_txn_atomicity_fuzz.cpp
+// proves this by state digest over >= 10k failing batches).
 //
 // Ids for staged add_class calls are predicted: the live scheduler
 // assigns ids densely (nodes are never erased from the vector, only
@@ -16,7 +22,7 @@
 // prediction is checked at commit; direct adds made while the Txn was
 // open make it stale and commit throws Error{kTxnInvalid}.
 
-#include <algorithm>
+#include <unordered_map>
 
 #include "core/hfsc.hpp"
 
@@ -31,6 +37,11 @@ struct Hfsc::Txn::Op {
   std::size_t limit = 0;    // kQueueLimit
 };
 
+// The hierarchy as the batch so far leaves it, as an overlay on the live
+// tree: an existing class is copied in on first use, staged adds are
+// appended with ids from the live class count on.  Every other class
+// reads through to the scheduler, so a commit costs O(ops), not
+// O(classes).
 struct Hfsc::Txn::Shadow {
   struct SNode {
     ClassId parent = kRootClass;
@@ -38,11 +49,36 @@ struct Hfsc::Txn::Shadow {
     std::uint32_t children = 0;
     bool deleted = false;
     bool backlogged = false;
-  };
-  std::vector<SNode> nodes;
 
-  bool live(ClassId c) const noexcept {
-    return c > 0 && c < nodes.size() && !nodes[c].deleted;
+    bool rt_leaf() const noexcept {
+      return !deleted && children == 0 && !cfg.rt.is_zero();
+    }
+  };
+
+  explicit Shadow(const Hfsc& sched) : s(&sched) {}
+
+  const Hfsc* s;
+  std::unordered_map<ClassId, SNode> touched;  // existing classes
+  std::vector<SNode> added;                    // ids base() + i
+
+  std::size_t base() const noexcept { return s->nodes_.size(); }
+  std::size_t size() const noexcept { return base() + added.size(); }
+
+  // Class c < size() as the batch leaves it; an existing class is
+  // copied in from the live tree on first use.
+  SNode& at(ClassId c) {
+    if (c >= base()) return added[c - base()];
+    const auto [it, first_use] = touched.try_emplace(c);
+    if (first_use) {
+      const Node& n = s->nodes_[c];
+      it->second = SNode{s->hot_[c].parent, n.cfg,
+                         static_cast<std::uint32_t>(n.children.size()),
+                         n.deleted, s->queues_.has(c)};
+    }
+    return it->second;
+  }
+  bool live(ClassId c) {
+    return c > 0 && c < size() && !at(c).deleted;
   }
 };
 
@@ -54,57 +90,45 @@ Hfsc::Txn::~Txn() {
 
 Hfsc::Txn::Txn(Txn&& other) noexcept
     : s_(other.s_), ops_(std::move(other.ops_)),
-      base_classes_(other.base_classes_), open_(other.open_) {
+      base_classes_(other.base_classes_), staged_adds_(other.staged_adds_),
+      open_(other.open_) {
   other.open_ = false;
-}
-
-Hfsc::Txn::Shadow Hfsc::Txn::make_shadow() const {
-  Shadow sh;
-  sh.nodes.resize(s_->nodes_.size());
-  for (ClassId c = 0; c < s_->nodes_.size(); ++c) {
-    const Node& n = s_->nodes_[c];
-    Shadow::SNode& sn = sh.nodes[c];
-    sn.parent = s_->hot_[c].parent;
-    sn.cfg = n.cfg;
-    sn.children = static_cast<std::uint32_t>(n.children.size());
-    sn.deleted = n.deleted;
-    sn.backlogged = s_->queues_.has(c);
-  }
-  return sh;
 }
 
 ClassId Hfsc::Txn::replay(Shadow& sh, const Op& op) {
   switch (op.kind) {
     case Op::Kind::kAdd: {
-      ensure(op.cls < sh.nodes.size() &&
+      ensure(op.cls < sh.size() &&
                  (op.cls == kRootClass || sh.live(op.cls)),
              Errc::kInvalidClass, "unknown or deleted parent class");
-      ensure(!sh.nodes[op.cls].backlogged, Errc::kHasBacklog,
+      Shadow::SNode& parent = sh.at(op.cls);
+      ensure(!parent.backlogged, Errc::kHasBacklog,
              "cannot add children under a class that queues packets");
-      ensure(op.cls == kRootClass || !sh.nodes[op.cls].cfg.ls.is_zero(),
+      ensure(op.cls == kRootClass || !parent.cfg.ls.is_zero(),
              Errc::kMissingCurve,
              "interior classes need a link-sharing curve");
       check_config(op.cfg, /*leaf=*/true);
+      ++parent.children;
       Shadow::SNode sn;
       sn.parent = op.cls;
       sn.cfg = op.cfg;
-      sh.nodes.push_back(sn);
-      ++sh.nodes[op.cls].children;
-      return static_cast<ClassId>(sh.nodes.size() - 1);
+      sh.added.push_back(sn);  // invalidates `parent` if it is a staged add
+      return static_cast<ClassId>(sh.size() - 1);
     }
     case Op::Kind::kChange: {
       ensure(sh.live(op.cls), Errc::kInvalidClass, "unknown or deleted class");
-      check_config(op.cfg, /*leaf=*/sh.nodes[op.cls].children == 0);
-      sh.nodes[op.cls].cfg = op.cfg;
+      Shadow::SNode& sn = sh.at(op.cls);
+      check_config(op.cfg, /*leaf=*/sn.children == 0);
+      sn.cfg = op.cfg;
       return op.cls;
     }
     case Op::Kind::kDelete: {
       ensure(sh.live(op.cls), Errc::kInvalidClass, "unknown or deleted class");
-      ensure(sh.nodes[op.cls].children == 0, Errc::kHasChildren,
-             "delete children first");
-      sh.nodes[op.cls].deleted = true;
-      sh.nodes[op.cls].backlogged = false;
-      --sh.nodes[sh.nodes[op.cls].parent].children;
+      Shadow::SNode& sn = sh.at(op.cls);
+      ensure(sn.children == 0, Errc::kHasChildren, "delete children first");
+      sn.deleted = true;
+      sn.backlogged = false;
+      --sh.at(sn.parent).children;
       return op.cls;
     }
     case Op::Kind::kQueueLimit: {
@@ -117,10 +141,8 @@ ClassId Hfsc::Txn::replay(Shadow& sh, const Op& op) {
 
 ClassId Hfsc::Txn::add_class(ClassId parent, ClassConfig cfg) {
   ensure(open_, Errc::kTxnInvalid, "transaction already closed");
-  std::size_t adds = 0;
-  for (const Op& op : ops_) adds += op.kind == Op::Kind::kAdd;
   ops_.push_back(Op{Op::Kind::kAdd, parent, cfg, 0, 0});
-  return static_cast<ClassId>(base_classes_ + adds);
+  return static_cast<ClassId>(base_classes_ + staged_adds_++);
 }
 
 void Hfsc::Txn::change_class(TimeNs now, ClassId cls, ClassConfig cfg) {
@@ -142,16 +164,49 @@ std::size_t Hfsc::Txn::num_ops() const noexcept { return ops_.size(); }
 
 void Hfsc::Txn::rollback() noexcept {
   ops_.clear();
+  staged_adds_ = 0;
   open_ = false;
+}
+
+void Hfsc::Txn::admit_batch(Shadow& sh) {
+  // Only the touched classes can change rt-leaf status or curve: each
+  // leaves the aggregate with its live curve and re-enters with its final
+  // one.
+  std::vector<ServiceCurve> out;
+  std::vector<ServiceCurve> in;
+  for (const auto& [c, sn] : sh.touched) {
+    const bool was_rt_leaf = s_->live(c) && s_->nodes_[c].children.empty() &&
+                             s_->hot_[c].has_rt();
+    const ServiceCurve& old_rt = s_->nodes_[c].cfg.rt;
+    if (was_rt_leaf && sn.rt_leaf() && old_rt == sn.cfg.rt) continue;
+    if (was_rt_leaf) out.push_back(old_rt);
+    if (sn.rt_leaf()) in.push_back(sn.cfg.rt);
+  }
+  for (const Shadow::SNode& sn : sh.added) {
+    if (sn.rt_leaf()) in.push_back(sn.cfg.rt);
+  }
+  if (s_->apply_admission_delta(out, in)) return;
+
+  // Cold path: name the first class, in id order, whose rt curve
+  // overflows the final state's aggregate.
+  AdmissionControl scan(s_->admission_->link_rate());
+  for (ClassId c = 1; c < sh.size(); ++c) {
+    const Shadow::SNode& sn = sh.at(c);
+    if (!sn.rt_leaf() || scan.admit(sn.cfg.rt)) continue;
+    throw Error(Errc::kAdmissionRejected,
+                "committing this batch would put real-time curve " +
+                    to_string(sn.cfg.rt) + " (class " + std::to_string(c) +
+                    ") above the link curve; shrink the batch's rt "
+                    "curves or raise the admission link rate");
+  }
+  throw Error(Errc::kAdmissionRejected,
+              "committing this batch would put the real-time curves above "
+              "the link curve");
 }
 
 void Hfsc::Txn::commit() {
   ensure(open_, Errc::kTxnInvalid, "transaction already closed");
-  ensure(s_->num_classes() == base_classes_ ||
-             std::none_of(ops_.begin(), ops_.end(),
-                          [](const Op& op) {
-                            return op.kind == Op::Kind::kAdd;
-                          }),
+  ensure(s_->num_classes() == base_classes_ || staged_adds_ == 0,
          Errc::kTxnInvalid,
          "classes were added outside the transaction since begin(); the "
          "staged ids are stale — rollback and re-stage");
@@ -159,28 +214,13 @@ void Hfsc::Txn::commit() {
   // Phase 1: validate the whole batch against a shadow of the live tree.
   // Any throw here (or in the admission check below) leaves the scheduler
   // untouched and the transaction open.
-  Shadow sh = make_shadow();
+  Shadow sh(*s_);
   for (const Op& op : ops_) replay(sh, op);
 
   // Phase 2: admission over the final state — the sum of the surviving
-  // leaves' rt curves must stay below the link curve (Section II).
-  std::unique_ptr<AdmissionControl> fresh;
-  if (s_->admission_) {
-    fresh = std::make_unique<AdmissionControl>(s_->admission_->link_rate());
-    for (ClassId c = 1; c < sh.nodes.size(); ++c) {
-      const Shadow::SNode& sn = sh.nodes[c];
-      if (sn.deleted || sn.children != 0 || sn.cfg.rt.is_zero()) continue;
-      if (!fresh->admit(sn.cfg.rt)) {
-        ++s_->admission_rejections_;
-        throw Error(Errc::kAdmissionRejected,
-                    "committing this batch would put real-time curve " +
-                        to_string(sn.cfg.rt) +
-                        " (class " + std::to_string(c) +
-                        ") above the link curve; shrink the batch's rt "
-                        "curves or raise the admission link rate");
-      }
-    }
-  }
+  // leaves' rt curves must stay below the link curve (Section II).  The
+  // aggregate takes the batch's delta here; a misfit restores it.
+  if (s_->admission_) admit_batch(sh);
 
   // Phase 3: apply.  Validation mirrored every rule the live mutators
   // enforce, so none of these calls can throw; per-op admission gating
@@ -209,9 +249,9 @@ void Hfsc::Txn::commit() {
     throw;  // unreachable unless the scheduler was already corrupt
   }
   s_->in_txn_apply_ = false;
-  if (fresh) s_->admission_ = std::move(fresh);
   open_ = false;
   ops_.clear();
+  staged_adds_ = 0;
   s_->maybe_self_check();
 }
 

@@ -395,34 +395,84 @@ std::optional<PiecewiseLinear> PiecewiseLinear::deconvolve(
   return acc;
 }
 
-bool AdmissionControl::admit(const ServiceCurve& sc) {
-  assert(sc.is_supported());
-  const PiecewiseLinear cand =
-      sum_.sum(PiecewiseLinear::from_service_curve(sc));
-  if (!link_.dominates(cand)) return false;
-  sum_ = cand;
-  curves_.push_back(sc);
+void AdmissionControl::shift(const ServiceCurve& sc, int sign) {
+  // S(t) = first * t up to the knee d, then m2 * (t - d) more: a curve
+  // with d == 0 or m1 == m2 is linear and has no knee.
+  const bool knee = sc.d != 0 && sc.m1 != sc.m2;
+  const __int128 first = knee ? sc.m1 : sc.m2;
+  slope0_ += sign * first;
+  if (!knee) return;
+  const __int128 delta = sign * (static_cast<__int128>(sc.m2) - sc.m1);
+  const auto [it, inserted] = knees_.try_emplace(sc.d, delta);
+  if (!inserted && (it->second += delta) == 0) knees_.erase(it);
+}
+
+void AdmissionControl::add(const ServiceCurve& sc) {
+  shift(sc, +1);
+  ++counts_[sc];
   ++admitted_count_;
-  return true;
 }
 
 void AdmissionControl::release(const ServiceCurve& sc) {
-  const auto it = std::find(curves_.begin(), curves_.end(), sc);
-  ensure(it != curves_.end(), Errc::kInvalidArgument,
+  const auto it = counts_.find(sc);
+  ensure(it != counts_.end(), Errc::kInvalidArgument,
          "releasing a service curve that was never admitted: " +
              to_string(sc));
-  curves_.erase(it);
+  if (--it->second == 0) counts_.erase(it);
   --admitted_count_;
-  // Recompute the sum (exact, avoids subtraction rounding drift).
-  sum_ = PiecewiseLinear();
-  for (const ServiceCurve& c : curves_) {
-    sum_ = sum_.sum(PiecewiseLinear::from_service_curve(c));
+  shift(sc, -1);
+}
+
+bool AdmissionControl::fits() const noexcept {
+  // Walk the knees in time order carrying the exact aggregate value (in
+  // nanobytes) and slope.  The value never exceeds R * x < 2^128 before a
+  // knee is checked, so an addition that would overflow is a misfit.
+  constexpr unsigned __int128 kMax = ~static_cast<unsigned __int128>(0);
+  unsigned __int128 value = 0;
+  __int128 slope = slope0_;  // never negative: a sum of curve slopes
+  TimeNs x = 0;
+  for (const auto& [knee, delta] : knees_) {
+    const auto s = static_cast<unsigned __int128>(slope);
+    const std::uint64_t dx = knee - x;
+    if (s != 0 && static_cast<unsigned __int128>(dx) > (kMax - value) / s) {
+      return false;
+    }
+    value += s * dx;
+    x = knee;
+    if (value > static_cast<unsigned __int128>(link_rate_) * x) return false;
+    slope += delta;
   }
+  return slope <= static_cast<__int128>(link_rate_);
+}
+
+bool AdmissionControl::admit(const ServiceCurve& sc) {
+  assert(sc.is_supported());
+  add(sc);
+  if (fits()) return true;
+  release(sc);
+  return false;
+}
+
+bool AdmissionControl::replace(const std::vector<ServiceCurve>& out,
+                               const std::vector<ServiceCurve>& in) {
+  std::size_t released = 0;
+  try {
+    for (; released < out.size(); ++released) release(out[released]);
+  } catch (...) {
+    for (std::size_t i = 0; i < released; ++i) add(out[i]);
+    throw;
+  }
+  for (const ServiceCurve& sc : in) add(sc);
+  if (fits()) return true;
+  for (const ServiceCurve& sc : in) release(sc);
+  for (const ServiceCurve& sc : out) add(sc);
+  return false;
 }
 
 double AdmissionControl::utilization() const noexcept {
-  const double link = static_cast<double>(link_.tail_rate());
-  return link == 0.0 ? 0.0 : static_cast<double>(sum_.tail_rate()) / link;
+  __int128 tail = slope0_;
+  for (const auto& knee : knees_) tail += knee.second;
+  return static_cast<double>(tail) / static_cast<double>(link_rate_);
 }
 
 std::optional<TimeNs> delay_bound(Bytes burst, RateBps rate,

@@ -4,10 +4,12 @@
 // min-fold, but two jobs in the paper need full piecewise-linear
 // arithmetic:
 //
-//  * admission control — SCED/H-FSC can guarantee all real-time curves
+//  * upper-limit feasibility — SCED/H-FSC can guarantee real-time curves
 //    iff their SUM stays below the server's curve (Section II, eq. (5)'s
-//    discussion): sums of two-piece curves have up to one breakpoint per
-//    session;
+//    discussion); the analyzer applies this to a subtree capped by an
+//    upper-limit curve, and sums of two-piece curves have up to one
+//    breakpoint per session (the link-level check is AdmissionControl
+//    below, which keeps its sum exactly instead);
 //
 //  * analytical delay bounds — for a session with arrival envelope A
 //    (e.g. a token bucket) and guaranteed service curve S, the
@@ -21,7 +23,10 @@
 // as the rest of the library.
 #pragma once
 
+#include <cstddef>
+#include <map>
 #include <optional>
+#include <tuple>
 #include <vector>
 
 #include "curve/service_curve.hpp"
@@ -161,11 +166,32 @@ class PiecewiseLinear {
 };
 
 // Admission control for a link's real-time obligations (Section II's
-// feasibility condition).  Tracks the running sum of admitted service
-// curves and admits a new one only while  sum + candidate <= link curve.
+// feasibility condition): a set of curves S_i is admissible on a link of
+// rate R iff  sum_i S_i(t) <= R * t  for all t >= 0.
+//
+// The aggregate is kept exactly (a sum of floored PiecewiseLinear values
+// would depend on the order curves were added): the total first-segment
+// slope sum m1, a map from knee time d to the net slope change there
+// (m2 - m1 summed over the curves with that knee), and a count per
+// admitted curve.  The condition is checked in 128-bit
+// nanobytes (1e-9 bytes, the unit of nanobytes_at in piecewise.cpp, so a
+// slope in bytes/s is exactly nanobytes per nanosecond):
+//
+//     sum_i S_i(x) * 1e9 <= R * x   at every knee x,  and
+//     the tail slope sum_i m2 <= R.
+//
+// Both sides are linear between knees and meet at 0, so this is the whole
+// condition, checked in O(B) for B distinct knee times.  Adding or
+// releasing a curve is O(log n + log B) integer arithmetic, so the
+// aggregate — and every verdict — is independent of the order curves
+// arrived in, and release() is an exact subtraction.  The analyzer's
+// check_link_admissibility runs this same class, so it and the runtime
+// share one order-independent verdict.
+//
 // Hfsc::enable_admission_control wires an instance into every mutation
-// path (direct mutators and Hfsc::Txn commits) so the scheduler refuses
-// configurations whose guarantees it cannot honour.
+// path (direct mutators and Hfsc::Txn commits), each applying only its
+// delta through replace(), so the scheduler refuses configurations whose
+// guarantees it cannot honour.
 class AdmissionControl {
  public:
   // Throws Error{kInvalidArgument} if link_rate == 0 (a zero-rate link
@@ -173,10 +199,7 @@ class AdmissionControl {
   explicit AdmissionControl(RateBps link_rate)
       : link_rate_((ensure(link_rate > 0, Errc::kInvalidArgument,
                            "admission link rate must be > 0"),
-                    link_rate)),
-        link_(PiecewiseLinear::from_service_curve(
-            ServiceCurve::linear(link_rate))),
-        sum_() {}
+                    link_rate)) {}
 
   // Attempts to admit; returns false (and changes nothing) if the
   // aggregate would exceed the link curve somewhere.
@@ -188,19 +211,46 @@ class AdmissionControl {
   // the link.
   void release(const ServiceCurve& sc);
 
+  // Adds a curve without checking the link curve: for building an
+  // aggregate from many curves and checking fits() once.
+  void add(const ServiceCurve& sc);
+
+  // Releases every curve of `out` and adds every curve of `in`, then
+  // checks the link curve once.  On a misfit the aggregate is restored
+  // exactly (== its previous value) and false is returned.  Throws like
+  // release() — changing nothing — if some curve of `out` is not
+  // admitted.
+  bool replace(const std::vector<ServiceCurve>& out,
+               const std::vector<ServiceCurve>& in);
+
+  // True iff the aggregate stays below the link curve (see above); O(B).
+  bool fits() const noexcept;
+
   // Fraction of the link's long-term rate currently reserved, in
   // [0, 1+] (long-term slopes only).
   double utilization() const noexcept;
 
   RateBps link_rate() const noexcept { return link_rate_; }
   std::size_t admitted() const noexcept { return admitted_count_; }
-  const PiecewiseLinear& aggregate() const noexcept { return sum_; }
+
+  // Exact: equal aggregates of equal curve multisets on equal links.
+  friend bool operator==(const AdmissionControl&,
+                         const AdmissionControl&) noexcept = default;
 
  private:
+  struct CurveLess {
+    bool operator()(const ServiceCurve& a,
+                    const ServiceCurve& b) const noexcept {
+      return std::tie(a.m1, a.d, a.m2) < std::tie(b.m1, b.d, b.m2);
+    }
+  };
+  // Adds (sign = +1) or removes (sign = -1) one curve's slopes.
+  void shift(const ServiceCurve& sc, int sign);
+
   RateBps link_rate_;
-  PiecewiseLinear link_;
-  PiecewiseLinear sum_;
-  std::vector<ServiceCurve> curves_;  // for release-by-recompute
+  __int128 slope0_ = 0;  // sum of the first-segment slopes
+  std::map<TimeNs, __int128> knees_;  // knee time -> net slope change; no 0s
+  std::map<ServiceCurve, std::size_t, CurveLess> counts_;  // no 0s
   std::size_t admitted_count_ = 0;
 };
 

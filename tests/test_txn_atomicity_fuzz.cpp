@@ -8,8 +8,9 @@
 // bogus or twice-deleted id, an unsupported curve shape) or the admission
 // feasibility condition.  Every commit must throw, and after the throw
 // the live scheduler's state digest (core/checkpoint.hpp) must equal both
-// its own pre-batch digest and the control twin's — the scheduler behaves
-// as if the batch never existed.  After the fuzz loop both instances are
+// its own pre-batch digest and the control twin's, and its admission
+// aggregate must equal its pre-batch value — the scheduler behaves as if
+// the batch never existed.  After the fuzz loop both instances are
 // drained in lockstep and must release identical packet sequences.
 #include <gtest/gtest.h>
 
@@ -99,6 +100,7 @@ TEST(TxnAtomicityFuzz, TenThousandFailingBatchesLeaveNoTrace) {
     }
 
     const std::uint64_t before = state_digest(tw.live);
+    const AdmissionControl admission_before = *tw.live.admission_control();
 
     // Stage a batch that MUST fail: a random valid prefix, then poison.
     Hfsc::Txn txn = tw.live.begin();
@@ -148,6 +150,10 @@ TEST(TxnAtomicityFuzz, TenThousandFailingBatchesLeaveNoTrace) {
     // never saw any transaction at all.
     ASSERT_EQ(state_digest(tw.live), before) << "batch kind " << kind;
     ASSERT_EQ(state_digest(tw.live), state_digest(tw.ctrl));
+    // The digest records only that admission is on; the aggregate itself
+    // must be exactly what it was before the commit, too.
+    ASSERT_TRUE(*tw.live.admission_control() == admission_before)
+        << "batch kind " << kind;
     if (round % 1024 == 0) {
       const AuditReport report = audit(tw.live);
       ASSERT_TRUE(report.ok()) << report.to_string();
