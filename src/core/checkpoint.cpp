@@ -2,112 +2,87 @@
 
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/auditor.hpp"
 #include "core/hfsc.hpp"
 #include "util/hash.hpp"
+#include "util/text_codec.hpp"
 
 namespace hfsc {
 
 namespace {
 
-[[noreturn]] void bad(const std::string& what) {
-  throw Error(Errc::kBadCheckpoint, what);
+// The fewest bytes one class's records can take: `node` and 19 numerals,
+// `cfg` and 9, four `curve <tag>` records with 6 each, every token
+// followed by one whitespace byte.  Bounds the class count by the image
+// size before anything is allocated for it.
+constexpr std::size_t kMinClassBytes = (4 + 19 + 20) + (3 + 9 + 10) +
+                                       4 * (5 + 2 + 6 + 8);
+
+void put_curve(std::string& out, const char* tag, const RuntimeCurve& c) {
+  put_record(out, "curve", tag, c.x(), c.y(), c.dx(), c.dy(), c.m1(), c.m2());
 }
 
-// Reads one whitespace-delimited token of the expected literal value;
-// keeps record parsing self-describing and truncation loud.
-void expect(std::istream& in, const char* literal) {
-  std::string tok;
-  if (!(in >> tok) || tok != literal) {
-    bad("expected '" + std::string(literal) + "', got '" + tok + "'");
-  }
-}
-
-template <typename T>
-T num(std::istream& in, const char* field) {
-  T v{};
-  if (!(in >> v)) bad(std::string("missing or malformed field: ") + field);
-  return v;
-}
-
-void put_curve(std::ostream& out, const char* tag, const RuntimeCurve& c) {
-  out << "curve " << tag << ' ' << c.x() << ' ' << c.y() << ' ' << c.dx()
-      << ' ' << c.dy() << ' ' << c.m1() << ' ' << c.m2() << '\n';
-}
-
-RuntimeCurve get_curve(std::istream& in, const char* tag) {
-  expect(in, "curve");
-  expect(in, tag);
-  const TimeNs x = num<TimeNs>(in, "curve.x");
-  const Bytes y = num<Bytes>(in, "curve.y");
-  const TimeNs dx = num<TimeNs>(in, "curve.dx");
-  const Bytes dy = num<Bytes>(in, "curve.dy");
-  const RateBps m1 = num<RateBps>(in, "curve.m1");
-  const RateBps m2 = num<RateBps>(in, "curve.m2");
+RuntimeCurve get_curve(TextReader& in, const char* tag) {
+  in.expect("curve");
+  in.expect(tag);
+  const TimeNs x = in.num<TimeNs>("curve.x");
+  const Bytes y = in.num<Bytes>("curve.y");
+  const TimeNs dx = in.num<TimeNs>("curve.dx");
+  const Bytes dy = in.num<Bytes>("curve.dy");
+  const RateBps m1 = in.num<RateBps>("curve.m1");
+  const RateBps m2 = in.num<RateBps>("curve.m2");
   return RuntimeCurve::from_parts(x, y, dx, dy, m1, m2);
 }
 
-void put_sc(std::ostream& out, const ServiceCurve& sc) {
-  out << sc.m1 << ' ' << sc.d << ' ' << sc.m2;
-}
-
-ServiceCurve get_sc(std::istream& in, const char* field) {
+ServiceCurve get_sc(TextReader& in, const char* field) {
   ServiceCurve sc;
-  sc.m1 = num<RateBps>(in, field);
-  sc.d = num<TimeNs>(in, field);
-  sc.m2 = num<RateBps>(in, field);
+  sc.m1 = in.num<RateBps>(field);
+  sc.d = in.num<TimeNs>(field);
+  sc.m2 = in.num<RateBps>(field);
   return sc;
 }
 
 }  // namespace
 
-void checkpoint(const Hfsc& s, std::ostream& out) {
-  checkpoint(s, out, std::string_view{});
-}
-
-void checkpoint(const Hfsc& s, std::ostream& out, std::string_view ext) {
-  out << "hfsc-checkpoint " << kCheckpointVersion << '\n';
+void checkpoint(const Hfsc& s, std::string& out, std::string_view ext) {
+  // Sized for the usual record lengths, so a large image grows once
+  // instead of through a chain of doublings.
+  out.reserve(out.size() + 256 + ext.size() + 384 * s.nodes_.size() +
+              48 * s.backlog_packets());
+  put_record(out, "hfsc-checkpoint", kCheckpointVersion);
   // The second field is the retired eligible-set kind; always 0 now.
-  out << "link " << s.link_rate_ << " 0 " << static_cast<int>(s.vt_policy_)
-      << '\n';
-  out << "maxpkt " << s.max_packet_len_ << '\n';
-  out << "clock " << s.last_now_ << ' ' << s.ls_next_fit_ << '\n';
-  out << "selections " << s.rt_selections_ << ' ' << s.ls_selections_ << ' '
-      << static_cast<int>(s.last_criterion_) << '\n';
-  out << "counters " << s.counters_.bad_class << ' ' << s.counters_.zero_len
-      << ' ' << s.counters_.oversized << ' '
-      << s.counters_.clock_regressions << '\n';
-  out << "admission " << (s.admission_ ? 1 : 0) << ' '
-      << (s.admission_ ? s.admission_->link_rate() : 0) << '\n';
-  out << "watchdog " << s.starvation_horizon_ << '\n';
-  out << "ext " << ext.size() << '\n' << ext << '\n';
+  put_record(out, "link", s.link_rate_, 0, static_cast<int>(s.vt_policy_));
+  put_record(out, "maxpkt", s.max_packet_len_);
+  put_record(out, "clock", s.last_now_, s.ls_next_fit_);
+  put_record(out, "selections", s.rt_selections_, s.ls_selections_,
+             static_cast<int>(s.last_criterion_));
+  put_record(out, "counters", s.counters_.bad_class, s.counters_.zero_len,
+             s.counters_.oversized, s.counters_.clock_regressions);
+  put_record(out, "admission", s.admission_ != nullptr,
+             s.admission_ ? s.admission_->link_rate() : RateBps{0});
+  put_record(out, "watchdog", s.starvation_horizon_);
+  put_record(out, "ext", ext.size());
+  out.append(ext);
+  out.push_back('\n');
 
   // The node record interleaves fields from the cold Node and the hot /
   // curve slabs (core/hfsc.hpp); the emitted text is byte-identical to
   // the pre-slab format, so digests and golden checkpoints carry over.
-  out << "classes " << s.nodes_.size() << '\n';
+  put_record(out, "classes", s.nodes_.size());
   for (ClassId c = 0; c < s.nodes_.size(); ++c) {
     const auto& n = s.nodes_[c];
     const auto& h = s.hot_[c];
     const auto& cc = s.curves_[c];
-    out << "node " << c << ' ' << h.parent << ' ' << h.idx_in_parent << ' '
-        << h.active() << ' ' << n.ever_active << ' ' << n.deleted << ' '
-        << n.starved_flagged << ' ' << n.queue_limit << ' ' << h.cumul << ' '
-        << h.e << ' ' << h.d << ' ' << h.total << ' ' << h.vt << ' ' << h.fit
-        << ' ' << n.vt_watermark << ' ' << n.pkts_sent << ' '
-        << n.pkts_dropped << ' ' << n.bytes_dropped << ' ' << n.last_progress
-        << '\n';
-    out << "cfg ";
-    put_sc(out, n.cfg.rt);
-    out << ' ';
-    put_sc(out, n.cfg.ls);
-    out << ' ';
-    put_sc(out, n.cfg.ul);
-    out << '\n';
+    put_record(out, "node", c, h.parent, h.idx_in_parent, h.active(),
+               n.ever_active, n.deleted, n.starved_flagged, n.queue_limit,
+               h.cumul, h.e, h.d, h.total, h.vt, h.fit, n.vt_watermark,
+               n.pkts_sent, n.pkts_dropped, n.bytes_dropped, n.last_progress);
+    const ClassConfig& cfg = n.cfg;
+    put_record(out, "cfg", cfg.rt.m1, cfg.rt.d, cfg.rt.m2, cfg.ls.m1,
+               cfg.ls.d, cfg.ls.m2, cfg.ul.m1, cfg.ul.d, cfg.ul.m2);
     put_curve(out, "dc", cc.dc);
     put_curve(out, "ec", cc.ec);
     put_curve(out, "vc", cc.vc);
@@ -117,122 +92,139 @@ void checkpoint(const Hfsc& s, std::ostream& out, std::string_view ext) {
   for (ClassId c = 0; c < s.nodes_.size(); ++c) {
     if (c >= s.queues_.num_classes() || !s.queues_.has(c)) continue;
     const auto& q = s.queues_.queue(c);
-    out << "queue " << c << ' ' << q.size() << '\n';
-    for (const Packet& p : q) {
-      out << "pkt " << p.len << ' ' << p.arrival << ' ' << p.seq << '\n';
-    }
+    put_record(out, "queue", c, q.size());
+    for (const Packet& p : q) put_record(out, "pkt", p.len, p.arrival, p.seq);
   }
-  out << "end\n";
+  out.append("end\n");
 }
 
-Hfsc restore_checkpoint(std::istream& in) {
-  return restore_checkpoint(in, nullptr);
+void checkpoint(const Hfsc& s, std::ostream& out, std::string_view ext) {
+  std::string image;
+  checkpoint(s, image, ext);
+  out.write(image.data(), static_cast<std::streamsize>(image.size()));
 }
 
 Hfsc restore_checkpoint(std::istream& in, std::string* ext) {
-  expect(in, "hfsc-checkpoint");
-  const int version = num<int>(in, "version");
+  std::string image;
+  // in_avail() counts the buffered bytes (a whole string stream, or the
+  // rest of a regular file): a size hint, not a bound.
+  const std::streamsize hint = in.rdbuf() ? in.rdbuf()->in_avail() : 0;
+  if (hint > 0) image.reserve(static_cast<std::size_t>(hint));
+  char chunk[1 << 16];
+  do {
+    in.read(chunk, sizeof chunk);
+    image.append(chunk, static_cast<std::size_t>(in.gcount()));
+  } while (in);
+  if (in.bad()) {
+    throw Error(Errc::kBadCheckpoint,
+                "stream read failure at byte " + std::to_string(image.size()));
+  }
+  in.clear(std::ios::eofbit);  // consumed to EOF, but not failed
+  return restore_checkpoint(std::string_view(image), ext);
+}
+
+Hfsc restore_checkpoint(std::string_view image, std::string* ext) {
+  TextReader in(image, Errc::kBadCheckpoint);
+  in.expect("hfsc-checkpoint");
+  const auto version = in.num<unsigned>("version");
   if (version != 1 && version != kCheckpointVersion) {
-    bad("unsupported checkpoint version " + std::to_string(version) +
-        " (this build reads versions 1.." + std::to_string(kCheckpointVersion) +
-        ")");
+    in.fail("unsupported checkpoint version " + std::to_string(version) +
+            " (this build reads versions 1.." +
+            std::to_string(kCheckpointVersion) + ")");
   }
   if (ext) ext->clear();
 
-  expect(in, "link");
-  const RateBps link = num<RateBps>(in, "link rate");
-  const int kind = num<int>(in, "eligible-set kind");
-  const int vt_policy = num<int>(in, "vt policy");
-  if (link == 0) bad("zero link rate");
+  in.expect("link");
+  const RateBps link = in.num<RateBps>("link rate");
+  if (link == 0) in.fail("zero link rate");
   // Images from builds that let the caller pick the eligible set carry
   // 1 or 2 here.  The set is rebuilt from the restored (e, d) below, so
   // those restore exactly like 0.
-  if (kind < 0 || kind > 2) {
-    bad("unknown eligible-set kind " + std::to_string(kind));
-  }
-  if (vt_policy < 0 ||
-      vt_policy > static_cast<int>(SystemVtPolicy::kMidpoint)) {
-    bad("unknown vt policy " + std::to_string(vt_policy));
+  const auto kind = in.num<unsigned>("eligible-set kind");
+  if (kind > 2) in.fail("unknown eligible-set kind " + std::to_string(kind));
+  const auto vt_policy = in.num<unsigned>("vt policy");
+  if (vt_policy > static_cast<unsigned>(SystemVtPolicy::kMidpoint)) {
+    in.fail("unknown vt policy " + std::to_string(vt_policy));
   }
 
   Hfsc s(link, static_cast<SystemVtPolicy>(vt_policy));
 
-  expect(in, "maxpkt");
-  s.max_packet_len_ = num<Bytes>(in, "max packet length");
-  if (s.max_packet_len_ == 0) bad("zero max packet length");
-  expect(in, "clock");
-  s.last_now_ = num<TimeNs>(in, "last_now");
-  s.ls_next_fit_ = num<TimeNs>(in, "ls_next_fit");
-  expect(in, "selections");
-  s.rt_selections_ = num<std::uint64_t>(in, "rt selections");
-  s.ls_selections_ = num<std::uint64_t>(in, "ls selections");
-  const int crit = num<int>(in, "last criterion");
-  if (crit < 0 || crit > 1) bad("unknown criterion " + std::to_string(crit));
+  in.expect("maxpkt");
+  s.max_packet_len_ = in.num<Bytes>("max packet length");
+  if (s.max_packet_len_ == 0) in.fail("zero max packet length");
+  in.expect("clock");
+  s.last_now_ = in.num<TimeNs>("last_now");
+  s.ls_next_fit_ = in.num<TimeNs>("ls_next_fit");
+  in.expect("selections");
+  s.rt_selections_ = in.num<std::uint64_t>("rt selections");
+  s.ls_selections_ = in.num<std::uint64_t>("ls selections");
+  const auto crit = in.num<unsigned>("last criterion");
+  if (crit > 1) in.fail("unknown criterion " + std::to_string(crit));
   s.last_criterion_ = static_cast<Criterion>(crit);
-  expect(in, "counters");
-  s.counters_.bad_class = num<std::uint64_t>(in, "bad_class");
-  s.counters_.zero_len = num<std::uint64_t>(in, "zero_len");
-  s.counters_.oversized = num<std::uint64_t>(in, "oversized");
-  s.counters_.clock_regressions = num<std::uint64_t>(in, "clock_regressions");
-  expect(in, "admission");
-  const int adm_on = num<int>(in, "admission flag");
-  const RateBps adm_rate = num<RateBps>(in, "admission rate");
-  if (adm_on != 0 && adm_on != 1) bad("admission flag must be 0/1");
-  expect(in, "watchdog");
-  s.starvation_horizon_ = num<TimeNs>(in, "starvation horizon");
+  in.expect("counters");
+  s.counters_.bad_class = in.num<std::uint64_t>("bad_class");
+  s.counters_.zero_len = in.num<std::uint64_t>("zero_len");
+  s.counters_.oversized = in.num<std::uint64_t>("oversized");
+  s.counters_.clock_regressions = in.num<std::uint64_t>("clock_regressions");
+  in.expect("admission");
+  const std::size_t adm_at = in.token_offset();
+  const bool adm_on = in.flag("admission flag");
+  const RateBps adm_rate = in.num<RateBps>("admission rate");
+  if (adm_on && adm_rate == 0) in.fail("zero admission rate");
+  in.expect("watchdog");
+  s.starvation_horizon_ = in.num<TimeNs>("starvation horizon");
 
   // Version 2: the opaque extension payload, length-prefixed so it may
   // contain arbitrary bytes (including newlines and checkpoint keywords).
   if (version >= 2) {
-    expect(in, "ext");
-    const std::size_t ext_len = num<std::size_t>(in, "ext length");
+    in.expect("ext");
+    const auto ext_len = in.num<std::size_t>("ext length");
     constexpr std::size_t kMaxExt = 1u << 26;
-    if (ext_len > kMaxExt) bad("implausible ext payload length");
-    if (in.get() != '\n') bad("malformed ext record header");
-    std::string payload(ext_len, '\0');
-    if (ext_len > 0 && !in.read(payload.data(), static_cast<std::streamsize>(
-                                                    ext_len))) {
-      bad("truncated ext payload");
-    }
-    if (in.get() != '\n') bad("ext payload not newline-terminated");
-    if (ext) *ext = std::move(payload);
+    if (ext_len > kMaxExt) in.fail("implausible ext payload length");
+    if (!in.eat('\n')) in.fail("malformed ext record header");
+    const std::string_view payload = in.take(ext_len);
+    if (payload.size() != ext_len) in.fail("truncated ext payload");
+    if (!in.eat('\n')) in.fail("ext payload not newline-terminated");
+    if (ext) ext->assign(payload);
   }
 
-  expect(in, "classes");
-  const std::size_t n_classes = num<std::size_t>(in, "class count");
-  if (n_classes == 0) bad("a checkpoint always contains the root class");
-  constexpr std::size_t kMaxClasses = 1u << 24;
-  if (n_classes > kMaxClasses) bad("implausible class count");
+  in.expect("classes");
+  const auto n_classes = in.num<std::size_t>("class count");
+  if (n_classes == 0) in.fail("a checkpoint always contains the root class");
+  if (n_classes > in.rest().size() / kMinClassBytes) {
+    in.fail("class count exceeds what the image can hold");
+  }
 
   s.nodes_.resize(n_classes);
   s.hot_.resize(n_classes);
   s.curves_.resize(n_classes);
+  std::vector<std::size_t> node_at(n_classes);  // record offsets, for errors
   for (ClassId c = 0; c < n_classes; ++c) {
-    expect(in, "node");
-    const ClassId id = num<ClassId>(in, "node id");
-    if (id != c) bad("node records out of order");
+    in.expect("node");
+    node_at[c] = in.token_offset();
+    if (in.num<ClassId>("node id") != c) in.fail("node records out of order");
     auto& n = s.nodes_[c];
     auto& h = s.hot_[c];
     auto& cc = s.curves_[c];
-    h.parent = num<ClassId>(in, "parent");
-    h.idx_in_parent = num<std::uint32_t>(in, "idx_in_parent");
-    h.set_active(num<bool>(in, "active"));
-    n.ever_active = num<bool>(in, "ever_active");
-    n.deleted = num<bool>(in, "deleted");
-    n.starved_flagged = num<bool>(in, "starved_flagged");
-    n.queue_limit = num<std::size_t>(in, "queue_limit");
-    h.cumul = num<Bytes>(in, "cumul");
-    h.e = num<TimeNs>(in, "e");
-    h.d = num<TimeNs>(in, "d");
-    h.total = num<Bytes>(in, "total");
-    h.vt = num<TimeNs>(in, "vt");
-    h.fit = num<TimeNs>(in, "fit");
-    n.vt_watermark = num<TimeNs>(in, "vt_watermark");
-    n.pkts_sent = num<std::uint64_t>(in, "pkts_sent");
-    n.pkts_dropped = num<std::uint64_t>(in, "pkts_dropped");
-    n.bytes_dropped = num<Bytes>(in, "bytes_dropped");
-    n.last_progress = num<TimeNs>(in, "last_progress");
-    expect(in, "cfg");
+    h.parent = in.num<ClassId>("parent");
+    h.idx_in_parent = in.num<std::uint32_t>("idx_in_parent");
+    h.set_active(in.flag("active"));
+    n.ever_active = in.flag("ever_active");
+    n.deleted = in.flag("deleted");
+    n.starved_flagged = in.flag("starved_flagged");
+    n.queue_limit = in.num<std::size_t>("queue_limit");
+    h.cumul = in.num<Bytes>("cumul");
+    h.e = in.num<TimeNs>("e");
+    h.d = in.num<TimeNs>("d");
+    h.total = in.num<Bytes>("total");
+    h.vt = in.num<TimeNs>("vt");
+    h.fit = in.num<TimeNs>("fit");
+    n.vt_watermark = in.num<TimeNs>("vt_watermark");
+    n.pkts_sent = in.num<std::uint64_t>("pkts_sent");
+    n.pkts_dropped = in.num<std::uint64_t>("pkts_dropped");
+    n.bytes_dropped = in.num<Bytes>("bytes_dropped");
+    n.last_progress = in.num<TimeNs>("last_progress");
+    in.expect("cfg");
     n.cfg.rt = get_sc(in, "cfg.rt");
     n.cfg.ls = get_sc(in, "cfg.ls");
     n.cfg.ul = get_sc(in, "cfg.ul");
@@ -243,10 +235,15 @@ Hfsc restore_checkpoint(std::istream& in, std::string* ext) {
     h.refresh_flags(n.cfg);  // cfg was read directly; re-derive the flags
     if (c != 0 && !n.deleted && h.has_ul()) ++s.num_ul_;
     if (c == 0 && (h.parent != kRootClass || n.deleted)) {
-      bad("corrupt root record");
+      in.fail_at(node_at[c], "corrupt root record");
     }
     if (c != 0 && (h.parent >= n_classes || h.parent == c)) {
-      bad("node " + std::to_string(c) + " has an out-of-range parent");
+      in.fail_at(node_at[c], "node " + std::to_string(c) +
+                                 " has an out-of-range parent");
+    }
+    if (h.idx_in_parent >= n_classes) {
+      in.fail_at(node_at[c], "node " + std::to_string(c) +
+                                 " has an out-of-range idx_in_parent");
     }
   }
 
@@ -256,44 +253,50 @@ Hfsc restore_checkpoint(std::istream& in, std::string* ext) {
   for (ClassId c = 1; c < n_classes; ++c) {
     const auto& h = s.hot_[c];
     if (s.nodes_[c].deleted) continue;
-    if (s.nodes_[h.parent].deleted) bad("live child under a deleted parent");
+    if (s.nodes_[h.parent].deleted) {
+      in.fail_at(node_at[c], "live child under a deleted parent");
+    }
     auto& kids = s.nodes_[h.parent].children;
     if (kids.size() <= h.idx_in_parent) kids.resize(h.idx_in_parent + 1, 0);
-    if (kids[h.idx_in_parent] != 0) bad("duplicate idx_in_parent");
+    if (kids[h.idx_in_parent] != 0) {
+      in.fail_at(node_at[c], "duplicate idx_in_parent");
+    }
     kids[h.idx_in_parent] = c;
   }
   for (ClassId c = 0; c < n_classes; ++c) {
     for (const ClassId kid : s.nodes_[c].children) {
-      if (kid == 0) bad("gap in a children vector");
+      if (kid == 0) in.fail_at(node_at[c], "gap in a children vector");
     }
   }
 
   // Queues.  ensure() sizes the per-class vector; packets re-enter in FIFO
   // order so heads (and therefore deadlines) match the original.
   s.queues_.ensure(static_cast<ClassId>(n_classes - 1));
-  std::string tok;
-  while (in >> tok) {
-    if (tok == "end") break;
-    if (tok != "queue") bad("expected 'queue' or 'end', got '" + tok + "'");
-    const ClassId c = num<ClassId>(in, "queue class");
-    const std::size_t count = num<std::size_t>(in, "queue length");
+  std::string_view tok;
+  while (!(tok = in.word()).empty() && tok != "end") {
+    if (tok != "queue") {
+      in.fail("expected 'queue' or 'end', got " + TextReader::quoted(tok));
+    }
+    const auto c = in.num<ClassId>("queue class");
     if (c == 0 || c >= n_classes || s.nodes_[c].deleted ||
         !s.nodes_[c].children.empty()) {
-      bad("queued packets on a non-leaf or deleted class");
+      in.fail("queued packets on a non-leaf or deleted class");
     }
-    if (count == 0) bad("empty queue record");
+    const auto count = in.num<std::size_t>("queue length");
+    if (count == 0) in.fail("empty queue record");
     for (std::size_t i = 0; i < count; ++i) {
-      expect(in, "pkt");
+      in.expect("pkt");
       Packet p;
       p.cls = c;
-      p.len = num<Bytes>(in, "pkt.len");
-      p.arrival = num<TimeNs>(in, "pkt.arrival");
-      p.seq = num<std::uint64_t>(in, "pkt.seq");
-      if (p.len == 0) bad("zero-length packet in checkpoint");
+      p.len = in.num<Bytes>("pkt.len");
+      if (p.len == 0) in.fail("zero-length packet in checkpoint");
+      p.arrival = in.num<TimeNs>("pkt.arrival");
+      p.seq = in.num<std::uint64_t>("pkt.seq");
       s.queues_.push(p);
     }
   }
-  if (tok != "end") bad("truncated checkpoint (missing 'end')");
+  if (tok != "end") in.fail("truncated checkpoint (missing 'end')");
+  const std::size_t end_at = in.token_offset();
 
   // Rebuild the derived structures.  Heap layout is free to differ from
   // the original's: IndexedHeap breaks key ties by id, so the dequeue
@@ -316,22 +319,24 @@ Hfsc restore_checkpoint(std::istream& in, std::string* ext) {
     auto fresh =
         std::make_unique<AdmissionControl>(s.leaf_aggregate(adm_rate));
     if (!fresh->fits()) {
-      bad("checkpointed hierarchy does not fit its admission link rate");
+      in.fail_at(adm_at,
+                 "checkpointed hierarchy does not fit its admission link rate");
     }
     s.admission_ = std::move(fresh);
   }
 
   const AuditReport report = audit(s);
   if (!report.ok()) {
-    bad("restored state fails the invariant audit: " + report.to_string());
+    in.fail_at(end_at, "restored state fails the invariant audit: " +
+                           report.to_string());
   }
   return s;
 }
 
 std::uint64_t state_digest(const Hfsc& s) {
-  std::ostringstream out;
-  checkpoint(s, out);
-  return fnv1a64(out.str());
+  std::string image;
+  checkpoint(s, image);
+  return fnv1a64(image);
 }
 
 }  // namespace hfsc

@@ -4,7 +4,7 @@
 // class tree with all runtime curves and work counters, every queued
 // packet, the data-path counters and the admission/watchdog configuration
 // — to a versioned line-oriented text format.  restore_checkpoint()
-// rebuilds a fresh scheduler from the stream; the derived structures
+// rebuilds a fresh scheduler from the image; the derived structures
 // (child heaps, the eligible set) are reconstructed from the serialized
 // per-class state rather than stored, which works because their observable
 // behaviour is a function of their content (IndexedHeap breaks key ties by
@@ -31,6 +31,17 @@
 // the journal sequence watermark there, so a runtime snapshot is a core
 // checkpoint that core tools can still read, audit and digest.  Version 1
 // streams (no ext record) restore with an empty payload.
+//
+// Codec (util/text_codec.hpp): one writer appends the image to a
+// std::string with std::to_chars, one parser walks a std::string_view
+// with std::from_chars.  Every numeral is strict unsigned decimal — a
+// sign, an overflow of the field's type, bytes glued to the digits or a
+// missing token is malformed — and every Error{kBadCheckpoint} raised
+// while parsing ends with " at byte N", the offset of the offending
+// token (or of the record a structural check rejects).  The iostream
+// overloads are wrappers: the writer emits the string in one write(),
+// and the reader consumes the stream to EOF before parsing, so any bytes
+// after `end` are read and ignored.
 #pragma once
 
 #include <cstdint>
@@ -44,19 +55,21 @@ class Hfsc;
 
 inline constexpr int kCheckpointVersion = 2;
 
-// Writes the scheduler's state to `out`.  Never modifies the scheduler.
+// Appends the scheduler's state to `out`.  Never modifies the scheduler.
 // `ext` is the opaque extension payload described above (empty for a
 // plain core checkpoint).
-void checkpoint(const Hfsc& sched, std::ostream& out);
-void checkpoint(const Hfsc& sched, std::ostream& out, std::string_view ext);
+void checkpoint(const Hfsc& sched, std::string& out,
+                std::string_view ext = {});
+void checkpoint(const Hfsc& sched, std::ostream& out,
+                std::string_view ext = {});
 
-// Rebuilds a scheduler from a stream produced by checkpoint().  Throws
+// Rebuilds a scheduler from an image produced by checkpoint().  Throws
 // Error{kBadCheckpoint} on any malformed input, including state that
 // fails the invariant auditor after reconstruction.  When `ext` is
 // non-null it receives the extension payload (empty for version 1
-// streams or core checkpoints).
-Hfsc restore_checkpoint(std::istream& in);
-Hfsc restore_checkpoint(std::istream& in, std::string* ext);
+// images or core checkpoints).
+Hfsc restore_checkpoint(std::string_view image, std::string* ext = nullptr);
+Hfsc restore_checkpoint(std::istream& in, std::string* ext = nullptr);
 
 // FNV-1a hash of the checkpoint serialization: equal digests mean equal
 // scheduling state (up to the deliberate exclusions above).  Used by the

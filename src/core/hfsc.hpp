@@ -30,7 +30,6 @@
 // guarantees are unaffected.
 #pragma once
 
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -512,8 +511,8 @@ class Hfsc final : public Scheduler {
 
   friend AuditReport audit(const Hfsc&);
   // core/checkpoint.hpp
-  friend void checkpoint(const Hfsc&, std::ostream&, std::string_view);
-  friend Hfsc restore_checkpoint(std::istream&, std::string*);
+  friend void checkpoint(const Hfsc&, std::string&, std::string_view);
+  friend Hfsc restore_checkpoint(std::string_view, std::string*);
 };
 
 }  // namespace hfsc

@@ -1,8 +1,7 @@
 #include "runtime/governor.hpp"
 
-#include <sstream>
-
 #include "util/errors.hpp"
+#include "util/text_codec.hpp"
 
 namespace hfsc {
 
@@ -21,14 +20,15 @@ const char* to_string(GovEventKind k) noexcept {
 }
 
 std::string GovEvent::to_string() const {
-  std::ostringstream os;
-  os << hfsc::to_string(kind) << " @" << when;
+  std::string s = std::string(hfsc::to_string(kind)) + " @" +
+                  std::to_string(when);
   if (kind == GovEventKind::kLevelUp || kind == GovEventKind::kLevelDown) {
-    os << " level " << from_level << "->" << to_level;
+    s += " level " + std::to_string(from_level) + "->" +
+         std::to_string(to_level);
   } else if (cls != kRootClass) {
-    os << " class " << cls;
+    s += " class " + std::to_string(cls);
   }
-  return os.str();
+  return s;
 }
 
 int OverloadGovernor::target_level(const GovSignals& sig) const noexcept {
@@ -136,62 +136,50 @@ GovActions OverloadGovernor::sample(const GovSignals& sig, TimeNs now,
 }
 
 std::string OverloadGovernor::serialize() const {
-  std::ostringstream os;
-  os << "gov-state 1\n";
-  os << "level " << level_ << ' ' << (tightened_ ? 1 : 0) << '\n';
-  os << "clamped " << clamped_.size() << '\n';
-  for (const auto& [cls, cfg] : clamped_) {
-    os << cls << ' ' << cfg.rt.m1 << ' ' << cfg.rt.d << ' ' << cfg.rt.m2
-       << ' ' << cfg.ls.m1 << ' ' << cfg.ls.d << ' ' << cfg.ls.m2 << ' '
-       << cfg.ul.m1 << ' ' << cfg.ul.d << ' ' << cfg.ul.m2 << '\n';
+  std::string out;
+  put_record(out, "gov-state", 1);
+  put_record(out, "level", level_, tightened_);
+  put_record(out, "clamped", clamped_.size());
+  for (const auto& [cls, c] : clamped_) {
+    put_record(out, cls, c.rt.m1, c.rt.d, c.rt.m2, c.ls.m1, c.ls.d, c.ls.m2,
+               c.ul.m1, c.ul.d, c.ul.m2);
   }
-  os << "quarantined " << quarantined_.size() << '\n';
-  for (const auto& [cls, limit] : quarantined_) {
-    os << cls << ' ' << limit << '\n';
-  }
-  os << "end\n";
-  return os.str();
+  put_record(out, "quarantined", quarantined_.size());
+  for (const auto& [cls, limit] : quarantined_) put_record(out, cls, limit);
+  out += "end\n";
+  return out;
 }
 
-void OverloadGovernor::restore(const std::string& blob) {
-  std::istringstream in(blob);
-  auto bad = [](const std::string& what) -> void {
-    throw Error(Errc::kBadCheckpoint, "governor state: " + what);
-  };
-  std::string tok;
-  int version = 0;
-  if (!(in >> tok >> version) || tok != "gov-state" || version != 1) {
-    bad("bad header");
-  }
-  int level = 0, tight = 0;
-  if (!(in >> tok >> level >> tight) || tok != "level" || level < 0 ||
-      level > 3 || (tight != 0 && tight != 1)) {
-    bad("bad level record");
-  }
-  std::size_t n = 0;
-  if (!(in >> tok >> n) || tok != "clamped") bad("bad clamped record");
+void OverloadGovernor::restore(std::string_view blob) {
+  TextReader in(blob, Errc::kBadCheckpoint, "governor state: ");
+  in.expect("gov-state");
+  if (in.num<unsigned>("version") != 1) in.fail("unsupported version");
+  in.expect("level");
+  const auto level = in.num<unsigned>("level");
+  if (level > 3) in.fail("level out of range");
+  const bool tight = in.flag("tightened");
+  in.expect("clamped");
   std::map<ClassId, ClassConfig> clamped;
-  for (std::size_t i = 0; i < n; ++i) {
-    ClassId cls = 0;
-    ClassConfig cfg;
-    if (!(in >> cls >> cfg.rt.m1 >> cfg.rt.d >> cfg.rt.m2 >> cfg.ls.m1 >>
-          cfg.ls.d >> cfg.ls.m2 >> cfg.ul.m1 >> cfg.ul.d >> cfg.ul.m2)) {
-      bad("truncated clamped entry");
+  for (auto n = in.num<std::size_t>("clamped count"); n > 0; --n) {
+    const auto cls = in.num<ClassId>("clamped class");
+    ClassConfig& cfg = clamped[cls];
+    for (ServiceCurve* sc : {&cfg.rt, &cfg.ls, &cfg.ul}) {
+      sc->m1 = in.num<RateBps>("m1");
+      sc->d = in.num<TimeNs>("d");
+      sc->m2 = in.num<RateBps>("m2");
     }
-    clamped[cls] = cfg;
   }
-  if (!(in >> tok >> n) || tok != "quarantined") bad("bad quarantined record");
+  in.expect("quarantined");
   std::map<ClassId, std::size_t> quarantined;
-  for (std::size_t i = 0; i < n; ++i) {
-    ClassId cls = 0;
-    std::size_t limit = 0;
-    if (!(in >> cls >> limit)) bad("truncated quarantined entry");
-    quarantined[cls] = limit;
+  for (auto n = in.num<std::size_t>("quarantined count"); n > 0; --n) {
+    const auto cls = in.num<ClassId>("quarantined class");
+    quarantined[cls] = in.num<std::size_t>("saved queue limit");
   }
-  if (!(in >> tok) || tok != "end") bad("missing end");
+  in.expect("end");
+  in.expect_end();
 
-  level_ = level;
-  tightened_ = tight == 1;
+  level_ = static_cast<int>(level);
+  tightened_ = tight;
   clamped_ = std::move(clamped);
   quarantined_ = std::move(quarantined);
   // Hysteresis evidence does not survive recovery (see header).

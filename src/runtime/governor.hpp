@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/hfsc.hpp"
@@ -172,8 +173,9 @@ class OverloadGovernor {
   // recovery the ladder re-earns its evidence, it does not inherit it.
   std::string serialize() const;
   // Replaces the durable state; throws Error{kBadCheckpoint} on a
-  // malformed blob.
-  void restore(const std::string& blob);
+  // malformed blob (util/text_codec.hpp: strict unsigned numerals, the
+  // message ends with the offending byte offset in the blob).
+  void restore(std::string_view blob);
 
  private:
   void emit(GovEvent e) {

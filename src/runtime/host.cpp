@@ -1,92 +1,81 @@
 #include "runtime/host.hpp"
 
 #include <algorithm>
-#include <iterator>
-#include <sstream>
+
+#include "util/text_codec.hpp"
 
 namespace hfsc {
 
 namespace {
 
-[[noreturn]] void bad_record(const std::string& payload) {
-  throw Error(Errc::kBadJournal,
-              "malformed journal record: '" + payload.substr(0, 48) + "'");
-}
-
-void put_sc(std::ostream& out, const ServiceCurve& sc) {
-  out << sc.m1 << ' ' << sc.d << ' ' << sc.m2;
-}
-
-void put_cfg(std::ostream& out, const ClassConfig& cfg) {
-  put_sc(out, cfg.rt);
-  out << ' ';
-  put_sc(out, cfg.ls);
-  out << ' ';
-  put_sc(out, cfg.ul);
-}
+// Journal parse errors: the record's own bytes are at fault.
+constexpr std::string_view kBadRecord = "malformed journal record: ";
 
 using BatchOp = RuntimeHost::BatchOp;
 using OpKind = BatchOp::Kind;
 
 // The journal text of one control-plane op: the only writer of
 // add/chg/del/qlim lines, for direct mutators, commit_batch and
-// governor interventions alike.
-std::string op_text(const BatchOp& op) {
-  std::ostringstream p;
+// governor interventions alike.  put_record ends the line with '\n'.
+void put_op(std::string& out, const BatchOp& op) {
+  const ClassConfig& c = op.cfg;
   switch (op.kind) {
     case OpKind::kAdd:
-      p << "add " << op.parent << ' ';
-      put_cfg(p, op.cfg);
+      put_record(out, "add", op.parent, c.rt.m1, c.rt.d, c.rt.m2, c.ls.m1,
+                 c.ls.d, c.ls.m2, c.ul.m1, c.ul.d, c.ul.m2);
       break;
     case OpKind::kChange:
-      p << "chg " << op.now << ' ' << op.cls << ' ';
-      put_cfg(p, op.cfg);
+      put_record(out, "chg", op.now, op.cls, c.rt.m1, c.rt.d, c.rt.m2,
+                 c.ls.m1, c.ls.d, c.ls.m2, c.ul.m1, c.ul.d, c.ul.m2);
       break;
     case OpKind::kDelete:
-      p << "del " << op.cls;
+      put_record(out, "del", op.cls);
       break;
     case OpKind::kQueueLimit:
-      p << "qlim " << op.cls << ' ' << op.limit;
+      put_record(out, "qlim", op.cls, op.limit);
       break;
   }
-  return p.str();
 }
 
-// Throws kBadJournal unless `in` parsed cleanly and holds no more tokens.
-void expect_end(std::istream& in, const std::string& payload) {
-  std::string extra;
-  if (in.fail() || in >> extra) bad_record(payload);
+// One bare op record: put_op's line without its newline.
+std::string op_text(const BatchOp& op) {
+  std::string p;
+  put_op(p, op);
+  p.pop_back();
+  return p;
 }
 
-// The only reader of op_text's output: parses one op's whole text.
-BatchOp read_op(const std::string& text, const std::string& payload) {
-  std::istringstream in(text);
-  std::string name;
-  in >> name;
+// The only reader of put_op's output: parses one op's whole text.
+BatchOp read_op(TextReader in) {
+  const std::string_view name = in.word();
   BatchOp op;
   auto read_cfg = [&] {
-    in >> op.cfg.rt.m1 >> op.cfg.rt.d >> op.cfg.rt.m2 >> op.cfg.ls.m1 >>
-        op.cfg.ls.d >> op.cfg.ls.m2 >> op.cfg.ul.m1 >> op.cfg.ul.d >>
-        op.cfg.ul.m2;
+    for (ServiceCurve* sc : {&op.cfg.rt, &op.cfg.ls, &op.cfg.ul}) {
+      sc->m1 = in.num<RateBps>("m1");
+      sc->d = in.num<TimeNs>("d");
+      sc->m2 = in.num<RateBps>("m2");
+    }
   };
   if (name == "add") {
     op.kind = OpKind::kAdd;
-    in >> op.parent;
+    op.parent = in.num<ClassId>("parent");
     read_cfg();
   } else if (name == "chg") {
     op.kind = OpKind::kChange;
-    in >> op.now >> op.cls;
+    op.now = in.num<TimeNs>("now");
+    op.cls = in.num<ClassId>("class");
     read_cfg();
   } else if (name == "del") {
     op.kind = OpKind::kDelete;
-    in >> op.cls;
+    op.cls = in.num<ClassId>("class");
   } else if (name == "qlim") {
     op.kind = OpKind::kQueueLimit;
-    in >> op.cls >> op.limit;
+    op.cls = in.num<ClassId>("class");
+    op.limit = in.num<std::size_t>("queue limit");
   } else {
-    bad_record(payload);
+    in.fail("unknown op " + TextReader::quoted(name));
   }
-  expect_end(in, payload);
+  in.expect_end();
   return op;
 }
 
@@ -184,8 +173,9 @@ void RuntimeHost::commit_batch(const std::vector<BatchOp>& ops) {
     if (op.kind == OpKind::kDelete) forget_governed(op.cls);
   }
   maybe_crash(CrashPoint::kAfterApply);
-  std::string p = "txn " + std::to_string(ops.size()) + '\n';
-  for (const BatchOp& op : ops) p += op_text(op) + '\n';
+  std::string p;
+  put_record(p, "txn", ops.size());
+  for (const BatchOp& op : ops) put_op(p, op);
   journal_append(p);
   maybe_crash(CrashPoint::kAfterJournalAppend);
 }
@@ -271,7 +261,12 @@ bool RuntimeHost::retune_admission(RateBps rate) {
 }
 
 void RuntimeHost::execute(const GovActions& actions, TimeNs now) {
-  std::vector<std::string> mutations;
+  std::string mutations;  // one journal line per mutation
+  std::size_t n_mutations = 0;
+  auto journal_op = [&](const BatchOp& op) {
+    put_op(mutations, op);
+    ++n_mutations;
+  };
   auto governable = [&](ClassId cls) {
     return cls != kRootClass && cls < sched_.num_classes() &&
            !sched_.is_deleted(cls) && sched_.is_leaf(cls) &&
@@ -289,15 +284,15 @@ void RuntimeHost::execute(const GovActions& actions, TimeNs now) {
         1, static_cast<RateBps>(static_cast<double>(original.ls.m2) * f));
     sched_.change_class(now, cls, clamped);
     gov_.note_clamped(cls, original);
-    mutations.push_back(op_text(
-        {.kind = OpKind::kChange, .cls = cls, .cfg = clamped, .now = now}));
+    journal_op(
+        {.kind = OpKind::kChange, .cls = cls, .cfg = clamped, .now = now});
   }
   for (const ClassId cls : actions.unclamp) {
     const ClassConfig original = gov_.saved_config(cls);
     if (governable(cls)) {
       sched_.change_class(now, cls, original);
-      mutations.push_back(op_text(
-          {.kind = OpKind::kChange, .cls = cls, .cfg = original, .now = now}));
+      journal_op(
+          {.kind = OpKind::kChange, .cls = cls, .cfg = original, .now = now});
     }
     gov_.forget_clamp(cls);
   }
@@ -307,25 +302,25 @@ void RuntimeHost::execute(const GovActions& actions, TimeNs now) {
     const std::size_t qlim = opts_.governor.quarantine_qlimit;
     sched_.set_queue_limit(cls, qlim);
     gov_.note_quarantined(cls, saved);
-    mutations.push_back(
-        op_text({.kind = OpKind::kQueueLimit, .cls = cls, .limit = qlim}));
+    journal_op({.kind = OpKind::kQueueLimit, .cls = cls, .limit = qlim});
   }
   for (const ClassId cls : actions.release) {
     const std::size_t saved = gov_.saved_qlimit(cls);
     if (governable(cls)) {
       sched_.set_queue_limit(cls, saved);
-      mutations.push_back(
-          op_text({.kind = OpKind::kQueueLimit, .cls = cls, .limit = saved}));
+      journal_op({.kind = OpKind::kQueueLimit, .cls = cls, .limit = saved});
     }
     gov_.forget_quarantine(cls);
   }
   if (actions.tighten_admission && retune_admission(tightened_rate())) {
     gov_.note_admission(true);
-    mutations.push_back("adm " + std::to_string(tightened_rate()));
+    put_record(mutations, "adm", tightened_rate());
+    ++n_mutations;
   }
   if (actions.restore_admission && retune_admission(opts_.admission_rate)) {
     gov_.note_admission(false);
-    mutations.push_back("adm " + std::to_string(opts_.admission_rate));
+    put_record(mutations, "adm", opts_.admission_rate);
+    ++n_mutations;
   }
 
   // The whole intervention — mutations plus the governor state they
@@ -333,11 +328,11 @@ void RuntimeHost::execute(const GovActions& actions, TimeNs now) {
   // entirely (the governor re-detects after recovery) but can never
   // leave a clamp without the saved original needed to undo it.
   maybe_crash(CrashPoint::kAfterApply);
-  std::ostringstream p;
-  p << "gov " << mutations.size() << '\n';
-  for (const std::string& m : mutations) p << m << '\n';
-  p << gov_.serialize();
-  journal_append(p.str());
+  std::string p;
+  put_record(p, "gov", n_mutations);
+  p += mutations;
+  p += gov_.serialize();
+  journal_append(p);
   maybe_crash(CrashPoint::kAfterJournalAppend);
 }
 
@@ -362,11 +357,11 @@ void RuntimeHost::save_checkpoint() {
   // A snapshot must never reference journal state weaker than itself:
   // flush the WAL before writing the checkpoint, whatever the policy.
   journal_.sync();
-  std::ostringstream os;
-  const std::string ext = "jseq " + std::to_string(journal_.last_seq()) +
-                          '\n' + gov_.serialize();
-  checkpoint(sched_, os, ext);
-  checkpoint_image_ = os.str();
+  std::string ext;
+  put_record(ext, "jseq", journal_.last_seq());
+  ext += gov_.serialize();
+  checkpoint_image_.clear();
+  checkpoint(sched_, checkpoint_image_, ext);
   checkpoint_seq_ = journal_.last_seq();
   maybe_crash(CrashPoint::kAfterCheckpoint);
   journal_.compact(checkpoint_seq_);
@@ -376,60 +371,57 @@ void RuntimeHost::save_checkpoint() {
 void RuntimeHost::apply_record(const std::string& payload) {
   // A record is one bare op, or a "txn N" / "gov N" header line followed
   // by N op lines (and, for gov, the governor's state blob).
-  std::istringstream in(payload);
-  std::string head;
-  std::getline(in, head);
-  std::istringstream hs(head);
-  std::string kind;
-  hs >> kind;
+  TextReader in(payload, Errc::kBadJournal, kBadRecord);
+  const std::string_view kind = TextReader(in).word();
   if (kind != "txn" && kind != "gov") {
-    const BatchOp op = read_op(payload, payload);
+    const BatchOp op = read_op(in);
     apply_op(sched_, op);
     if (op.kind == OpKind::kDelete) forget_governed(op.cls);
     return;
   }
-  std::size_t n = 0;
-  hs >> n;
-  expect_end(hs, payload);
-  std::string line;
+  TextReader head = in.line();
+  head.word();
+  const auto n = head.num<std::size_t>("op count");
+  head.expect_end();
+  auto next_line = [&] {
+    if (in.rest().empty()) in.fail_at(in.offset(), "missing op line");
+    return in.line();
+  };
   if (kind == "txn") {
     Hfsc::Txn txn = sched_.begin();
     std::vector<ClassId> deleted;
     for (std::size_t i = 0; i < n; ++i) {
-      if (!std::getline(in, line)) bad_record(payload);
-      const BatchOp op = read_op(line, payload);
+      const BatchOp op = read_op(next_line());
       apply_op(txn, op);
       if (op.kind == OpKind::kDelete) deleted.push_back(op.cls);
     }
-    expect_end(in, payload);
+    in.expect_end();
     txn.commit();
     for (const ClassId cls : deleted) forget_governed(cls);
     return;
   }
   // gov: the plan's chg/qlim ops and admission retunes, then the state.
   for (std::size_t i = 0; i < n; ++i) {
-    if (!std::getline(in, line)) bad_record(payload);
-    std::istringstream ls(line);
-    std::string name;
-    RateBps rate = 0;
-    if (ls >> name && name == "adm") {
-      ls >> rate;
-      expect_end(ls, payload);
+    const TextReader line = next_line();
+    TextReader adm = line;
+    if (adm.word() == "adm") {
+      const RateBps rate = adm.num<RateBps>("admission rate");
+      adm.expect_end();
       sched_.enable_admission_control(rate);
       continue;
     }
-    const BatchOp op = read_op(line, payload);
+    const BatchOp op = read_op(line);
     if (op.kind != OpKind::kChange && op.kind != OpKind::kQueueLimit) {
-      bad_record(payload);
+      line.fail_at(line.offset(), "a gov record holds only chg/qlim/adm");
     }
     apply_op(sched_, op);
   }
-  const std::string blob{std::istreambuf_iterator<char>(in),
-                         std::istreambuf_iterator<char>()};
+  const std::size_t blob_at = in.offset();
   try {
-    gov_.restore(blob);
-  } catch (const Error&) {
-    bad_record(payload);  // a journal fault, not a checkpoint one
+    gov_.restore(in.rest());
+  } catch (const Error& e) {
+    // A journal fault, not a checkpoint one.
+    in.fail_at(blob_at, std::string("governor state (") + e.what() + ")");
   }
 }
 
@@ -456,21 +448,14 @@ RuntimeHost RuntimeHost::recover(const RuntimeOptions& opts,
     return h;
   }
 
-  std::istringstream in(checkpoint_image);
   std::string ext;
-  Hfsc restored = restore_checkpoint(in, &ext);
+  Hfsc restored = restore_checkpoint(checkpoint_image, &ext);
   RuntimeHost h(opts, std::move(restored), RecoverTag{});
 
-  std::istringstream ei(ext);
-  std::string tok;
-  std::uint64_t watermark = 0;
-  if (!(ei >> tok >> watermark) || tok != "jseq") {
-    throw Error(Errc::kBadCheckpoint,
-                "runtime checkpoint ext is missing the journal watermark");
-  }
-  const std::string gov_blob{std::istreambuf_iterator<char>(ei),
-                             std::istreambuf_iterator<char>()};
-  h.gov_.restore(gov_blob);
+  TextReader ei(ext, Errc::kBadCheckpoint, "runtime checkpoint ext: ");
+  ei.expect("jseq");
+  const auto watermark = ei.num<std::uint64_t>("journal watermark");
+  h.gov_.restore(ei.rest());
 
   h.replaying_ = true;
   for (const JournalRecord& r : j.records_after(watermark)) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -171,6 +172,170 @@ TEST(Checkpoint, RejectsUnknownKindField) {
           << e.what();
     }
   }
+}
+
+// Replaces field `index` (0 is the keyword) of the first line that
+// starts with `prefix`; `at` receives the field's byte offset.
+std::string with_field(const std::string& image, const std::string& prefix,
+                       int index, const std::string& value,
+                       std::size_t* at = nullptr) {
+  std::size_t from = image.find("\n" + prefix) + 1;
+  for (int i = 0; i < index; ++i) from = image.find(' ', from) + 1;
+  const std::size_t to = image.find_first_of(" \n", from);
+  if (at) *at = from;
+  return image.substr(0, from) + value + image.substr(to);
+}
+
+TEST(Checkpoint, RejectsSignedNumerals) {
+  // libstdc++'s `>>` into an unsigned field accepts "-5" and wraps it
+  // modulo 2^64 (a node's pkts_dropped restored as 18446744073709551611
+  // and audited clean).  The writer never emits a sign, so every signed
+  // numeral is malformed, named by its field.
+  Busy b;
+  std::stringstream buf;
+  checkpoint(b.sched, buf);
+  struct Case {
+    const char* prefix;
+    int index;
+    const char* value;
+    const char* field;
+  };
+  const Case cases[] = {
+      {"node 4 ", 17, "-5", "pkts_dropped"},
+      {"node 4 ", 17, "+5", "pkts_dropped"},
+      {"node 3 ", 2, "-0", "parent"},
+      {"clock ", 1, "-1", "last_now"},
+      {"pkt ", 1, "-1500", "pkt.len"},
+      {"queue ", 2, "+1", "queue length"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.prefix) + c.value);
+    std::istringstream in(with_field(buf.str(), c.prefix, c.index, c.value));
+    try {
+      restore_checkpoint(in);
+      ADD_FAILURE() << "a signed numeral restored";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), Errc::kBadCheckpoint);
+      EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Checkpoint, ErrorsEndWithTheByteOffset) {
+  Busy b;
+  std::string image;
+  checkpoint(b.sched, image);
+  auto message = [](const std::string& bad) {
+    try {
+      restore_checkpoint(bad);
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), Errc::kBadCheckpoint);
+      return std::string(e.what());
+    }
+    ADD_FAILURE() << "restored";
+    return std::string();
+  };
+  auto ends_at = [](const std::string& what, std::size_t at) {
+    const std::string tail = " at byte " + std::to_string(at);
+    return what.size() >= tail.size() &&
+           what.compare(what.size() - tail.size(), tail.size(), tail) == 0;
+  };
+  // A malformed numeral, an overflow, a wrong keyword: the offset is the
+  // offending token's first byte.
+  for (const char* value : {"12x", "18446744073709551616", "curve"}) {
+    std::size_t at = 0;
+    const std::string what =
+        message(with_field(image, "node 2 ", 12, value, &at));
+    EXPECT_TRUE(ends_at(what, at)) << what;
+    EXPECT_NE(what.find("total"), std::string::npos) << what;
+  }
+  std::size_t at = 0;
+  const std::string keyword = message(with_field(image, "cfg ", 0, "cgf", &at));
+  EXPECT_TRUE(ends_at(keyword, at)) << keyword;
+  // Truncation points at the end of the image; a structural fault at the
+  // record that breaks the structure.
+  const std::string cut = message(image.substr(0, image.size() - 5));
+  EXPECT_TRUE(ends_at(cut, image.size() - 5)) << cut;
+  const std::string self = message(with_field(image, "node 3 ", 2, "3", &at));
+  EXPECT_TRUE(ends_at(self, image.find("\nnode 3 ") + 1)) << self;
+}
+
+// A literal image pinned byte for byte, independent of any scenario: a
+// root and two leaves whose fields hold 0, UINT32_MAX and UINT64_MAX,
+// plus a runtime-style ext payload.
+TEST(Checkpoint, GoldenImageIsPinned) {
+  constexpr auto u32 = std::numeric_limits<std::uint32_t>::max();
+  constexpr auto u64 = std::numeric_limits<std::uint64_t>::max();
+  Hfsc s(gbps(1));
+  s.set_max_packet_len(u64);
+  const ClassId a = s.add_class(
+      kRootClass, ClassConfig::both(ServiceCurve{mbps(8), msec(5), mbps(2)}));
+  const ClassId b = s.add_class(
+      kRootClass, ClassConfig::link_share_only(ServiceCurve::linear(mbps(1))));
+  s.set_queue_limit(b, u64);
+  s.enable_starvation_watchdog(u64);
+  s.enqueue(u32, Packet{a, u32, u32, u64});
+  s.enqueue(u32, Packet{b, 1500, u32, 0});
+
+  const std::string golden =
+      "hfsc-checkpoint 2\n"
+      "link 125000000 0 2\n"
+      "maxpkt 18446744073709551615\n"
+      "clock 4294967295 18446744073709551615\n"
+      "selections 0 0 1\n"
+      "counters 0 0 0 0\n"
+      "admission 0 0\n"
+      "watchdog 18446744073709551615\n"
+      "ext 7\n"
+      "jseq 7\n"
+      "\n"
+      "classes 3\n"
+      "node 0 0 0 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n"
+      "cfg 0 0 0 0 0 0 0 0 0\n"
+      "curve dc 0 0 0 0 0 0\n"
+      "curve ec 0 0 0 0 0 0\n"
+      "curve vc 0 0 0 0 0 0\n"
+      "curve uc 0 0 0 0 0 0\n"
+      "node 1 0 0 1 0 0 0 0 0 4294967295 17184149147295 0 0 0 0 0 0 0 "
+      "4294967295\n"
+      "cfg 1000000 5000000 250000 1000000 5000000 250000 0 0 0\n"
+      "curve dc 4294967295 0 5000000 5000 1000000 250000\n"
+      "curve ec 4294967295 0 5000000 5000 1000000 250000\n"
+      "curve vc 0 0 5000000 5000 1000000 250000\n"
+      "curve uc 0 0 0 0 0 0\n"
+      "node 2 0 1 1 0 0 0 18446744073709551615 0 0 0 0 0 0 0 0 0 0 "
+      "4294967295\n"
+      "cfg 0 0 0 125000 0 125000 0 0 0\n"
+      "curve dc 0 0 0 0 0 0\n"
+      "curve ec 0 0 0 0 0 0\n"
+      "curve vc 0 0 0 0 125000 125000\n"
+      "curve uc 0 0 0 0 0 0\n"
+      "queue 1 1\n"
+      "pkt 4294967295 4294967295 18446744073709551615\n"
+      "queue 2 1\n"
+      "pkt 1500 4294967295 0\n"
+      "end\n";
+  std::string image;
+  checkpoint(s, image, "jseq 7\n");
+  EXPECT_EQ(image, golden);
+  std::ostringstream os;
+  checkpoint(s, os, "jseq 7\n");
+  EXPECT_EQ(os.str(), golden);
+
+  // Both readers take it back to the same state, and it writes back out
+  // byte for byte.
+  std::string ext;
+  const Hfsc from_view = restore_checkpoint(golden, &ext);
+  EXPECT_EQ(ext, "jseq 7\n");
+  std::istringstream in(golden);
+  const Hfsc from_stream = restore_checkpoint(in);
+  EXPECT_TRUE(in.eof());
+  EXPECT_EQ(state_digest(from_view), state_digest(s));
+  EXPECT_EQ(state_digest(from_stream), state_digest(s));
+  std::string again;
+  checkpoint(from_view, again, ext);
+  EXPECT_EQ(again, golden);
 }
 
 TEST(Checkpoint, RejectsForeignMagic) {

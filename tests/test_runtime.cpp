@@ -428,6 +428,44 @@ TEST(RuntimeHost, TrailingTokensInJournalRecordsAreRejected) {
   }
 }
 
+TEST(RuntimeHost, SignedNumeralsInJournalRecordsAreRejected) {
+  // libstdc++'s `>>` into an unsigned field accepts a sign: "-1" wraps to
+  // 2^64-1, "-4294967295" to class 1, "+3" to 3.  The writers never emit
+  // a sign, so each of these is a corrupt journal, not an op to replay.
+  const std::string gov_state = OverloadGovernor{GovernorConfig{}}.serialize();
+  std::string signed_blob = gov_state;
+  signed_blob.replace(signed_blob.find("level 0"), 7, "level -0");
+  const std::pair<std::string, std::string> cases[] = {
+      {"qlim 1 1", "qlim 1 -1"},
+      {"qlim 1 3", "qlim 1 +3"},
+      {"del 1", "del -4294967295"},
+      {"del 1", "del +1"},
+      {"txn 1\nqlim 1 1\n", "txn 1\nqlim 1 -1\n"},
+      {"txn 1\ndel 1\n", "txn +1\ndel 1\n"},
+      {"gov 1\nqlim 1 5\n" + gov_state, "gov 1\nqlim 1 -5\n" + gov_state},
+      {"gov 0\n" + gov_state, "gov 0\n" + signed_blob},
+  };
+  for (const auto& [good, bad] : cases) {
+    SCOPED_TRACE(bad);
+    EXPECT_NO_THROW(RuntimeHost::recover(small_opts(), "",
+                                         journal_after_add(good)));
+    try {
+      RuntimeHost::recover(small_opts(), "", journal_after_add(bad));
+      ADD_FAILURE() << "a record with a signed numeral recovered";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), Errc::kBadJournal) << e.what();
+    }
+  }
+  // The same governor blob inside a checkpoint is a checkpoint fault.
+  OverloadGovernor gov{GovernorConfig{}};
+  try {
+    gov.restore(signed_blob);
+    FAIL() << "a governor blob with a signed numeral restored";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), Errc::kBadCheckpoint) << e.what();
+  }
+}
+
 TEST(RuntimeHost, MalformedGovernorBlobInJournalIsBadJournal) {
   // The checkpoint is fine (there is none); the fault is in a journal
   // record, so it must be reported as one.
