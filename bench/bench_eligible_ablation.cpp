@@ -3,7 +3,7 @@
 // balanced tree (ref. [16]) and the literal calendar queue, as raw
 // update / query cycles on the structures with synthetic (e, d)
 // requests.  H-FSC itself runs only the dual heap, so the end-to-end cost
-// of a dequeue is measured by bench_overhead and bench_throughput.
+// of a dequeue is measured by bench_overhead and perfbench/.
 #include <benchmark/benchmark.h>
 
 #include "core/eligible_set.hpp"

@@ -17,35 +17,10 @@
 // for the supported curve family, generalizing Fig. 8's update_dc.
 #pragma once
 
-#ifdef HFSC_CACHE_STATS
-#include <atomic>
-#endif
-
 #include "curve/service_curve.hpp"
 #include "util/types.hpp"
 
 namespace hfsc {
-
-#ifdef HFSC_CACHE_STATS
-// Compile-flag-gated diagnostics for the incremental-inverse cache: how
-// often a second-segment y2x query was answered from the cached divmod
-// state (hit) versus a full 128-bit divide (miss).  Relaxed atomics: the
-// counters are statistical, so cross-thread ordering does not matter and
-// the instrumented build stays ThreadSanitizer-clean.  bench_throughput
-// prints the totals in its smoke output (docs/BENCH_NOTES.md).
-struct CurveCacheStats {
-  std::atomic<std::uint64_t> hits{0};
-  std::atomic<std::uint64_t> misses{0};
-};
-inline CurveCacheStats& curve_cache_stats() noexcept {
-  static CurveCacheStats stats;
-  return stats;
-}
-#define HFSC_CURVE_STAT(field) \
-  ::hfsc::curve_cache_stats().field.fetch_add(1, std::memory_order_relaxed)
-#else
-#define HFSC_CURVE_STAT(field) ((void)0)
-#endif
 
 class RuntimeCurve {
  public:
@@ -156,14 +131,12 @@ class RuntimeCurve {
       // gets there in two queries).  Hand such advances back to the cold
       // path, which computes the saturated result and drops the cache.
       if (__builtin_expect(add <= ~std::uint64_t{0} - 1 - inv_q_, 1)) {
-        HFSC_CURVE_STAT(hits);
         inv_q_ += add;
         inv_rem_ = a % m2_;
         inv_rel_ = rel2;
         return sat_add(sat_add(x_, dx_), inv_q_ + (inv_rem_ != 0 ? 1 : 0));
       }
     }
-    HFSC_CURVE_STAT(misses);
     // Cold path: full 128-bit divide, then seed the incremental cache
     // (only while the quotient is far from saturation, so the cached and
     // saturating arithmetic can never disagree).

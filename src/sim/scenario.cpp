@@ -33,7 +33,14 @@ namespace {
   throw std::runtime_error(name + ":" + std::to_string(line) + ": " + what);
 }
 
-// Splits "<number><suffix>" where number may be decimal.
+// What the unit parsers throw; Scenario::parse adds the line number.
+struct UnitError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+// Splits "<number><suffix>" where number may be decimal.  The whole
+// digit-and-dot prefix must be one numeral: "1..5" and "1.2.3" are
+// malformed, not 1 and 1.2.
 bool split_unit(const std::string& tok, double* value, std::string* unit) {
   std::size_t i = 0;
   while (i < tok.size() &&
@@ -42,7 +49,9 @@ bool split_unit(const std::string& tok, double* value, std::string* unit) {
   }
   if (i == 0) return false;
   try {
-    *value = std::stod(tok.substr(0, i));
+    std::size_t used = 0;
+    *value = std::stod(tok.substr(0, i), &used);
+    if (used != i) return false;
   } catch (...) {
     return false;
   }
@@ -56,7 +65,7 @@ RateBps parse_rate(const std::string& tok) {
   double v;
   std::string unit;
   if (!split_unit(tok, &v, &unit)) {
-    throw std::runtime_error("bad rate: " + tok);
+    throw UnitError("bad rate: " + tok);
   }
   double bits;
   if (unit == "bps") {
@@ -68,11 +77,11 @@ RateBps parse_rate(const std::string& tok) {
   } else if (unit == "Gbps" || unit == "gbps") {
     bits = v * 1e9;
   } else {
-    throw std::runtime_error("bad rate unit: " + tok);
+    throw UnitError("bad rate unit: " + tok);
   }
   // The cast is only defined for values the integer type can hold.
   if (!(bits / 8.0 < 0x1p64)) {
-    throw std::runtime_error("rate out of range: " + tok);
+    throw UnitError("rate out of range: " + tok);
   }
   return static_cast<RateBps>(bits / 8.0);
 }
@@ -81,7 +90,7 @@ TimeNs parse_time(const std::string& tok) {
   double v;
   std::string unit;
   if (!split_unit(tok, &v, &unit)) {
-    throw std::runtime_error("bad time: " + tok);
+    throw UnitError("bad time: " + tok);
   }
   double ns;
   if (unit == "ns") {
@@ -93,9 +102,9 @@ TimeNs parse_time(const std::string& tok) {
   } else if (unit == "s") {
     ns = v * 1e9;
   } else {
-    throw std::runtime_error("bad time unit: " + tok);
+    throw UnitError("bad time unit: " + tok);
   }
-  if (!(ns < 0x1p64)) throw std::runtime_error("time out of range: " + tok);
+  if (!(ns < 0x1p64)) throw UnitError("time out of range: " + tok);
   return static_cast<TimeNs>(ns);
 }
 
@@ -106,12 +115,12 @@ Bytes parse_bytes(const std::string& tok) {
       !std::all_of(tok.begin(), tok.end(), [](unsigned char c) {
         return std::isdigit(c);
       })) {
-    throw std::runtime_error("bad byte count: " + tok);
+    throw UnitError("bad byte count: " + tok);
   }
   try {
     return static_cast<Bytes>(std::stoull(tok));
   } catch (...) {
-    throw std::runtime_error("bad byte count: " + tok);
+    throw UnitError("bad byte count: " + tok);
   }
 }
 
@@ -319,7 +328,9 @@ Scenario Scenario::parse(std::istream& in, const std::string& name) {
 
   std::string raw;
   std::size_t line = 0;
-  while (std::getline(in, raw)) {
+  // The loop body is a try block so that a bad numeral or unit from
+  // parse_rate/parse_time/parse_bytes fails at its line.
+  while (std::getline(in, raw)) try {
     ++line;
     const auto hash = raw.find('#');
     if (hash != std::string::npos) raw.erase(hash);
@@ -533,6 +544,8 @@ Scenario Scenario::parse(std::istream& in, const std::string& name) {
     } else {
       fail_at(name, line, "unknown directive: " + directive);
     }
+  } catch (const UnitError& e) {
+    fail_at(name, line, e.what());
   }
 
   // ---- finalize -----------------------------------------------------------

@@ -22,6 +22,11 @@ TEST(ScenarioUnits, Rates) {
   EXPECT_THROW(parse_rate("10"), std::runtime_error);
   EXPECT_THROW(parse_rate("fast"), std::runtime_error);
   EXPECT_THROW(parse_rate("10MBps"), std::runtime_error);
+  // A digit-and-dot prefix that is not one numeral is malformed, not
+  // truncated to its first numeral.
+  EXPECT_THROW(parse_rate("1.2.3Mbps"), std::runtime_error);
+  EXPECT_THROW(parse_rate("1..5Mbps"), std::runtime_error);
+  EXPECT_THROW(parse_rate(".Mbps"), std::runtime_error);
 }
 
 TEST(ScenarioUnits, Times) {
@@ -32,6 +37,8 @@ TEST(ScenarioUnits, Times) {
   EXPECT_EQ(parse_time("0.5s"), msec(500));
   EXPECT_THROW(parse_time("5"), std::runtime_error);
   EXPECT_THROW(parse_time("5minutes"), std::runtime_error);
+  EXPECT_THROW(parse_time("1..5s"), std::runtime_error);
+  EXPECT_THROW(parse_time("1.2.3ms"), std::runtime_error);
 }
 
 TEST(ScenarioUnits, Bytes) {
@@ -136,6 +143,12 @@ TEST(ScenarioParse, ErrorsCarryLineNumbers) {
   expect_error("link 10Mbps\nduration 100000000000000000000s\n"
                "class a root ls linear 1Mbps\n",
                "time out of range: 100000000000000000000s");
+  // Extra dots used to truncate the numeral: `1..5s` ran for 1 s and
+  // `1.2.3Mbps` became 1.2 Mb/s.
+  expect_error("link 10Mbps\nduration 1..5s\nclass a root ls linear 1Mbps\n",
+               "scenario line 2: bad time: 1..5s");
+  expect_error("link 10Mbps\nduration 1s\nclass a root ls linear 1.2.3Mbps\n",
+               "scenario line 3: bad rate: 1.2.3Mbps");
   // A shard index past INT_MAX would wrap to -1 (unpinned) or to a
   // small shard instead of failing.
   expect_error("link 10Mbps\nduration 1s\n"

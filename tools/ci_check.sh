@@ -38,22 +38,28 @@
 # for a quick local gate with
 #   $ CTEST_ARGS="-LE fuzz" tools/ci_check.sh release
 #
-# The Release config additionally runs the throughput-bench smoke (ctest
-# label "bench", its own 300 s timeout): a fast, low-packet-count pass of
-# bench/bench_throughput that gates the perf harness itself — wiring rot
-# or a served-packet miscount fails CI even when no one is watching the
-# numbers.  It also runs the scenario-engine smoke (ctest label
-# "scenario"): one scenario file through hfsc, hpfq and cbq side by side
-# (hfsc_sim --compare), gating the scheduler-agnostic compile path.  Both
-# run explicitly after the suite so a CTEST_ARGS filter cannot silently
-# skip them.  The Release config also runs the scenario-lint gate (ctest
-# label "lint"): tools/hfsc_lint over every committed scenarios/*.hfsc,
-# so the example hierarchies stay diagnostic-clean — plus the negative
-# fixture (scenarios/overbudget.hfsc), which passes only when the
-# e2e-budget-exceeded route-deadline diagnostic fires; and the simulation
-# gate (ctest label "sim"): the Section VII reconstruction compared
-# across H-FSC and H-PFQ plus a timed-churn smoke under the invariant
-# auditor (the 100k-flow churn soak rides the opt-in "soak" label).
+# The Release config additionally runs the scenario-engine smoke (ctest
+# label "scenario"): one scenario file through hfsc, hpfq and cbq side by
+# side (hfsc_sim --compare), gating the scheduler-agnostic compile path;
+# the scenario-lint gate (ctest label "lint"): tools/hfsc_lint over every
+# committed scenarios/*.hfsc, so the example hierarchies stay
+# diagnostic-clean, the negative fixture (scenarios/overbudget.hfsc),
+# which passes only when the e2e-budget-exceeded route-deadline
+# diagnostic fires, the CLI's strict count flags and the perf gate's
+# comparison logic; and the simulation gate (ctest label "sim"): the
+# Section VII reconstruction compared across H-FSC and H-PFQ plus a
+# timed-churn smoke under the invariant auditor (the 100k-flow churn soak
+# rides the opt-in "soak" label).  They run explicitly after the suite so
+# a CTEST_ARGS filter cannot silently skip them.
+#
+# Last, the Release config runs the perf gate, tools/perf_smoke_check.py:
+# every workload BENCHMARK.json lists runs once through perfbench (built
+# into build-ci-perf/ via CARGO_TARGET_DIR, so it stays out of the tree)
+# at the seed and run length stored in BENCH_perfbench.json, and every
+# end_to_end metric is compared with that baseline using BENCHMARK.json's
+# own `better` and `bound`.  A failed correctness gate always fails the
+# stage; a regression past its bound warns, and fails only with
+#   $ HFSC_PERF_GATE=1 tools/ci_check.sh release
 #
 # The `tidy` stage runs clang-tidy (.clang-tidy at the repo root, with
 # WarningsAsErrors) over src/ tools/ bench/ against a compile_commands
@@ -100,9 +106,6 @@ case "${what}" in
   release|all)
     run_config "Release" "${repo}/build-ci-release" \
       -DCMAKE_BUILD_TYPE=Release -DHFSC_WERROR=ON
-    echo "=== Release: bench smoke ==="
-    ctest --test-dir "${repo}/build-ci-release" --output-on-failure \
-      -L bench
     echo "=== Release: scenario compare smoke ==="
     ctest --test-dir "${repo}/build-ci-release" --output-on-failure \
       -L scenario
@@ -112,30 +115,9 @@ case "${what}" in
     echo "=== Release: simulation gate (Section VII + churn smoke) ==="
     ctest --test-dir "${repo}/build-ci-release" --output-on-failure \
       -L sim
-    echo "=== Release: perf smoke vs committed baseline ==="
-    # A smoke run of both workloads (their H-FSC, runtime, sharded and
-    # H-PFQ/CBQ rows); each workload's hfsc row is compared against the
-    # committed trajectory: a regression of more than 25%
-    # (REGRESSION_PCT) warns, and fails the stage when HFSC_PERF_GATE=1
-    # (tools/perf_smoke_check.py).
-    "${repo}/build-ci-release/bench/bench_throughput" --smoke \
-      --out="${repo}/build-ci-release/PERF_smoke.json"
-    for workload in wide1000 deep8; do
-      python3 "${repo}/tools/perf_smoke_check.py" \
-        "${repo}/BENCH_throughput.json" \
-        "${repo}/build-ci-release/PERF_smoke.json" "${workload}"
-    done
-    echo "=== Release: curve-cache hit rate (HFSC_CACHE_STATS build) ==="
-    # Separate build dir: the stats counters are two atomic increments on
-    # the hottest path, so the gated comparison above must not pay for
-    # them.  Only the bench target is built here.
-    cmake -B "${repo}/build-ci-stats" -S "${repo}" \
-      -DCMAKE_BUILD_TYPE=Release -DHFSC_WERROR=ON -DHFSC_CACHE_STATS=ON
-    cmake --build "${repo}/build-ci-stats" -j "${jobs}" \
-      --target bench_throughput
-    "${repo}/build-ci-stats/bench/bench_throughput" --smoke \
-      --workload=wide1000 \
-      --out="${repo}/build-ci-stats/PERF_smoke_stats.json"
+    echo "=== Release: perf gate (perfbench vs BENCH_perfbench.json) ==="
+    CARGO_TARGET_DIR="${repo}/build-ci-perf" \
+      python3 "${repo}/tools/perf_smoke_check.py"
     ;;&
   sanitize|all)
     run_config "ASan+UBSan" "${repo}/build-ci-sanitize" \

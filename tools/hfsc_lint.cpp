@@ -25,14 +25,15 @@
 // 1 when any file has errors or warnings (or fails to parse), 2 on
 // usage errors.  tools/ci_check.sh gates scenarios/*.hfsc on exit 0.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <string>
 #include <vector>
 
 #include "analysis/analyzer.hpp"
+#include "count_flag.hpp"
 #include "sim/scenario.hpp"
+#include "util/errors.hpp"
 
 namespace {
 
@@ -60,13 +61,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--no-portability") == 0) {
       opts.portability = false;
     } else if (std::strncmp(arg, "--max-pkt=", 10) == 0) {
-      char* end = nullptr;
-      const unsigned long long n = std::strtoull(arg + 10, &end, 10);
-      if (end == nullptr || *end != '\0' || n == 0) {
-        std::fprintf(stderr, "error: --max-pkt needs a positive integer\n");
-        return 2;
-      }
-      opts.default_max_pkt = static_cast<hfsc::Bytes>(n);
+      const auto n = parse_count(arg, hfsc::kMaxSanePacketLen);
+      if (!n) return 2;
+      opts.default_max_pkt = *n;
     } else if (arg[0] == '-') {
       return usage(argv[0]);
     } else {

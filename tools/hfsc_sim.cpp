@@ -39,11 +39,14 @@
 //
 // See src/sim/scenario.hpp for the file format and core/checkpoint.hpp
 // for the checkpoint format.
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -52,6 +55,7 @@
 #include "core/auditor.hpp"
 #include "core/checkpoint.hpp"
 #include "core/hfsc.hpp"
+#include "count_flag.hpp"
 #include "sim/chaos.hpp"
 #include "sim/scenario.hpp"
 #include "util/errors.hpp"
@@ -153,13 +157,9 @@ int main(int argc, char** argv) {
     if (std::strcmp(arg, "--audit") == 0) {
       audit_every = 256;
     } else if (std::strncmp(arg, "--audit=", 8) == 0) {
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(arg + 8, &end, 10);
-      if (end == nullptr || *end != '\0' || n == 0) {
-        std::fprintf(stderr, "error: --audit needs a positive integer\n");
-        return 2;
-      }
-      audit_every = static_cast<std::size_t>(n);
+      const auto n = parse_count(arg, std::numeric_limits<std::size_t>::max());
+      if (!n) return 2;
+      audit_every = static_cast<std::size_t>(*n);
     } else if (std::strcmp(arg, "--admission") == 0) {
       admission = true;
     } else if (std::strcmp(arg, "--analyze") == 0) {
@@ -169,14 +169,10 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--chaos") == 0) {
       chaos = true;
     } else if (std::strncmp(arg, "--chaos=", 8) == 0) {
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(arg + 8, &end, 10);
-      if (end == nullptr || *end != '\0' || n == 0) {
-        std::fprintf(stderr, "error: --chaos needs a positive integer\n");
-        return 2;
-      }
+      const auto n = parse_count(arg, INT_MAX);
+      if (!n) return 2;
       chaos = true;
-      chaos_cfg.episodes = static_cast<int>(n);
+      chaos_cfg.episodes = static_cast<int>(*n);
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
       char* end = nullptr;
       const unsigned long long n = std::strtoull(arg + 7, &end, 0);
@@ -186,35 +182,22 @@ int main(int argc, char** argv) {
       }
       chaos_cfg.seed = static_cast<std::uint64_t>(n);
     } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(arg + 9, &end, 10);
-      if (end == nullptr || *end != '\0' || n == 0 || n > 64) {
-        std::fprintf(stderr, "error: --shards needs an integer in [1, 64]\n");
-        return 2;
-      }
+      const auto n = parse_count(arg, 64, "an integer in [1, 64]");
+      if (!n) return 2;
       sharded = true;
-      chaos_cfg.shards = static_cast<int>(n);
+      chaos_cfg.shards = static_cast<int>(*n);
     } else if (std::strncmp(arg, "--shard-episodes=", 17) == 0) {
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(arg + 17, &end, 10);
-      if (end == nullptr || *end != '\0' || n == 0) {
-        std::fprintf(stderr,
-                     "error: --shard-episodes needs a positive integer\n");
-        return 2;
-      }
+      const auto n = parse_count(arg, INT_MAX);
+      if (!n) return 2;
       sharded = true;
-      chaos_cfg.shard_episodes = static_cast<int>(n);
+      chaos_cfg.shard_episodes = static_cast<int>(*n);
     } else if (std::strcmp(arg, "--soak") == 0) {
       chaos_cfg.soak = true;
     } else if (std::strncmp(arg, "--soak=", 7) == 0) {
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(arg + 7, &end, 10);
-      if (end == nullptr || *end != '\0' || n == 0) {
-        std::fprintf(stderr, "error: --soak needs a positive integer\n");
-        return 2;
-      }
+      const auto n = parse_count(arg, INT_MAX);
+      if (!n) return 2;
       chaos_cfg.soak = true;
-      chaos_cfg.soak_seconds = static_cast<int>(n);
+      chaos_cfg.soak_seconds = static_cast<int>(*n);
     } else if (std::strncmp(arg, "--checkpoint=", 13) == 0) {
       checkpoint_path = arg + 13;
       if (checkpoint_path.empty()) return usage(argv[0]);
