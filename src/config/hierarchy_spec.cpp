@@ -61,9 +61,8 @@ void check_class(const ClassSpec& c, const std::set<std::string>& declared) {
            "class '" + c.name + "': curve shape outside the two-piece "
            "algebra (must be concave, or convex with m1 = 0)");
   }
-  ensure(!c.rt.is_zero() || !c.ls.is_zero() || c.rate != 0,
-         Errc::kMissingCurve,
-         "class '" + c.name + "': needs an rt or ls curve or an explicit rate");
+  ensure(!c.rt.is_zero() || !c.ls.is_zero(), Errc::kMissingCurve,
+         "class '" + c.name + "': needs an rt or ls curve");
 }
 
 // Records a lossy mapping (default), or rejects it in strict mode.
@@ -74,32 +73,25 @@ void lose(std::vector<std::string>* notes, bool strict, Errc errc,
 }
 
 // The losses every rate-based family shares: curves collapsed to one
-// long-term rate, queue limits and priorities dropped.  Returns the rate.
+// long-term rate and queue limits dropped.  Returns the rate.
 RateBps rate_based_losses(const ClassSpec& c, std::string_view family,
                           std::vector<std::string>* notes, bool strict) {
   const RateBps r = c.share_rate();
   ensure(r > 0, Errc::kMissingCurve,
          "class '" + c.name + "': no long-term rate (m2 == 0) to map onto " +
              std::string(family));
-  if (c.rate == 0) {
-    const ServiceCurve& src = !c.ls.is_zero() ? c.ls : c.rt;
-    if (!src.is_linear()) {
-      lose(notes, strict, Errc::kUnsupportedCurve,
-           "class '" + c.name + "': non-linear " +
-               (!c.ls.is_zero() ? "ls" : "rt") +
-               " curve degraded to its long-term rate under " +
-               std::string(family));
-    }
+  const ServiceCurve& src = !c.ls.is_zero() ? c.ls : c.rt;
+  if (!src.is_linear()) {
+    lose(notes, strict, Errc::kUnsupportedCurve,
+         "class '" + c.name + "': non-linear " +
+             (!c.ls.is_zero() ? "ls" : "rt") +
+             " curve degraded to its long-term rate under " +
+             std::string(family));
   }
   if (c.qlimit != 0) {
     lose(notes, strict, Errc::kInvalidArgument,
          "class '" + c.name + "': queue limit dropped (" +
              std::string(family) + " queues are unlimited)");
-  }
-  if (c.priority != 0) {
-    lose(notes, strict, Errc::kInvalidArgument,
-         "class '" + c.name + "': priority dropped (" + std::string(family) +
-             " has no priority levels)");
   }
   return r;
 }
@@ -291,12 +283,8 @@ std::unique_ptr<Sced> HierarchySpec::build_sced(
   auto sched = std::make_unique<Sced>();
   IdMap local;
   for (const ClassSpec* c : flatten(*this, "SCED", notes, opts.strict)) {
-    // SCED keeps the full (possibly non-linear) guarantee: rt wins, then
-    // ls, then the explicit rate.
-    ServiceCurve sc = !c->rt.is_zero()
-                          ? c->rt
-                          : (!c->ls.is_zero() ? c->ls
-                                              : ServiceCurve::linear(c->rate));
+    // SCED keeps the full (possibly non-linear) guarantee: rt, else ls.
+    const ServiceCurve& sc = !c->rt.is_zero() ? c->rt : c->ls;
     if (!c->ul.is_zero()) {
       lose(notes, opts.strict, Errc::kInvalidArgument,
            "class '" + c->name + "': ul curve dropped (SCED is "
@@ -306,11 +294,6 @@ std::unique_ptr<Sced> HierarchySpec::build_sced(
       lose(notes, opts.strict, Errc::kInvalidArgument,
            "class '" + c->name + "': queue limit dropped (SCED queues are "
            "unlimited)");
-    }
-    if (c->priority != 0) {
-      lose(notes, opts.strict, Errc::kInvalidArgument,
-           "class '" + c->name + "': priority dropped (SCED has no priority "
-           "levels)");
     }
     local[c->name] = sched->add_session(sc);
   }

@@ -5,10 +5,9 @@
 // exposed a different construction API (three service curves for Hfsc, a
 // single rate for HPfq, rate+borrow for Cbq, quanta for Drr, …).
 // HierarchySpec is the one description they all compile from: named
-// classes with a parent, rt/ls/ul service curves, an optional explicit
-// rate, a priority and a queue limit.  One spec, compiled per family,
-// yields schedulers that are *the same experiment* to the extent the
-// family can express it.
+// classes with a parent, rt/ls/ul service curves and a queue limit.  One
+// spec, compiled per family, yields schedulers that are *the same
+// experiment* to the extent the family can express it.
 //
 // Mapping rules (full matrix in docs/SCHEDULERS.md).  Compilation is
 // deliberately lossy where a family is less expressive, and every loss is
@@ -82,8 +81,8 @@ const std::vector<SchedulerKind>& all_scheduler_kinds();
 struct HierarchyCompileOptions {
   // Reject every lossy mapping with a typed Error instead of recording
   // a note: Error{kUnsupportedCurve} for curve degradations,
-  // Error{kInvalidArgument} for dropped features (ul, qlimit,
-  // priority, flattened interior classes).
+  // Error{kInvalidArgument} for dropped features (ul, qlimit, flattened
+  // interior classes).
   bool strict = false;
   // H-FSC-only knobs, applied before any class is added so the
   // compiled scheduler is call-for-call identical to one configured by
@@ -100,12 +99,6 @@ struct HierarchySpec {
     ServiceCurve rt{};   // leaf guarantee (families that can express it)
     ServiceCurve ls{};   // link-sharing share
     ServiceCurve ul{};   // upper limit (families that can express it)
-    // Explicit share for the rate-based families (H-PFQ/CBQ/DRR/
-    // VirtualClock); 0 derives the share from ls (falling back to rt).
-    RateBps rate = 0;
-    // Reserved for priority-aware families; every current compiler
-    // records a note when it is non-zero.
-    int priority = 0;
     std::size_t qlimit = 0;  // max queued packets; 0 = unlimited
     // Token-bucket arrival envelope A(t) = env_burst + env_rate * t the
     // class's traffic is promised to conform to (scenario `envelope`
@@ -125,9 +118,8 @@ struct HierarchySpec {
       return parent.empty() || parent == "root";
     }
     // The single guaranteed rate a rate-based family sees (mapping rule
-    // above): explicit `rate`, else ls long-term rate, else rt's.
+    // above): the ls long-term rate, else rt's.
     RateBps share_rate() const noexcept {
-      if (rate != 0) return rate;
       if (!ls.is_zero()) return ls.rate();
       return rt.rate();
     }
@@ -138,8 +130,8 @@ struct HierarchySpec {
   // Appends a class after validating it against what is already declared:
   // Error{kInvalidArgument} on a duplicate or reserved ("root") name,
   // Error{kInvalidClass} on a parent not declared before its child,
-  // Error{kMissingCurve} when neither rt nor ls nor an explicit rate is
-  // given, Error{kUnsupportedCurve} on a curve shape outside the
+  // Error{kMissingCurve} when neither rt nor ls is given,
+  // Error{kUnsupportedCurve} on a curve shape outside the
   // two-piece algebra.
   void add(ClassSpec c);
 

@@ -281,11 +281,6 @@ class Hfsc final : public Scheduler {
   }
   Bytes backlog_bytes() const noexcept override { return queues_.bytes(); }
   TimeNs next_wakeup(TimeNs now) const noexcept override;
-  SchedCapabilities capabilities() const noexcept override {
-    return SchedCapabilities{/*hierarchy=*/true, /*nonlinear_curves=*/true,
-                             /*decoupled_delay=*/true, /*shaping=*/true,
-                             /*upper_limit=*/true, /*per_class_drops=*/true};
-  }
   DataPathCounters counters() const noexcept override { return counters_; }
   std::uint64_t class_drops(ClassId cls) const noexcept override {
     return cls < nodes_.size() ? nodes_[cls].pkts_dropped : 0;

@@ -50,12 +50,6 @@ class Cbq final : public Scheduler {
   }
   Bytes backlog_bytes() const noexcept override { return queues_.bytes(); }
   TimeNs next_wakeup(TimeNs now) const noexcept override;
-  SchedCapabilities capabilities() const noexcept override {
-    SchedCapabilities c;
-    c.hierarchy = true;
-    c.shaping = true;  // an overlimit class that may not borrow waits
-    return c;
-  }
   DataPathCounters counters() const noexcept override { return counters_; }
   std::string_view name() const noexcept override { return "CBQ"; }
 

@@ -37,11 +37,6 @@ class FscFlat final : public Scheduler {
     return queues_.packets();
   }
   Bytes backlog_bytes() const noexcept override { return queues_.bytes(); }
-  SchedCapabilities capabilities() const noexcept override {
-    SchedCapabilities c;
-    c.nonlinear_curves = true;
-    return c;
-  }
   std::string_view name() const noexcept override { return "FSC-flat"; }
 
   TimeNs vt_of(ClassId cls) const { return sessions_.at(cls).vt; }

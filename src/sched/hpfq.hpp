@@ -50,11 +50,6 @@ class HPfq final : public Scheduler {
     return queues_.packets();
   }
   Bytes backlog_bytes() const noexcept override { return queues_.bytes(); }
-  SchedCapabilities capabilities() const noexcept override {
-    SchedCapabilities c;
-    c.hierarchy = true;
-    return c;
-  }
   DataPathCounters counters() const noexcept override { return counters_; }
   std::string_view name() const noexcept override { return "H-PFQ"; }
 

@@ -41,12 +41,6 @@ class Sced final : public Scheduler {
     return queues_.packets();
   }
   Bytes backlog_bytes() const noexcept override { return queues_.bytes(); }
-  SchedCapabilities capabilities() const noexcept override {
-    SchedCapabilities c;
-    c.nonlinear_curves = true;
-    c.decoupled_delay = true;
-    return c;
-  }
   std::string_view name() const noexcept override { return "SCED"; }
 
   // Introspection for tests and the Fig. 2 experiment.

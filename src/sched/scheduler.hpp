@@ -11,12 +11,11 @@
 // that case next_wakeup() reports when the decision could change so the
 // link can re-arm its transmitter.
 //
-// The interface also carries a small capability/stats surface
-// (capabilities(), counters(), class_drops()) so generic layers — the
-// scenario engine, the comparison tool, the throughput bench — can drive
-// any family through one code path and *skip* features a family cannot
-// express instead of downcasting or crashing (see
-// config/hierarchy_spec.hpp for the compilers that target it).
+// The interface also carries a small stats surface (counters(),
+// class_drops()) so the scenario engine and the comparison tool can
+// report any family through one code path instead of downcasting (see
+// config/hierarchy_spec.hpp for the compilers that target it; what each
+// family can express is a property of its compiler, docs/SCHEDULERS.md).
 #pragma once
 
 #include <cstddef>
@@ -28,19 +27,6 @@
 #include "util/types.hpp"
 
 namespace hfsc {
-
-// What a scheduler family can express.  Generic layers branch on these
-// flags; a false flag means the corresponding configuration is dropped or
-// approximated by the family's HierarchySpec compiler (documented in
-// docs/SCHEDULERS.md), never that it crashes.
-struct SchedCapabilities {
-  bool hierarchy = false;        // interior classes are meaningful
-  bool nonlinear_curves = false; // two-piece (concave/convex) curves kept
-  bool decoupled_delay = false;  // delay guarantee independent of rate
-  bool shaping = false;          // may refuse to send while backlogged
-  bool upper_limit = false;      // can cap a class's service
-  bool per_class_drops = false;  // class_drops() is meaningful
-};
 
 class Scheduler {
  public:
@@ -76,9 +62,6 @@ class Scheduler {
   virtual TimeNs next_wakeup(TimeNs /*now*/) const noexcept {
     return kTimeInfinity;
   }
-
-  // Feature flags of the concrete family (see SchedCapabilities).
-  virtual SchedCapabilities capabilities() const noexcept { return {}; }
 
   // Aggregate data-path counters.  Families without a hardened data path
   // report zeros.

@@ -105,9 +105,6 @@ class FaultInjector final : public Scheduler {
   TimeNs next_wakeup(TimeNs now) const noexcept override {
     return inner_.next_wakeup(now);
   }
-  SchedCapabilities capabilities() const noexcept override {
-    return inner_.capabilities();
-  }
   DataPathCounters counters() const noexcept override {
     return inner_.counters();
   }

@@ -126,6 +126,21 @@ Bytes parse_bytes(const std::string& tok) {
 
 namespace {
 
+// Rates and times a directive divides by or steps the clock with.  The
+// unit parsers floor to whole bytes/s and nanoseconds, so a written
+// "7bps" is as zero as "0bps"; either fails at its own line.
+RateBps parse_positive_rate(const std::string& tok, const std::string& what) {
+  const RateBps r = parse_rate(tok);
+  if (r == 0) throw UnitError(what + " must be at least 8bps: " + tok);
+  return r;
+}
+
+TimeNs parse_positive_time(const std::string& tok, const std::string& what) {
+  const TimeNs t = parse_time(tok);
+  if (t == 0) throw UnitError(what + " must be at least 1ns: " + tok);
+  return t;
+}
+
 ServiceCurve parse_spec(std::istringstream& ls, const std::string& fname,
                         std::size_t line) {
   // An explicitly written spec that evaluates to the zero curve is a
@@ -236,31 +251,38 @@ ScenarioSource parse_source(std::istringstream& ls, const std::string& kind,
     s.start = parse_time(want("start"));
     s.stop = parse_time(want("stop"));
   };
+  auto rate = [&](const char* what) {
+    return parse_positive_rate(want(what), std::string("source ") + what);
+  };
+  // A zero mean on-period never sends; with a zero off-period as well the
+  // source steps the clock 1 ns per event.
+  auto on_off = [&] {
+    s.mean_on = parse_positive_time(want("mean_on"), "source mean_on");
+    s.mean_off = parse_time(want("mean_off"));
+  };
   if (kind == "cbr") {
     s.kind = ScenarioSource::Kind::kCbr;
-    s.rate = parse_rate(want("rate"));
+    s.rate = rate("rate");
     s.pkt_len = pkt();
     span();
   } else if (kind == "poisson") {
     s.kind = ScenarioSource::Kind::kPoisson;
-    s.rate = parse_rate(want("rate"));
+    s.rate = rate("rate");
     s.pkt_len = pkt();
     span();
     s.seed = parse_bytes(want("seed"));
   } else if (kind == "onoff") {
     s.kind = ScenarioSource::Kind::kOnOff;
-    s.rate = parse_rate(want("peak rate"));
+    s.rate = rate("peak rate");
     s.pkt_len = pkt();
-    s.mean_on = parse_time(want("mean_on"));
-    s.mean_off = parse_time(want("mean_off"));
+    on_off();
     span();
     s.seed = parse_bytes(want("seed"));
   } else if (kind == "pareto") {
     s.kind = ScenarioSource::Kind::kPareto;
-    s.rate = parse_rate(want("peak rate"));
+    s.rate = rate("peak rate");
     s.pkt_len = pkt();
-    s.mean_on = parse_time(want("mean_on"));
-    s.mean_off = parse_time(want("mean_off"));
+    on_off();
     s.alpha = real("alpha");
     if (!(s.alpha > 1.0)) {
       fail_at(fname, line, "pareto alpha must be > 1 (finite mean)");
@@ -271,6 +293,7 @@ ScenarioSource parse_source(std::istringstream& ls, const std::string& kind,
     s.kind = ScenarioSource::Kind::kGreedy;
     s.pkt_len = pkt();
     s.window = static_cast<std::size_t>(parse_bytes(want("window")));
+    if (s.window == 0) fail_at(fname, line, "greedy window must be > 0");
     span();
   } else if (kind == "tcpish") {
     s.kind = ScenarioSource::Kind::kTcpish;
@@ -357,7 +380,7 @@ Scenario Scenario::parse(std::istream& in, const std::string& name) {
       }
       std::string r;
       if (!(ls >> r)) fail_at(name, line, "link needs a rate");
-      sc.link_rate = parse_rate(r);
+      sc.link_rate = parse_positive_rate(r, "link rate");
       saw_link = true;
     } else if (directive == "node") {
       if (!cur_node.empty()) fail_at(name, line, "nested node block");
@@ -371,7 +394,7 @@ Scenario Scenario::parse(std::istream& in, const std::string& name) {
       if (sc.find_node(n.name) != nullptr) {
         fail_at(name, line, "duplicate node " + n.name);
       }
-      n.rate = parse_rate(r);
+      n.rate = parse_positive_rate(r, "node rate");
       n.line = line;
       cur_node = n.name;
       sc.nodes.push_back(std::move(n));
@@ -384,12 +407,12 @@ Scenario Scenario::parse(std::istream& in, const std::string& name) {
       global_only();
       std::string t;
       if (!(ls >> t)) fail_at(name, line, "duration needs a time");
-      sc.duration = parse_time(t);
+      sc.duration = parse_positive_time(t, "duration");
     } else if (directive == "window") {
       global_only();
       std::string t;
       if (!(ls >> t)) fail_at(name, line, "window needs a time");
-      sc.window = parse_time(t);
+      sc.window = parse_positive_time(t, "window");
     } else if (directive == "scheduler") {
       global_only();
       std::string kind;
@@ -952,11 +975,12 @@ ScenarioResult run_scenario(const Scenario& sc,
   }
 
   // Timed control plane.  Class creations/deletions at the same (node,
-  // time) coalesce into ONE transaction: Txn validation copies the whole
-  // hierarchy per commit, so per-op commits would make a 100k-flow churn
-  // step quadratic.  A batch refused by admission control falls back to
-  // per-op commits so each class gets its own verdict (the flash-crowd
-  // behaviour Section II's feasibility test implies).
+  // time) coalesce into ONE transaction, so a churn step pays one
+  // commit's fixed cost rather than one per op (a commit validates only
+  // the classes it touches, O(ops · log n)).  A batch refused by
+  // admission control falls back to per-op commits so each class gets its
+  // own verdict (the flash-crowd behaviour Section II's feasibility test
+  // implies).
   std::uint64_t classes_rejected = 0;
   std::uint64_t sources_skipped = 0;
   struct Group {

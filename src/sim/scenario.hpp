@@ -74,7 +74,9 @@
 //        across the whole route for routed classes — exceeds it)
 //
 // Units: rates `bps|kbps|Mbps|Gbps` (decimal allowed), times
-// `ns|us|ms|s`, byte counts plain integers.
+// `ns|us|ms|s`, byte counts plain integers.  Rates floor to whole
+// bytes/s and times to whole ns; a link/node/source rate, duration,
+// window or mean_on that floors to zero is an error at its line.
 #pragma once
 
 #include <iosfwd>

@@ -125,15 +125,6 @@ TEST(HierarchySpecAdd, RejectsUnsupportedCurveShapes) {
   }
 }
 
-TEST(HierarchySpecAdd, ExplicitRateAloneSuffices) {
-  HierarchySpec spec;
-  HierarchySpec::ClassSpec c;
-  c.name = "ratelimited";
-  c.rate = mbps(3);
-  spec.add(c);
-  EXPECT_EQ(spec.classes.at(0).share_rate(), mbps(3));
-}
-
 TEST(HierarchySpec, IsLeaf) {
   const HierarchySpec spec = fig1_spec();
   EXPECT_FALSE(spec.is_leaf("cmu"));
@@ -393,34 +384,6 @@ TEST(HierarchySpecFifo, AssignsSyntheticLeafIds) {
   EXPECT_EQ(compiled.ids.at("data"), 2u);
   EXPECT_EQ(compiled.ids.at("pitt_data"), 3u);
   EXPECT_FALSE(compiled.notes.empty());
-}
-
-// ------------------------------------------------------- capabilities
-
-TEST(SchedulerCapabilities, MatchTheMatrix) {
-  const HierarchySpec spec = fig1_spec();
-  const struct {
-    SchedulerKind kind;
-    bool hierarchy, nonlinear, decoupled, shaping, upper, drops;
-  } expect[] = {
-      {SchedulerKind::kHfsc, true, true, true, true, true, true},
-      {SchedulerKind::kHpfq, true, false, false, false, false, false},
-      {SchedulerKind::kCbq, true, false, false, true, false, false},
-      {SchedulerKind::kDrr, false, false, false, false, false, false},
-      {SchedulerKind::kSced, false, true, true, false, false, false},
-      {SchedulerKind::kVirtualClock, false, false, false, false, false, false},
-      {SchedulerKind::kFifo, false, false, false, false, false, false},
-  };
-  for (const auto& e : expect) {
-    const HierarchySpec::Compiled compiled = spec.compile(e.kind, mbps(45));
-    const SchedCapabilities caps = compiled.sched->capabilities();
-    EXPECT_EQ(caps.hierarchy, e.hierarchy) << to_string(e.kind);
-    EXPECT_EQ(caps.nonlinear_curves, e.nonlinear) << to_string(e.kind);
-    EXPECT_EQ(caps.decoupled_delay, e.decoupled) << to_string(e.kind);
-    EXPECT_EQ(caps.shaping, e.shaping) << to_string(e.kind);
-    EXPECT_EQ(caps.upper_limit, e.upper) << to_string(e.kind);
-    EXPECT_EQ(caps.per_class_drops, e.drops) << to_string(e.kind);
-  }
 }
 
 }  // namespace

@@ -157,6 +157,47 @@ TEST(ScenarioParse, ErrorsCarryLineNumbers) {
   expect_error("link 10Mbps\nduration 1s\n"
                "class a root ls linear 1Mbps shard 4294967296\n",
                "scenario line 3: shard index out of range: 4294967296");
+  // Rates floor to whole bytes/s, so anything under 8 b/s is zero.  A
+  // zero link or node rate used to surface later as an unplaced
+  // "missing link" or an analyzer/simulator argument error; a zero source
+  // rate or greedy window sent one packet or none (and tripped the
+  // source constructors' asserts).
+  expect_error("link 7bps\nduration 1s\nclass a root ls linear 1Mbps\n",
+               "scenario line 1: link rate must be at least 8bps: 7bps");
+  expect_error("link 0bps\nduration 1s\nclass a root ls linear 1Mbps\n",
+               "scenario line 1: link rate must be at least 8bps: 0bps");
+  expect_error("duration 1s\nnode n 7bps\nclass a root ls linear 1Mbps\n"
+               "end\n",
+               "scenario line 2: node rate must be at least 8bps: 7bps");
+  const std::string src = "link 10Mbps\nduration 1s\n"
+                          "class a root ls linear 1Mbps\n";
+  expect_error((src + "source cbr a 0bps 1000 0s 100ms\n").c_str(),
+               "scenario line 4: source rate must be at least 8bps: 0bps");
+  expect_error((src + "source poisson a 7bps 1000 0s 100ms 1\n").c_str(),
+               "scenario line 4: source rate must be at least 8bps: 7bps");
+  expect_error((src + "source onoff a 0bps 1000 5ms 5ms 0s 100ms 1\n").c_str(),
+               "scenario line 4: source peak rate must be at least 8bps");
+  expect_error(
+      (src + "source pareto a 0bps 1000 5ms 5ms 1.5 0s 100ms 1\n").c_str(),
+      "scenario line 4: source peak rate must be at least 8bps");
+  expect_error((src + "at 5ms source cbr a 0bps 1000\n").c_str(),
+               "scenario line 4: source rate must be at least 8bps");
+  expect_error((src + "source greedy a 1500 0 0s 100ms\n").c_str(),
+               "scenario line 4: greedy window must be > 0");
+  // A zero throughput window divided by zero in the run (SIGFPE); a zero
+  // mean on-period never sent, and with a zero off-period stepped the
+  // clock 1 ns per event.  A zero duration was an unplaced "missing
+  // duration".
+  expect_error("link 10Mbps\nduration 1s\nwindow 0s\n"
+               "class a root ls linear 1Mbps\n",
+               "scenario line 3: window must be at least 1ns: 0s");
+  expect_error("link 10Mbps\nduration 0s\nclass a root ls linear 1Mbps\n",
+               "scenario line 2: duration must be at least 1ns: 0s");
+  expect_error((src + "source onoff a 2Mbps 1000 0s 0s 0s 100ms 1\n").c_str(),
+               "scenario line 4: source mean_on must be at least 1ns: 0s");
+  expect_error(
+      (src + "source pareto a 2Mbps 1000 0s 0s 1.5 0s 100ms 1\n").c_str(),
+      "scenario line 4: source mean_on must be at least 1ns: 0s");
 }
 
 TEST(ScenarioParse, RejectsZeroRateServiceCurves) {

@@ -13,6 +13,10 @@
 #   $ tools/ci_check.sh tsan      # just the ThreadSanitizer config
 #   $ tools/ci_check.sh tidy      # just the clang-tidy stage
 #
+# The sanitizer config builds RelWithDebInfo with its flags overridden to
+# "-O2 -g" (no -DNDEBUG), so every assert in src/ is checked there; the
+# Release config and the default build compile them out.
+#
 # The sanitizer config re-runs the chaos/soak harness gate (ctest label
 # "chaos": kill-and-recover at every journal/checkpoint boundary, the
 # degradation-ladder overload proof, corrupt-image probes) explicitly
@@ -32,9 +36,11 @@
 # (tests/CMakeLists.txt) — fault injection, transaction atomicity,
 # RuntimeHost batched-versus-single drain equivalence, agreement of the three
 # Section V eligible-set structures, the min-plus curve-operator fuzz
-# (test_curve_minplus_fuzz) and the analyzer-vs-simulator topology fuzz
+# (test_curve_minplus_fuzz), the analyzer-vs-simulator topology fuzz
 # (test_analysis_topology_fuzz: measured delay/backlog never exceed the
-# analytic route bounds).  They run in every configuration; exclude them
+# analytic route bounds) and the scenario-parser mutation fuzz
+# (test_scenario_fuzz: a mutated shipped scenario fails at its file:line
+# or analyzes and runs).  They run in every configuration; exclude them
 # for a quick local gate with
 #   $ CTEST_ARGS="-LE fuzz" tools/ci_check.sh release
 #
@@ -122,6 +128,7 @@ case "${what}" in
   sanitize|all)
     run_config "ASan+UBSan" "${repo}/build-ci-sanitize" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo -DHFSC_WERROR=ON \
+      "-DCMAKE_CXX_FLAGS_RELWITHDEBINFO=-O2 -g" \
       "-DHFSC_SANITIZE=address;undefined"
     echo "=== ASan+UBSan: chaos/recovery gate ==="
     ctest --test-dir "${repo}/build-ci-sanitize" --output-on-failure \
