@@ -254,6 +254,19 @@ ScenarioSource parse_source(std::istringstream& ls, const std::string& kind,
   auto rate = [&](const char* what) {
     return parse_positive_rate(want(what), std::string("source ") + what);
   };
+  // A greedy source enqueues its whole window at once and a tcpish one
+  // can reach its max window in flight, so both are packet counts the
+  // run materializes.
+  auto source_window = [&](const std::string& tok, const char* what) {
+    const Bytes n = parse_bytes(tok);
+    if (n == 0) fail_at(fname, line, std::string(what) + " must be > 0");
+    if (n > kMaxSourceWindow) {
+      fail_at(fname, line, std::string(what) + " exceeds " +
+                               std::to_string(kMaxSourceWindow) +
+                               " packets: " + tok);
+    }
+    return static_cast<std::size_t>(n);
+  };
   // A zero mean on-period never sends; with a zero off-period as well the
   // source steps the clock 1 ns per event.
   auto on_off = [&] {
@@ -292,14 +305,12 @@ ScenarioSource parse_source(std::istringstream& ls, const std::string& kind,
   } else if (kind == "greedy") {
     s.kind = ScenarioSource::Kind::kGreedy;
     s.pkt_len = pkt();
-    s.window = static_cast<std::size_t>(parse_bytes(want("window")));
-    if (s.window == 0) fail_at(fname, line, "greedy window must be > 0");
+    s.window = source_window(want("window"), "greedy window");
     span();
   } else if (kind == "tcpish") {
     s.kind = ScenarioSource::Kind::kTcpish;
     s.pkt_len = pkt();
-    s.window = static_cast<std::size_t>(parse_bytes(want("max window")));
-    if (s.window == 0) fail_at(fname, line, "tcpish max window must be > 0");
+    s.window = source_window(want("max window"), "tcpish max window");
     span();
   } else if (kind == "video") {
     s.kind = ScenarioSource::Kind::kVideo;

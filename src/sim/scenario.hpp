@@ -76,7 +76,8 @@
 // Units: rates `bps|kbps|Mbps|Gbps` (decimal allowed), times
 // `ns|us|ms|s`, byte counts plain integers.  Rates floor to whole
 // bytes/s and times to whole ns; a link/node/source rate, duration,
-// window or mean_on that floors to zero is an error at its line.
+// window or mean_on that floors to zero is an error at its line, and so
+// is a greedy/tcpish window above kMaxSourceWindow (2^20) packets.
 #pragma once
 
 #include <iosfwd>
@@ -127,6 +128,9 @@ struct ScenarioClass {
   std::size_t env_line = 0;
 };
 
+// Largest greedy window or tcpish max window `parse` accepts, in packets.
+inline constexpr std::size_t kMaxSourceWindow = std::size_t{1} << 20;
+
 struct ScenarioSource {
   enum class Kind { kCbr, kPoisson, kOnOff, kGreedy, kVideo, kPareto,
                     kTcpish };
@@ -143,7 +147,7 @@ struct ScenarioSource {
   TimeNs mean_on = 0;
   TimeNs mean_off = 0;
   double alpha = 0;        // pareto shape
-  std::size_t window = 0;  // greedy / tcpish
+  std::size_t window = 0;  // greedy / tcpish, 1..kMaxSourceWindow
   double fps = 0;          // video
   Bytes mean_frame = 0;
   Bytes max_frame = 0;

@@ -1,19 +1,27 @@
-// A handle-based binary min-heap.
+// A handle-based 4-ary min-heap.
 //
 // Schedulers need priority queues whose elements' keys change while queued
 // (a class's deadline/eligible/virtual time is recomputed whenever its head
 // packet changes) and that support removal from the middle (a class going
-// passive).  IndexedHeap stores a dense array of (key, id) pairs plus a
+// passive).  IndexedHeap stores a dense array of (key, id) nodes plus a
 // side table mapping id -> heap slot, giving O(log n) push / pop / erase /
 // update and O(1) top and containment tests.
 //
+// Layout: node i's children are 4i+1 .. 4i+4, so a 100k heap is 9 levels
+// deep instead of a binary heap's 17, and with 8-byte keys the four
+// siblings a sift-down compares are 64 contiguous bytes.  Sifts move a
+// hole rather than swapping: each level copies one node and writes one
+// slot, and the moving node is written once where it comes to rest.
+//
 // Ids are small non-negative integers (class indices).  Ties are broken by
-// id so iteration order is deterministic across runs.
+// id, so (key, id) is a total order and top() never depends on the layout:
+// the pop sequence is the same as any other correct heap's.
 #pragma once
 
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace hfsc {
@@ -22,7 +30,7 @@ template <typename Key>
 class IndexedHeap {
  public:
   using Id = std::uint32_t;
-  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
   bool empty() const noexcept { return heap_.empty(); }
   std::size_t size() const noexcept { return heap_.size(); }
@@ -50,10 +58,10 @@ class IndexedHeap {
   // Inserts id with the given key.  id must not already be present.
   void push(Id id, Key key) {
     assert(!contains(id));
-    if (id >= slot_.size()) slot_.resize(id + 1, kNoSlot);
-    heap_.push_back(Node{std::move(key), id});
-    slot_[id] = heap_.size() - 1;
-    sift_up(heap_.size() - 1);
+    assert(heap_.size() < kNoSlot);  // every slot must be representable
+    if (id >= slot_.size()) slot_.resize(std::size_t{id} + 1, kNoSlot);
+    heap_.emplace_back();  // the hole the new node rises from
+    sift_up(heap_.size() - 1, Node{std::move(key), id});
   }
 
   // Removes and returns the id with the smallest key.
@@ -74,12 +82,11 @@ class IndexedHeap {
   void update(Id id, Key key) {
     assert(contains(id));
     const std::size_t s = slot_[id];
-    const bool went_down = less(Node{key, id}, heap_[s]);
-    heap_[s].key = std::move(key);
-    if (went_down) {
-      sift_up(s);
+    Node n{std::move(key), id};
+    if (less(n, heap_[s])) {
+      sift_up(s, std::move(n));
     } else {
-      sift_down(s);
+      sift_down(s, std::move(n));
     }
   }
 
@@ -93,11 +100,27 @@ class IndexedHeap {
   }
 
   void clear() noexcept {
+    for (const Node& n : heap_) slot_[n.id] = kNoSlot;
     heap_.clear();
-    slot_.assign(slot_.size(), kNoSlot);
+  }
+
+  // O(n + ids) structural check for tests: no node orders before its
+  // parent, each node's slot entry points back at it, and exactly
+  // size() ids have a slot.
+  bool well_formed() const noexcept {
+    for (std::size_t s = 0; s < heap_.size(); ++s) {
+      if (s > 0 && less(heap_[s], heap_[(s - 1) / kArity])) return false;
+      const Id id = heap_[s].id;
+      if (id >= slot_.size() || slot_[id] != s) return false;
+    }
+    std::size_t slotted = 0;
+    for (const std::uint32_t s : slot_) slotted += s != kNoSlot ? 1 : 0;
+    return slotted == heap_.size();
   }
 
  private:
+  static constexpr std::size_t kArity = 4;
+
   struct Node {
     Key key;
     Id id;
@@ -108,52 +131,57 @@ class IndexedHeap {
     return a.id < b.id;
   }
 
+  // Stores n at slot s and records where it went.
+  void place(std::size_t s, Node&& n) noexcept {
+    slot_[n.id] = static_cast<std::uint32_t>(s);
+    heap_[s] = std::move(n);
+  }
+
   void erase_slot(std::size_t s) {
     slot_[heap_[s].id] = kNoSlot;
-    if (s + 1 != heap_.size()) {
-      heap_[s] = std::move(heap_.back());
-      slot_[heap_[s].id] = s;
-      heap_.pop_back();
-      // The moved-in node may need to travel either way.
-      sift_up(s);
-      sift_down(s);
+    Node last = std::move(heap_.back());
+    heap_.pop_back();
+    if (s == heap_.size()) return;  // the erased node was the last one
+    // The last node fills the hole and travels one way only: up when it
+    // orders before the hole's parent, otherwise down.
+    if (s > 0 && less(last, heap_[(s - 1) / kArity])) {
+      sift_up(s, std::move(last));
     } else {
-      heap_.pop_back();
+      sift_down(s, std::move(last));
     }
   }
 
-  void sift_up(std::size_t s) {
+  // Moves the hole at s up until n fits under its parent, then fills it.
+  void sift_up(std::size_t s, Node&& n) {
     while (s > 0) {
-      const std::size_t parent = (s - 1) / 2;
-      if (!less(heap_[s], heap_[parent])) break;
-      swap_slots(s, parent);
+      const std::size_t parent = (s - 1) / kArity;
+      if (!less(n, heap_[parent])) break;
+      place(s, std::move(heap_[parent]));
       s = parent;
     }
+    place(s, std::move(n));
   }
 
-  void sift_down(std::size_t s) {
-    const std::size_t n = heap_.size();
-    if (s >= n) return;
+  // Moves the hole at s down past every smaller child, then fills it.
+  void sift_down(std::size_t s, Node&& n) {
+    const std::size_t size = heap_.size();
     for (;;) {
-      const std::size_t l = 2 * s + 1;
-      const std::size_t r = 2 * s + 2;
-      std::size_t smallest = s;
-      if (l < n && less(heap_[l], heap_[smallest])) smallest = l;
-      if (r < n && less(heap_[r], heap_[smallest])) smallest = r;
-      if (smallest == s) break;
-      swap_slots(s, smallest);
-      s = smallest;
+      const std::size_t first = kArity * s + 1;
+      if (first >= size) break;
+      const std::size_t end = first + kArity < size ? first + kArity : size;
+      std::size_t best = first;
+      for (std::size_t c = first + 1; c < end; ++c) {
+        if (less(heap_[c], heap_[best])) best = c;
+      }
+      if (!less(heap_[best], n)) break;
+      place(s, std::move(heap_[best]));
+      s = best;
     }
-  }
-
-  void swap_slots(std::size_t a, std::size_t b) {
-    std::swap(heap_[a], heap_[b]);
-    slot_[heap_[a].id] = a;
-    slot_[heap_[b].id] = b;
+    place(s, std::move(n));
   }
 
   std::vector<Node> heap_;
-  std::vector<std::size_t> slot_;
+  std::vector<std::uint32_t> slot_;
 };
 
 }  // namespace hfsc

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
 
 namespace hfsc {
 
@@ -62,15 +63,43 @@ double SampleSet::quantile(double q) const {
   return samples_[std::min(idx, samples_.size() - 1)];
 }
 
+namespace {
+// Orders a stored window before window index i (std::lower_bound).
+constexpr auto kIndexBefore = [](const auto& w, std::size_t i) {
+  return w.index < i;
+};
+}  // namespace
+
 void WindowedThroughput::add(TimeNs t, Bytes len) {
   const std::size_t idx = static_cast<std::size_t>(t / window_);
-  if (idx >= bytes_.size()) bytes_.resize(idx + 1, 0);
-  bytes_[idx] += len;
+  // Departures arrive in time order, so this is nearly always an append
+  // or a bump of the last window; an earlier one is found by search.
+  if (windows_.empty() || windows_.back().index < idx) {
+    windows_.push_back({idx, len});
+    return;
+  }
+  const auto it =
+      std::lower_bound(windows_.begin(), windows_.end(), idx, kIndexBefore);
+  if (it->index == idx) {
+    it->bytes += len;
+  } else {
+    windows_.insert(it, {idx, len});
+  }
+}
+
+Bytes WindowedThroughput::bytes_in_window(std::size_t i) const {
+  if (i >= num_windows()) {
+    throw std::out_of_range("WindowedThroughput: no window " +
+                            std::to_string(i));
+  }
+  const auto it =
+      std::lower_bound(windows_.begin(), windows_.end(), i, kIndexBefore);
+  return it->index == i ? it->bytes : 0;
 }
 
 double WindowedThroughput::rate_bps(std::size_t i) const {
-  return static_cast<double>(bytes_.at(i)) * static_cast<double>(kNsPerSec) /
-         static_cast<double>(window_);
+  return static_cast<double>(bytes_in_window(i)) *
+         static_cast<double>(kNsPerSec) / static_cast<double>(window_);
 }
 
 double WindowedThroughput::rate_over(TimeNs t0, TimeNs t1) const {
@@ -78,14 +107,16 @@ double WindowedThroughput::rate_over(TimeNs t0, TimeNs t1) const {
   double total = 0.0;
   const std::size_t first = static_cast<std::size_t>(t0 / window_);
   const std::size_t last = static_cast<std::size_t>((t1 - 1) / window_);
-  for (std::size_t i = first; i <= last && i < bytes_.size(); ++i) {
-    const TimeNs w0 = static_cast<TimeNs>(i) * window_;
+  for (auto it = std::lower_bound(windows_.begin(), windows_.end(), first,
+                                  kIndexBefore);
+       it != windows_.end() && it->index <= last; ++it) {
+    const TimeNs w0 = static_cast<TimeNs>(it->index) * window_;
     const TimeNs w1 = w0 + window_;
     const TimeNs o0 = std::max(t0, w0);
     const TimeNs o1 = std::min(t1, w1);
     const double frac = static_cast<double>(o1 - o0) /
                         static_cast<double>(window_);
-    total += static_cast<double>(bytes_[i]) * frac;
+    total += static_cast<double>(it->bytes) * frac;
   }
   return total * static_cast<double>(kNsPerSec) /
          static_cast<double>(t1 - t0);

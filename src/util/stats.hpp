@@ -58,7 +58,9 @@ class SampleSet {
 };
 
 // Accumulates bytes into fixed-width wall-clock windows; yields a
-// throughput-versus-time series (the paper's link-sharing plots).
+// throughput-versus-time series (the paper's link-sharing plots).  Only
+// windows that received an add() are stored, so memory grows with the
+// packets recorded, not with simulated time over the window width.
 class WindowedThroughput {
  public:
   explicit WindowedThroughput(TimeNs window) : window_(window) {}
@@ -66,8 +68,13 @@ class WindowedThroughput {
   void add(TimeNs t, Bytes len);
 
   TimeNs window() const noexcept { return window_; }
-  std::size_t num_windows() const noexcept { return bytes_.size(); }
-  Bytes bytes_in_window(std::size_t i) const { return bytes_.at(i); }
+  // One past the last window that received an add(); windows before it
+  // that received none hold 0 bytes.
+  std::size_t num_windows() const noexcept {
+    return windows_.empty() ? 0 : windows_.back().index + 1;
+  }
+  // Throws std::out_of_range for i >= num_windows().
+  Bytes bytes_in_window(std::size_t i) const;
 
   // Average rate (bytes/s) over window i.
   double rate_bps(std::size_t i) const;
@@ -77,8 +84,12 @@ class WindowedThroughput {
   double rate_over(TimeNs t0, TimeNs t1) const;
 
  private:
+  struct Window {
+    std::size_t index;
+    Bytes bytes;
+  };
   TimeNs window_;
-  std::vector<Bytes> bytes_;
+  std::vector<Window> windows_;  // ascending index
 };
 
 // Fixed-format table printer for the experiment binaries: pads columns and

@@ -1,8 +1,11 @@
 // Unit + randomized model tests for util/indexed_heap.hpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "util/indexed_heap.hpp"
 #include "util/rng.hpp"
@@ -76,61 +79,118 @@ TEST(IndexedHeap, ClearResets) {
   EXPECT_EQ(h.top_id(), 1u);
 }
 
-// Randomized model test against std::map<id, key> + linear-scan min.
+TEST(IndexedHeap, DuplicateKeysPopInKeyThenIdOrder) {
+  // 2000 ids over 7 keys: long runs of equal keys on every level, so
+  // the id tie-break decides most comparisons.
+  IndexedHeap<int> h;
+  Rng rng(7);
+  std::set<std::pair<int, std::uint32_t>> want;
+  for (std::uint32_t id = 0; id < 2000; ++id) {
+    const std::uint32_t scrambled = (id * 1237u) % 2000u;
+    const int key = static_cast<int>(rng.uniform(0, 6));
+    h.push(scrambled, key);
+    want.insert({key, scrambled});
+  }
+  for (std::uint32_t id = 0; id < 2000; id += 3) {  // re-key a third
+    const int key = static_cast<int>(rng.uniform(0, 6));
+    want.erase({h.key_of(id), id});
+    h.update(id, key);
+    want.insert({key, id});
+  }
+  ASSERT_TRUE(h.well_formed());
+  for (const auto& [key, id] : want) {
+    ASSERT_EQ(h.top_key(), key);
+    ASSERT_EQ(h.pop(), id);
+  }
+  EXPECT_TRUE(h.empty());
+  EXPECT_TRUE(h.well_formed());
+}
+
+// Randomized model test against a (key, id)-ordered std::set.  The id
+// space is large enough that the heap grows past every 4-ary level
+// boundary up to 5461 nodes (sizes 1, 5, 21, 85, 341, 1365, 5461) and
+// back: the first third of the steps only pushes, updates and reads the
+// top, the rest mixes in removals until they dominate.  The structure is
+// checked after every step.
 class IndexedHeapModel : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(IndexedHeapModel, MatchesReferenceModel) {
   Rng rng(GetParam());
   IndexedHeap<std::uint64_t> h;
-  std::map<std::uint32_t, std::uint64_t> model;
-  constexpr std::uint32_t kIds = 64;
+  std::map<std::uint32_t, std::uint64_t> model;             // id -> key
+  std::set<std::pair<std::uint64_t, std::uint32_t>> order;  // (key, id)
+  constexpr std::uint32_t kIds = 8192;
+  constexpr int kSteps = 36000;
+  std::size_t largest = 0;
 
-  auto model_min = [&]() {
-    std::pair<std::uint64_t, std::uint32_t> best{~0ULL, ~0u};
-    for (const auto& [id, key] : model) {
-      best = std::min(best, {key, id});
+  const auto set_key = [&](std::uint32_t id, std::uint64_t k) {
+    if (const auto it = model.find(id); it != model.end()) {
+      order.erase({it->second, id});
     }
-    return best.second;
+    model[id] = k;
+    order.insert({k, id});
+  };
+  const auto remove = [&](std::uint32_t id) {
+    order.erase({model.at(id), id});
+    model.erase(id);
   };
 
-  for (int step = 0; step < 3000; ++step) {
+  for (int step = 0; step < kSteps; ++step) {
     const std::uint32_t id = static_cast<std::uint32_t>(rng.uniform(0, kIds - 1));
-    switch (rng.uniform(0, 3)) {
-      case 0:  // push or update
+    // Weights of push-or-update / erase / pop / verify per phase.
+    static constexpr int kWeights[3][4] = {
+        {19, 0, 0, 1}, {6, 5, 5, 4}, {2, 8, 8, 2}};
+    const int* w = kWeights[step * 3 / kSteps];
+    int roll = static_cast<int>(rng.uniform(0, 19));
+    int op = 0;
+    while (roll >= w[op]) roll -= w[op++];
+    switch (op) {
+      case 0: {  // push or update; a narrow key range makes ties common
+        const std::uint64_t k = rng.uniform(0, 1000);
         if (model.count(id)) {
-          const std::uint64_t k = rng.uniform(0, 1000);
           h.update(id, k);
-          model[id] = k;
         } else {
-          const std::uint64_t k = rng.uniform(0, 1000);
           h.push(id, k);
-          model[id] = k;
         }
+        set_key(id, k);
         break;
+      }
       case 1:  // erase
         if (model.count(id)) {
           h.erase(id);
-          model.erase(id);
+          remove(id);
         }
         break;
       case 2:  // pop
         if (!model.empty()) {
-          const std::uint32_t want = model_min();
-          const std::uint32_t got = h.pop();
-          ASSERT_EQ(got, want) << "step " << step;
-          model.erase(want);
+          const std::uint32_t want = order.begin()->second;
+          ASSERT_EQ(h.pop(), want) << "step " << step;
+          remove(want);
         }
         break;
       case 3:  // verify top
         if (!model.empty()) {
-          ASSERT_EQ(h.top_id(), model_min());
-          ASSERT_EQ(h.top_key(), model[model_min()]);
+          ASSERT_EQ(h.top_id(), order.begin()->second);
+          ASSERT_EQ(h.top_key(), order.begin()->first);
         }
         break;
     }
     ASSERT_EQ(h.size(), model.size());
     ASSERT_EQ(h.contains(id), model.count(id) != 0);
+    if (model.count(id)) {
+      ASSERT_EQ(h.key_of(id), model[id]);
+    }
+    ASSERT_TRUE(h.well_formed()) << "step " << step;
+    largest = std::max(largest, h.size());
   }
+  EXPECT_GT(largest, 5461u);
+  // Drain: the rest pops in (key, id) order.
+  for (const auto& [key, id] : order) {
+    ASSERT_EQ(h.top_key(), key);
+    ASSERT_EQ(h.pop(), id);
+  }
+  EXPECT_TRUE(h.empty());
+  EXPECT_TRUE(h.well_formed());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IndexedHeapModel,

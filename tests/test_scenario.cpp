@@ -200,6 +200,38 @@ TEST(ScenarioParse, ErrorsCarryLineNumbers) {
       "scenario line 4: source mean_on must be at least 1ns: 0s");
 }
 
+TEST(ScenarioParse, SourceWindowsAboveTheCapFailAtTheirLine) {
+  // A greedy source enqueues its whole window at its start time: a
+  // window of 2^32 packets used to run out of memory and escape the run
+  // as an untyped std::bad_alloc.
+  const std::string src = "link 10Mbps\nduration 1s\n"
+                          "class a root ls linear 1Mbps\n";
+  auto error_of = [](const std::string& text) -> std::string {
+    std::istringstream in(text);
+    try {
+      (void)Scenario::parse(in);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "parsed";
+  };
+  EXPECT_EQ(error_of(src + "source greedy a 1500 4294967296 0s 1s\n"),
+            "scenario line 4: greedy window exceeds 1048576 packets: "
+            "4294967296");
+  EXPECT_EQ(error_of(src + "source greedy a 1500 1048577 0s 1s\n"),
+            "scenario line 4: greedy window exceeds 1048576 packets: 1048577");
+  EXPECT_EQ(error_of(src + "at 5ms source greedy a 1500 4294967296\n"),
+            "scenario line 4: greedy window exceeds 1048576 packets: "
+            "4294967296");
+  EXPECT_EQ(error_of(src + "source tcpish a 1500 1048577 0s 1s\n"),
+            "scenario line 4: tcpish max window exceeds 1048576 packets: "
+            "1048577");
+  EXPECT_EQ(error_of(src + "source tcpish a 1500 0 0s 1s\n"),
+            "scenario line 4: tcpish max window must be > 0");
+  EXPECT_EQ(error_of(src + "source greedy a 1500 1048576 0s 1s\n"), "parsed");
+  EXPECT_EQ(error_of(src + "source tcpish a 1500 1048576 0s 1s\n"), "parsed");
+}
+
 TEST(ScenarioParse, RejectsZeroRateServiceCurves) {
   auto expect_error = [](const char* text, const char* needle) {
     std::istringstream in(text);

@@ -1,7 +1,7 @@
 // Mutation fuzz over the scenario language (sim/scenario.hpp): token
-// swaps, numeral substitutions (zero, sub-byte rates, zero times, 2^64,
-// nan, malformed decimals), bit flips and truncation, applied to the
-// seven shipped scenarios.
+// swaps, numeral substitutions (zero, sub-byte rates, zero and 1 ns
+// times, 2^32, 2^64, nan, malformed decimals), bit flips and truncation,
+// applied to the seven shipped scenarios.
 //
 // The contract under test: Scenario::parse either throws a
 // std::runtime_error whose message starts "<file>:<line>: ", or returns a
@@ -9,13 +9,20 @@
 // runs for 1 ms of simulated time without crashing.  A run may still
 // refuse the scenario with a one-line runtime_error (admission rejects a
 // class, a family cannot express a curve, timed class events under a
-// non-H-FSC family); no other exception type may escape.
+// non-H-FSC family); no other exception type may escape.  Each mutant
+// also runs within a wall-time and a peak-RSS budget, so a numeral the
+// run materializes (a greedy window, a throughput window per ns) fails
+// here as a named mutant instead of exhausting the host.
 // tools/ci_check.sh runs this under ASan/UBSan with assertions on, so a
 // source or scheduler constructor assert fires here too.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <fstream>
 #include <iterator>
 #include <optional>
@@ -69,6 +76,7 @@ std::string mutate(const std::string& text, Rng& rng) {
       "0",        "7bps",     "0bps",  "0s",
       "0ns",      "0.1ns",    "nan",   "inf",
       "-1",       "1..5s",    "1..5Mbps",
+      "1ns",      "4294967296",
       "18446744073709551616", "18446744073709551616Gbps",
       "18446744073709551616s",
   };
@@ -118,8 +126,8 @@ bool placed(const std::string& what, const std::string& name) {
 // Parses `text`; on success analyzes it and runs it for 1 ms under
 // `kind` (nullopt = the scenario's own family).  Returns whether it
 // parsed.
-bool check(const std::string& text, const std::string& name,
-           std::optional<SchedulerKind> kind) {
+bool parse_analyze_run(const std::string& text, const std::string& name,
+                       std::optional<SchedulerKind> kind) {
   Scenario sc;
   try {
     std::istringstream in(text);
@@ -149,6 +157,50 @@ bool check(const std::string& text, const std::string& name,
   return true;
 }
 
+// Per-mutant budgets.  Mutants take well under a millisecond each and
+// the whole process peaks near 14 MB in a release build; ASan multiplies
+// both but stays far inside these.  The RSS budget bounds how far the
+// process's high-water mark rises above the resident set the mutant
+// started from, so it charges each mutant for its own peak.  (The mark
+// itself is no budget: under ASan it creeps past 512 MB over the whole
+// suite as freed blocks sit in quarantine.)
+constexpr auto kWallBudget = std::chrono::seconds(5);
+constexpr long kRssGrowthBudgetKib = 256L << 10;  // 256 MiB
+
+long peak_rss_kib() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_maxrss;  // KiB on Linux
+}
+
+// Current resident set in KiB, or -1 when /proc/self/statm is missing.
+long rss_kib() {
+  std::ifstream statm("/proc/self/statm");
+  long size = 0;
+  long resident = 0;
+  if (!(statm >> size >> resident)) return -1;
+  return resident * (sysconf(_SC_PAGESIZE) / 1024);
+}
+
+// parse_analyze_run within the budgets.
+bool check(const std::string& text, const std::string& name,
+           std::optional<SchedulerKind> kind) {
+  const long rss0 = rss_kib();
+  const auto t0 = std::chrono::steady_clock::now();
+  const bool parsed = parse_analyze_run(text, name, kind);
+  const auto took = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(took, kWallBudget)
+      << "mutant took "
+      << std::chrono::duration_cast<std::chrono::milliseconds>(took).count()
+      << " ms";
+  if (rss0 >= 0) {
+    EXPECT_LT(peak_rss_kib() - rss0, kRssGrowthBudgetKib)
+        << "peak RSS rose this far (KiB) above the mutant's starting "
+           "resident set";
+  }
+  return parsed;
+}
+
 TEST(ScenarioFuzz, ShippedScenariosParseAnalyzeAndRun) {
   for (const Seed& s : seeds()) {
     SCOPED_TRACE(s.name);
@@ -158,12 +210,13 @@ TEST(ScenarioFuzz, ShippedScenariosParseAnalyzeAndRun) {
 
 TEST(ScenarioFuzz, EveryNumeralAtTheExtremes) {
   // Random mutants rarely hit one given field with one given value, so
-  // every numeral of every seed also takes each zero-ish value in turn.
+  // every numeral of every seed also takes each zero-ish value, and the
+  // smallest time and a 2^32 count, in turn.
   for (const Seed& s : seeds()) {
     SCOPED_TRACE(s.name);
     for (const auto& [at, len] : tokens(s.text)) {
       if (!std::isdigit(static_cast<unsigned char>(s.text[at]))) continue;
-      for (const char* v : {"0", "7bps", "0s", "0.1ns"}) {
+      for (const char* v : {"0", "7bps", "0s", "0.1ns", "1ns", "4294967296"}) {
         std::string m = s.text;
         m.replace(at, len, v);
         check(m, s.name, std::nullopt);

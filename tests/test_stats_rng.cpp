@@ -1,7 +1,11 @@
 // Tests for util/rng.hpp and util/stats.hpp.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <fstream>
+#include <stdexcept>
 
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -111,6 +115,50 @@ TEST(WindowedThroughput, RateOverInterval) {
   EXPECT_NEAR(w.rate_over(msec(100), msec(200)), 30000.0, 1e-6);
   // Interval past the data.
   EXPECT_NEAR(w.rate_over(msec(300), msec(400)), 0.0, 1e-9);
+}
+
+TEST(WindowedThroughput, WindowsWithoutBytesReadZero) {
+  WindowedThroughput w(msec(100));
+  EXPECT_EQ(w.num_windows(), 0u);
+  EXPECT_THROW((void)w.bytes_in_window(0), std::out_of_range);
+  w.add(msec(50), 1000);   // window 0
+  w.add(msec(450), 3000);  // window 4
+  w.add(msec(250), 500);   // window 2, out of time order
+  w.add(msec(260), 100);
+  EXPECT_EQ(w.num_windows(), 5u);
+  EXPECT_EQ(w.bytes_in_window(0), 1000u);
+  EXPECT_EQ(w.bytes_in_window(1), 0u);
+  EXPECT_EQ(w.bytes_in_window(2), 600u);
+  EXPECT_EQ(w.bytes_in_window(3), 0u);
+  EXPECT_EQ(w.bytes_in_window(4), 3000u);
+  EXPECT_THROW((void)w.bytes_in_window(5), std::out_of_range);
+  EXPECT_DOUBLE_EQ(w.rate_bps(1), 0.0);
+  // Half of window 0, all of 1..3, half of 4 over 400 ms.
+  EXPECT_NEAR(w.rate_over(msec(50), msec(450)), 2600.0 / 0.4, 1e-6);
+}
+
+// Resident set size of this process in bytes, or -1 when unknown.
+long resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  long size = 0;
+  long resident = 0;
+  if (!(statm >> size >> resident)) return -1;
+  return resident * sysconf(_SC_PAGESIZE);
+}
+
+TEST(WindowedThroughput, MemoryGrowsWithPacketsNotSimulatedTime) {
+  // A 1 ns window over 20 ms of departures: one stored slot per window
+  // from time 0 would be 20M slots (160 MB); 20k packets need 20k.
+  const long before = resident_bytes();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/statm";
+  WindowedThroughput w(1);
+  for (TimeNs t = 0; t < msec(20); t += usec(1)) w.add(t, 1500);
+  const long grown = resident_bytes() - before;
+  EXPECT_EQ(w.num_windows(), static_cast<std::size_t>(msec(20) - usec(1) + 1));
+  EXPECT_EQ(w.bytes_in_window(usec(1)), 1500u);
+  EXPECT_EQ(w.bytes_in_window(usec(1) + 1), 0u);
+  EXPECT_NEAR(w.rate_over(0, msec(20)), 1500.0 * 20000 / 0.02, 1e-3);
+  EXPECT_LT(grown, 16L << 20) << "resident set grew by " << grown << " bytes";
 }
 
 TEST(TablePrinter, AlignsColumns) {
