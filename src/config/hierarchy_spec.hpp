@@ -107,12 +107,6 @@ struct HierarchySpec {
     // Both zero = no envelope declared.
     Bytes env_burst = 0;
     RateBps env_rate = 0;
-    // Explicit shard pin for the sharded runtime (scenario `shard`
-    // class attribute).  Only legal on a top-level class — the
-    // top-level subtree is the partition unit — and must be < the
-    // runtime's shard count; -1 = assign by name hash.  Ignored by
-    // every single-instance compiler.
-    int shard = -1;
 
     static bool is_top_level(const std::string& parent) {
       return parent.empty() || parent == "root";

@@ -15,6 +15,14 @@ namespace hfsc {
 
 namespace {
 
+// "seed=0x<hex>" — appended to every failure and summary line (the
+// reproduction handle).
+std::string chaos_seed_tag(std::uint64_t seed) {
+  std::ostringstream os;
+  os << "seed=0x" << std::hex << seed;
+  return os.str();
+}
+
 // Every failure carries the run's seed so a red line is reproducible
 // verbatim (rep.seed is set before any episode runs).
 void fail(ChaosReport& rep, const std::string& what) {
@@ -614,12 +622,6 @@ void run_episode(const ChaosConfig& cfg, int ep, ChaosReport& rep) {
 
 }  // namespace
 
-std::string chaos_seed_tag(std::uint64_t seed) {
-  std::ostringstream os;
-  os << "seed=0x" << std::hex << seed;
-  return os.str();
-}
-
 std::string ChaosReport::to_string() const {
   std::ostringstream os;
   if (episodes > 0 || crashes > 0) {
@@ -634,14 +636,6 @@ std::string ChaosReport::to_string() const {
        << push_outs << " push-outs, rt delay bound " << rt_delay_bound
        << " ns (governed max " << rt_delay_max_governed << ", twin max "
        << rt_delay_max_twin << ")\n";
-  }
-  if (shard_episodes > 0) {
-    os << "sharded: " << shard_episodes << " episodes, " << shard_faults
-       << " faults injected, " << shard_restarts << " supervisor restarts, "
-       << shard_spilled << " spilled, " << shard_crash_lost
-       << " crash-lost (" << chaos_seed_tag(seed) << ")\n";
-    os << "sharded rt: delay bound " << shard_rt_delay_bound
-       << " ns, healthy-shard max " << shard_rt_delay_max << " ns\n";
   }
   if (failures.empty()) {
     os << "result: OK (" << chaos_seed_tag(seed) << ")";

@@ -51,12 +51,6 @@ struct ChaosConfig {
   // Soak: keep running episodes until the wall-clock budget is spent.
   bool soak = false;
   int soak_seconds = 60;
-  // run_sharded_chaos(): shard count and number of real-threaded
-  // fault episodes (each injects one thread-level fault — stall+ring
-  // overflow, worker kill, host persistence-boundary crash, or a
-  // supervisor outage spanning a crash — into a ShardedRuntime).
-  int shards = 4;
-  int shard_episodes = 8;
 };
 
 struct ChaosReport {
@@ -78,14 +72,6 @@ struct ChaosReport {
   TimeNs rt_delay_bound = 0;  // analyzer bound for the rt leaf
   TimeNs rt_delay_max_governed = 0;
   TimeNs rt_delay_max_twin = 0;
-  // Sharded runtime episodes (run_sharded_chaos).
-  int shard_episodes = 0;
-  int shard_faults = 0;          // thread-level faults injected
-  std::uint64_t shard_restarts = 0;  // supervisor restarts observed
-  std::uint64_t shard_spilled = 0;   // ring entries drained to spill
-  std::uint64_t shard_crash_lost = 0;
-  TimeNs shard_rt_delay_bound = 0;
-  TimeNs shard_rt_delay_max = 0;  // healthy (never-restarted) shards
   // Every violated expectation, human-readable; empty means the run is
   // fully green.
   std::vector<std::string> failures;
@@ -94,26 +80,6 @@ struct ChaosReport {
   std::string to_string() const;
 };
 
-// "seed=0x<hex>" — appended to every failure and summary line (the
-// reproduction handle; both harness translation units share it).
-std::string chaos_seed_tag(std::uint64_t seed);
-
 ChaosReport run_chaos(const ChaosConfig& cfg);
-
-// Real-threaded chaos against the supervised sharded runtime
-// (runtime/supervisor.hpp): every episode partitions a per-shard
-// rt+bulk hierarchy across cfg.shards shards, drives conformant rt
-// traffic plus bulk storms through the MPSC rings from a producer
-// thread, and injects one thread-level fault — a stall with a ring
-// overflow flood, a worker kill at an arbitrary loop point, a host
-// persistence-boundary crash (journal append, torn append, checkpoint
-// boundaries), or a worker kill during a supervisor outage.  After the
-// supervisor heals the shard the episode asserts: the cross-shard
-// conservation identity (presented == sent + dropped + rejected +
-// backlog + spilled) exactly at quiesce, double-recovery digest
-// equality on every restart, an auditor-clean final state, full
-// backlog drain, and healthy shards' measured rt delays within the
-// analytic Theorem 2 bound.
-ChaosReport run_sharded_chaos(const ChaosConfig& cfg);
 
 }  // namespace hfsc

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -176,11 +175,10 @@ ServiceCurve parse_spec(std::istringstream& ls, const std::string& fname,
 }
 
 // Body of a `class` directive after <name> <parent>: rt/ls/ul/qlimit
-// [/shard] attributes.  Shared between static classes and timed
-// (`at ... class`) creations, which cannot carry a shard pin.
+// attributes.  Shared between static classes and timed (`at ... class`)
+// creations.
 void parse_class_attrs(std::istringstream& ls, ScenarioClass* c,
-                       bool allow_shard, const std::string& fname,
-                       std::size_t line) {
+                       const std::string& fname, std::size_t line) {
   std::string key;
   while (ls >> key) {
     if (key == "rt") {
@@ -193,21 +191,6 @@ void parse_class_attrs(std::istringstream& ls, ScenarioClass* c,
       std::string n;
       if (!(ls >> n)) fail_at(fname, line, "qlimit needs a count");
       c->qlimit = static_cast<std::size_t>(parse_bytes(n));
-    } else if (key == "shard") {
-      std::string n;
-      if (!(ls >> n)) fail_at(fname, line, "shard needs an index");
-      if (!allow_shard) {
-        fail_at(fname, line, "shard pins are not allowed on timed classes");
-      }
-      if (c->parent != "root") {
-        fail_at(fname, line,
-                "shard pins are only allowed on top-level classes");
-      }
-      const Bytes shard = parse_bytes(n);
-      if (shard > static_cast<Bytes>(std::numeric_limits<int>::max())) {
-        fail_at(fname, line, "shard index out of range: " + n);
-      }
-      c->shard = static_cast<int>(shard);
     } else {
       fail_at(fname, line, "unknown class attribute: " + key);
     }
@@ -450,7 +433,7 @@ Scenario Scenario::parse(std::istream& in, const std::string& name) {
       if (c.parent != "root" && find_static(cur_node, c.parent) == nullptr) {
         fail_at(name, line, "unknown parent class " + c.parent);
       }
-      parse_class_attrs(ls, &c, /*allow_shard=*/true, name, line);
+      parse_class_attrs(ls, &c, name, line);
       c.line = line;
       ever[cur_node].insert(c.name);
       sc.classes.push_back(std::move(c));
@@ -540,7 +523,7 @@ Scenario Scenario::parse(std::istream& in, const std::string& name) {
           fail_at(name, line, "unknown parent class " + e.cls.parent);
         }
         e.cls.node = cur_node;
-        parse_class_attrs(ls, &e.cls, /*allow_shard=*/false, name, line);
+        parse_class_attrs(ls, &e.cls, name, line);
         e.cls.line = line;
         ever[cur_node].insert(e.cls.name);
       } else if (what == "delete") {
@@ -741,7 +724,6 @@ HierarchySpec spec_from(const std::vector<ScenarioClass>& classes,
     cs.qlimit = c.qlimit;
     cs.env_burst = c.env_burst;
     cs.env_rate = c.env_rate;
-    cs.shard = c.shard;
     spec.add(std::move(cs));
   }
   return spec;

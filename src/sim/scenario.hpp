@@ -41,9 +41,7 @@
 //     route <class> <node> <node> [...]    (multi-hop path; the class must
 //                                           be declared on every hop)
 //     class <name> <parent|root> [rt <spec>] [ls <spec>] [ul <spec>]
-//                                [qlimit <packets>] [shard <index>]
-//       (shard pins the class's subtree to one shard of the sharded
-//        runtime; top-level classes only, default = name hash)
+//                                [qlimit <packets>]
 //       <spec> := linear <rate>
 //               | curve <m1 rate> <d time> <m2 rate>
 //               | udr <u bytes> <d time> <r rate>     (Fig. 7 mapping)
@@ -118,9 +116,6 @@ struct ScenarioClass {
   // burst == 0 means none was declared.
   Bytes env_burst = 0;
   RateBps env_rate = 0;
-  // Explicit shard pin (`shard` attribute, top-level classes only);
-  // -1 = assign by name hash in the sharded runtime.
-  int shard = -1;
   // 1-based source lines of the declaring directives (0 when the
   // scenario was built programmatically) — diagnostic provenance for the
   // static analyzer.

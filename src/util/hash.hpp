@@ -1,6 +1,6 @@
-// FNV-1a 64-bit: the one byte hash behind the journal's record checksums,
-// state_digest and the sharded runtime's class-to-shard placement.  Every
-// stored or pinned digest depends on these exact constants.
+// FNV-1a 64-bit: the one byte hash behind the journal's record checksums
+// and state_digest.  Every stored or pinned digest depends on these exact
+// constants.
 #pragma once
 
 #include <cstdint>

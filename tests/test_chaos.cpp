@@ -46,24 +46,6 @@ TEST(Chaos, SecondSeedIsAlsoClean) {
   EXPECT_EQ(rep.crashes, rep.recoveries);
 }
 
-TEST(ChaosSharded, ThreadFaultEpisodesRecoverClean) {
-  // The sharded harness (sim/chaos_sharded.cpp) runs REAL worker
-  // threads under the Supervisor: stall + ring-overflow flood, worker
-  // kills mid-loop, persistence-boundary crashes reached from the
-  // worker thread, and a death during a supervisor outage.  Eight
-  // episodes cycle through every fault kind twice.
-  ChaosConfig cfg;
-  cfg.shards = 2;
-  cfg.shard_episodes = 8;
-  const ChaosReport rep = run_sharded_chaos(cfg);
-  for (const std::string& f : rep.failures) ADD_FAILURE() << f;
-  EXPECT_TRUE(rep.ok());
-  EXPECT_EQ(rep.shard_episodes, 8);
-  EXPECT_GE(rep.shard_restarts, 8u);  // every episode must heal
-  EXPECT_GT(rep.shard_rt_delay_bound, 0);
-  EXPECT_LE(rep.shard_rt_delay_max, rep.shard_rt_delay_bound);
-}
-
 TEST(ChaosSoak, WallClockBudget) {
   const char* env = std::getenv("HFSC_SOAK");
   if (env == nullptr || std::string(env) != "1") {

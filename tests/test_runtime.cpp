@@ -1,11 +1,13 @@
 // Unit tests for the resilience runtime (src/runtime/): the write-ahead
 // journal's parse/torn-tail/compaction behavior, the overload governor's
-// ladder and durable-state round trip, and RuntimeHost crash recovery at
-// every persistence boundary.  The chaos harness (tests/test_chaos.cpp)
+// ladder and durable-state round trip, RuntimeHost crash recovery at
+// every persistence boundary, and the journal's fsync boundary
+// (SyncPolicy, durable_image).  The chaos harness (tests/test_chaos.cpp)
 // composes these under randomized adversity; here each property is
 // pinned deterministically.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <utility>
@@ -476,6 +478,106 @@ TEST(RuntimeHost, MalformedGovernorBlobInJournalIsBadJournal) {
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), Errc::kBadJournal) << e.what();
   }
+}
+
+// --- Journal fsync boundary (SyncPolicy) ---------------------------------
+
+TEST(JournalSync, TearStopsAtDurableWatermark) {
+  Journal j;
+  j.append("alpha");
+  j.sync();  // the fsync for "alpha" returned
+  j.append("beta");
+  const std::size_t synced = j.synced_bytes();
+  ASSERT_LT(synced, j.image().size());
+
+  // A torn write can only damage the unsynced suffix: tearing "more
+  // than everything" still leaves the durable prefix byte-identical.
+  j.tear_tail(1u << 20);
+  EXPECT_EQ(j.image().size(), synced);
+  EXPECT_EQ(j.num_records(), 1u);
+
+  const Journal back = Journal::parse(j.image());
+  EXPECT_EQ(back.num_records(), 1u);
+  EXPECT_EQ(back.truncated_bytes(), 0u);
+  ASSERT_EQ(back.records_after(0).size(), 1u);
+  EXPECT_EQ(back.records_after(0)[0].payload, "alpha");
+}
+
+TEST(JournalSync, FullySyncedJournalCannotBeTorn) {
+  Journal j;
+  j.append("alpha");
+  j.append("beta");
+  j.sync();
+  const std::string before = j.image();
+  j.tear_tail(1u << 20);
+  EXPECT_EQ(j.image(), before);
+  EXPECT_EQ(j.num_records(), 2u);
+}
+
+TEST(JournalSync, DurableImageIsTheSyncedPrefix) {
+  Journal j;
+  EXPECT_EQ(j.durable_image().size(), j.image().size());  // header synced
+  j.append("alpha");
+  EXPECT_LT(j.durable_image().size(), j.image().size());
+  const Journal crash = Journal::parse(std::string(j.durable_image()));
+  EXPECT_EQ(crash.num_records(), 0u);  // unsynced append gone
+  j.sync();
+  EXPECT_EQ(j.durable_image().size(), j.image().size());
+  const Journal after = Journal::parse(std::string(j.durable_image()));
+  EXPECT_EQ(after.num_records(), 1u);
+}
+
+RuntimeOptions small_host_options(SyncPolicy sync) {
+  RuntimeOptions o;
+  o.link_rate = mbps(10);
+  o.sync_policy = sync;
+  return o;
+}
+
+ClassConfig ls_class(RateBps rate) {
+  ClassConfig cfg;
+  cfg.ls = ServiceCurve::linear(rate);
+  return cfg;
+}
+
+TEST(JournalSync, PolicyNoneLosesEverythingSinceTheCheckpoint) {
+  RuntimeOptions opts = small_host_options(SyncPolicy::kNone);
+  RuntimeHost h(opts);
+  const ClassId a = h.add_class(kRootClass, ls_class(mbps(4)));
+  h.save_checkpoint();  // checkpointing always syncs (see journal.hpp)
+  const std::uint64_t at_checkpoint = h.digest();
+
+  h.add_class(a, ls_class(mbps(2)));  // journaled but never synced
+  ASSERT_NE(h.digest(), at_checkpoint);
+  ASSERT_LT(h.durable_journal_image().size(), h.journal_image().size());
+
+  // Honest crash: only the durable prefix survives — the post-
+  // checkpoint mutation is gone, by design of kNone.
+  RuntimeHost crashed = RuntimeHost::recover(opts, h.checkpoint_image(),
+                                             h.durable_journal_image());
+  EXPECT_EQ(crashed.digest(), at_checkpoint);
+
+  // Lucky crash (the OS happened to write the tail): full state back.
+  RuntimeHost lucky = RuntimeHost::recover(opts, h.checkpoint_image(),
+                                           h.journal_image());
+  EXPECT_EQ(lucky.digest(), h.digest());
+}
+
+TEST(JournalSync, PolicyOnCommitKeepsEveryCompletedAppend) {
+  RuntimeOptions opts = small_host_options(SyncPolicy::kOnCommit);
+  RuntimeHost h(opts);
+  const ClassId a = h.add_class(kRootClass, ls_class(mbps(4)));
+  h.save_checkpoint();
+  h.add_class(a, ls_class(mbps(2)));
+  h.add_class(a, ls_class(mbps(1)));
+
+  // Every completed append is behind the fsync: the durable image IS
+  // the image, and recovery from it reproduces the live scheduler.
+  EXPECT_EQ(h.durable_journal_image(), h.journal_image());
+  RuntimeHost crashed = RuntimeHost::recover(opts, h.checkpoint_image(),
+                                             h.durable_journal_image());
+  EXPECT_EQ(crashed.digest(), h.digest());
+  EXPECT_TRUE(crashed.audit_runtime().ok());
 }
 
 }  // namespace

@@ -149,14 +149,11 @@ TEST(ScenarioParse, ErrorsCarryLineNumbers) {
                "scenario line 2: bad time: 1..5s");
   expect_error("link 10Mbps\nduration 1s\nclass a root ls linear 1.2.3Mbps\n",
                "scenario line 3: bad rate: 1.2.3Mbps");
-  // A shard index past INT_MAX would wrap to -1 (unpinned) or to a
-  // small shard instead of failing.
+  // `shard` is not a class attribute: it fails at its line like any
+  // other unknown one.
   expect_error("link 10Mbps\nduration 1s\n"
-               "class a root ls linear 1Mbps shard 4294967295\n",
-               "scenario line 3: shard index out of range: 4294967295");
-  expect_error("link 10Mbps\nduration 1s\n"
-               "class a root ls linear 1Mbps shard 4294967296\n",
-               "scenario line 3: shard index out of range: 4294967296");
+               "class a root ls linear 1Mbps shard 1\n",
+               "scenario line 3: unknown class attribute: shard");
   // Rates floor to whole bytes/s, so anything under 8 b/s is zero.  A
   // zero link or node rate used to surface later as an unplaced
   // "missing link" or an analyzer/simulator argument error; a zero source

@@ -168,7 +168,7 @@ TEST(ScenarioMultiNode, ParserRejectsBadTimedEventsAndSources) {
   expect_parse_error("link 10Mbps\nduration 1s\n"
                      "class x root ls linear 1Mbps\n"
                      "at 0.5s class y root ls linear 1Mbps shard 2\n",
-                     "shard pins are not allowed on timed classes");
+                     "scenario line 4: unknown class attribute: shard");
   expect_parse_error("link 10Mbps\nduration 1s\n"
                      "class x root ls linear 1Mbps\n"
                      "source pareto x 1Mbps 1000 10ms 10ms 0.9 0s 1s 7\n",

@@ -10,7 +10,6 @@
 #   $ tools/ci_check.sh            # all stages
 #   $ tools/ci_check.sh release    # just the Release config
 #   $ tools/ci_check.sh sanitize   # just the ASan+UBSan config
-#   $ tools/ci_check.sh tsan      # just the ThreadSanitizer config
 #   $ tools/ci_check.sh tidy      # just the clang-tidy stage
 #
 # The sanitizer config builds RelWithDebInfo with its flags overridden to
@@ -24,24 +23,18 @@
 # long soak (ctest label "soak") is opt-in:
 #   $ HFSC_SOAK=1 tools/ci_check.sh sanitize     # adds the 60 s soak
 #
-# The ThreadSanitizer config (-DHFSC_SANITIZE=thread) covers the
-# threaded supervised sharded runtime (runtime/shard.hpp,
-# runtime/supervisor.hpp): it builds everything but runs only the
-# thread-bearing labels — "runtime" (MPSC-ring stress, shard
-# restart-under-load) and "chaos" (which includes the sharded
-# thread-fault episodes) — under a raised timeout, since TSan slows
-# the real-thread suites by an order of magnitude.
-#
 # The randomized long-running suites carry the ctest label "fuzz"
 # (tests/CMakeLists.txt) — fault injection, transaction atomicity,
 # RuntimeHost batched-versus-single drain equivalence, agreement of the three
 # Section V eligible-set structures, the min-plus curve-operator fuzz
 # (test_curve_minplus_fuzz), the analyzer-vs-simulator topology fuzz
 # (test_analysis_topology_fuzz: measured delay/backlog never exceed the
-# analytic route bounds) and the scenario-parser mutation fuzz
+# analytic route bounds), the scenario-parser mutation fuzz
 # (test_scenario_fuzz: a mutated shipped scenario fails at its file:line
-# or analyzes and runs).  They run in every configuration; exclude them
-# for a quick local gate with
+# or analyzes and runs) and the journal framing fuzz (test_journal_fuzz:
+# a mutated journal is kBadJournal or recovers to a cut of the
+# original).  They run in every configuration; exclude them for a quick
+# local gate with
 #   $ CTEST_ARGS="-LE fuzz" tools/ci_check.sh release
 #
 # The Release config additionally runs the scenario-engine smoke (ctest
@@ -139,29 +132,14 @@ case "${what}" in
         -L soak --timeout 300
     fi
     ;;&
-  tsan|all)
-    tsan_dir="${repo}/build-ci-tsan"
-    echo "=== TSan: configure ==="
-    cmake -B "${tsan_dir}" -S "${repo}" \
-      -DCMAKE_BUILD_TYPE=RelWithDebInfo -DHFSC_WERROR=ON \
-      -DHFSC_SANITIZE=thread
-    echo "=== TSan: build ==="
-    cmake --build "${tsan_dir}" -j "${jobs}"
-    echo "=== TSan: runtime (sharded) + chaos gates ==="
-    # Only the thread-bearing labels: TSan has nothing new to say about
-    # the single-threaded suites, and it slows execution ~10x, hence
-    # the raised per-test timeout.
-    ctest --test-dir "${tsan_dir}" --output-on-failure \
-      -L 'runtime|chaos' --timeout 600 --stop-on-failure
-    ;;&
   tidy|all)
     run_tidy
     ;;&
-  release|sanitize|tsan|tidy|all)
+  release|sanitize|tidy|all)
     echo "=== ci_check: OK (${what}) ==="
     ;;
   *)
-    echo "usage: $0 [release|sanitize|tsan|tidy|all]" >&2
+    echo "usage: $0 [release|sanitize|tidy|all]" >&2
     exit 2
     ;;
 esac

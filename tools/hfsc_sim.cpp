@@ -42,7 +42,6 @@
 #include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <fstream>
@@ -70,11 +69,7 @@ int usage(const char* argv0) {
                "       %s --analyze <scenario-file>\n"
                "       %s --restore=FILE [--scheduler=KIND]\n"
                "       %s --chaos[=EPISODES] [--seed=N] [--soak[=SECONDS]]\n"
-               "                 [--shards=N [--shard-episodes=N]]\n"
-               "KIND: hfsc | hpfq | cbq | drr | sced | vclock | fifo\n"
-               "--shards adds real-threaded chaos against the supervised\n"
-               "sharded runtime (stalls, kills, ring overflow, supervisor\n"
-               "outage) on top of the single-instance episodes.\n",
+               "KIND: hfsc | hpfq | cbq | drr | sced | vclock | fifo\n",
                argv0, argv0, argv0, argv0, argv0);
   return 2;
 }
@@ -145,7 +140,6 @@ int main(int argc, char** argv) {
   bool analyze = false;
   bool json = false;
   bool chaos = false;
-  bool sharded = false;
   hfsc::ChaosConfig chaos_cfg;
   std::string checkpoint_path;
   std::string restore_path;
@@ -174,23 +168,9 @@ int main(int argc, char** argv) {
       chaos = true;
       chaos_cfg.episodes = static_cast<int>(*n);
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      char* end = nullptr;
-      const unsigned long long n = std::strtoull(arg + 7, &end, 0);
-      if (end == nullptr || *end != '\0') {
-        std::fprintf(stderr, "error: --seed needs an integer\n");
-        return 2;
-      }
-      chaos_cfg.seed = static_cast<std::uint64_t>(n);
-    } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-      const auto n = parse_count(arg, 64, "an integer in [1, 64]");
+      const auto n = parse_seed(arg);
       if (!n) return 2;
-      sharded = true;
-      chaos_cfg.shards = static_cast<int>(*n);
-    } else if (std::strncmp(arg, "--shard-episodes=", 17) == 0) {
-      const auto n = parse_count(arg, INT_MAX);
-      if (!n) return 2;
-      sharded = true;
-      chaos_cfg.shard_episodes = static_cast<int>(*n);
+      chaos_cfg.seed = *n;
     } else if (std::strcmp(arg, "--soak") == 0) {
       chaos_cfg.soak = true;
     } else if (std::strncmp(arg, "--soak=", 7) == 0) {
@@ -222,24 +202,15 @@ int main(int argc, char** argv) {
   }
 
   try {
-    if (chaos || sharded || chaos_cfg.soak) {
+    if (chaos || chaos_cfg.soak) {
       if (path != nullptr || admission || analyze || json ||
           audit_every != 0 || !checkpoint_path.empty() ||
           !restore_path.empty() || scheduler || !compare.empty()) {
         return usage(argv[0]);
       }
-      bool ok = true;
-      if (chaos || chaos_cfg.soak) {
-        const hfsc::ChaosReport report = hfsc::run_chaos(chaos_cfg);
-        std::printf("%s\n", report.to_string().c_str());
-        ok = ok && report.ok();
-      }
-      if (sharded) {
-        const hfsc::ChaosReport report = hfsc::run_sharded_chaos(chaos_cfg);
-        std::printf("%s\n", report.to_string().c_str());
-        ok = ok && report.ok();
-      }
-      return ok ? 0 : 1;
+      const hfsc::ChaosReport report = hfsc::run_chaos(chaos_cfg);
+      std::printf("%s\n", report.to_string().c_str());
+      return report.ok() ? 0 : 1;
     }
     if (!restore_path.empty()) {
       if (path != nullptr || admission || json || audit_every != 0 ||
