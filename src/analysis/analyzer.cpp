@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <set>
 #include <sstream>
+#include <unordered_map>
 
 #include "curve/piecewise.hpp"
 #include "sim/scenario.hpp"
@@ -42,71 +42,90 @@ namespace {
 
 using ClassSpec = HierarchySpec::ClassSpec;
 
-// Everything the checks need, precomputed once: indices, adjacency,
-// provenance, source-derived packet sizes.
+void push_diag(AnalysisReport& report, Severity sev, std::string id,
+               std::string cls, std::string message, SourceLoc loc) {
+  Diagnostic d;
+  d.severity = sev;
+  d.id = std::move(id);
+  d.cls = std::move(cls);
+  d.message = std::move(message);
+  d.loc = std::move(loc);
+  report.diagnostics.push_back(std::move(d));
+}
+
+// The guarantee class i can count on: its rt curve capped by every upper
+// limit on its root path (exact pointwise min).
+PiecewiseLinear effective_rt(const HierarchySpec& spec, std::size_t i) {
+  const HierarchySpec::Index& idx = spec.index();
+  PiecewiseLinear eff = PiecewiseLinear::from_service_curve(spec.classes[i].rt);
+  for (std::size_t cur = i; cur != HierarchySpec::Index::npos;
+       cur = idx.parent[cur]) {
+    const ServiceCurve& ul = spec.classes[cur].ul;
+    if (!ul.is_zero()) eff = eff.min(PiecewiseLinear::from_service_curve(ul));
+  }
+  return eff;
+}
+
+// A scenario node as the per-node checks see it: its hierarchy, the
+// scenario class each spec class came from, and the packet sizes of
+// every source whose packets cross the node (its own sources plus the
+// routed flows forwarded in from upstream hops).
+struct NodeView {
+  HierarchySpec spec;
+  std::vector<const ScenarioClass*> origin;  // parallel to spec.classes
+  Bytes max_pkt = 0;                         // Theorem 2 transmission term
+  // Largest packet per class; its keys are the classes a source feeds.
+  std::unordered_map<std::string, Bytes> class_max_pkt;
+};
+
+// Everything the checks of one hierarchy read.
 struct Ctx {
   const HierarchySpec& spec;
+  const HierarchySpec::Index& idx;
   RateBps link_rate;
-  const Scenario* scenario;  // null for bare-spec analysis
-  AnalysisOptions opts;
-
-  std::map<std::string, std::size_t> index;          // name -> classes[i]
-  std::map<std::string, std::vector<std::size_t>> children;  // "" = root
-  std::vector<bool> leaf;
-  Bytes global_max_pkt = 0;                // Theorem 2 transmission term
-  std::map<std::string, Bytes> class_max_pkt;        // per-leaf, from sources
-  std::set<std::string> fed;               // classes at least one source feeds
-
+  const NodeView* view;  // null for bare-spec analysis
+  const AnalysisOptions& opts;
   AnalysisReport* report;
 
   void diag(Severity sev, std::string id, const std::string& cls,
             std::string message) {
-    Diagnostic d;
-    d.severity = sev;
-    d.id = std::move(id);
-    d.cls = cls;
-    d.message = std::move(message);
-    d.loc = loc_of(cls);
-    report->diagnostics.push_back(std::move(d));
+    push_diag(*report, sev, std::move(id), cls, std::move(message),
+              loc_of(cls));
   }
 
+  // Where `cls` was declared; nowhere for a bare spec.
   SourceLoc loc_of(const std::string& cls) const {
-    SourceLoc loc;
-    if (scenario == nullptr || cls.empty()) return loc;
-    for (const ScenarioClass& c : scenario->classes) {
-      if (c.name == cls) {
-        loc.file = scenario->file;
-        loc.line = c.line;
-        break;
-      }
-    }
-    return loc;
+    const std::size_t i = idx.find(cls);
+    if (view == nullptr || i == HierarchySpec::Index::npos) return {};
+    return SourceLoc{report->file, view->origin[i]->line};
+  }
+
+  Bytes global_max_pkt() const {
+    return view != nullptr ? view->max_pkt : opts.default_max_pkt;
   }
 
   Bytes max_pkt_of(const std::string& cls) const {
-    const auto it = class_max_pkt.find(cls);
-    if (it != class_max_pkt.end()) return it->second;
-    return global_max_pkt;
+    if (view != nullptr) {
+      const auto it = view->class_max_pkt.find(cls);
+      if (it != view->class_max_pkt.end()) return it->second;
+    }
+    return global_max_pkt();
   }
 
-  // Leaves of the subtree rooted at `name` (the class itself if a leaf),
-  // in declaration order.
-  std::vector<std::size_t> subtree_leaves(const std::string& name) const {
+  // Leaves of the subtree rooted at class i (i itself if a leaf), in
+  // declaration order.
+  std::vector<std::size_t> subtree_leaves(std::size_t i) const {
     std::vector<std::size_t> out;
-    std::vector<std::string> stack{name};
+    std::vector<std::size_t> stack{i};
     while (!stack.empty()) {
-      const std::string cur = std::move(stack.back());
+      const std::size_t cur = stack.back();
       stack.pop_back();
-      const std::size_t i = index.at(cur);
-      if (leaf[i]) {
-        out.push_back(i);
+      if (idx.is_leaf(cur)) {
+        out.push_back(cur);
         continue;
       }
-      const auto it = children.find(cur);
-      if (it == children.end()) continue;
-      for (const std::size_t c : it->second) {
-        stack.push_back(spec.classes[c].name);
-      }
+      const std::vector<std::size_t>& kids = idx.children[cur];
+      stack.insert(stack.end(), kids.begin(), kids.end());
     }
     std::sort(out.begin(), out.end());
     return out;
@@ -141,7 +160,7 @@ void check_link_admissibility(Ctx& ctx) {
   RateBps reserved = 0;  // every leaf's long-term rate, even past a rejection
   for (std::size_t i = 0; i < ctx.spec.classes.size(); ++i) {
     const ClassSpec& c = ctx.spec.classes[i];
-    if (!ctx.leaf[i] || c.rt.is_zero()) continue;
+    if (!ctx.idx.is_leaf(i) || c.rt.is_zero()) continue;
     reserved += c.rt.m2;
     if (!ac.admit(c.rt)) {
       ctx.report->rt_feasible = false;
@@ -168,7 +187,7 @@ void check_ul_admissibility(Ctx& ctx) {
     if (c.ul.is_zero()) continue;
     PiecewiseLinear sum;
     bool any = false;
-    for (const std::size_t l : ctx.subtree_leaves(c.name)) {
+    for (const std::size_t l : ctx.subtree_leaves(i)) {
       const ClassSpec& leaf = ctx.spec.classes[l];
       if (leaf.rt.is_zero()) continue;
       sum = sum.sum(PiecewiseLinear::from_service_curve(leaf.rt));
@@ -178,7 +197,7 @@ void check_ul_admissibility(Ctx& ctx) {
     const PiecewiseLinear cap = PiecewiseLinear::from_service_curve(c.ul);
     if (!cap.dominates(sum)) {
       ctx.diag(Severity::kError, "rt-ul-infeasible", c.name,
-               (ctx.leaf[i]
+               (ctx.idx.is_leaf(i)
                     ? std::string("the class's own rt curve ")
                     : std::string("the aggregate rt guarantee of the "
                                   "subtree's leaves ")) +
@@ -194,7 +213,7 @@ void check_curve_shapes(Ctx& ctx) {
   for (std::size_t i = 0; i < ctx.spec.classes.size(); ++i) {
     const ClassSpec& c = ctx.spec.classes[i];
 
-    if (!ctx.leaf[i] && !c.rt.is_zero()) {
+    if (!ctx.idx.is_leaf(i) && !c.rt.is_zero()) {
       ctx.diag(Severity::kWarning, "rt-on-interior", c.name,
                "interior class declares an rt curve; only leaf classes "
                "receive real-time guarantees (the runtime keeps it inert "
@@ -238,23 +257,27 @@ void check_curve_shapes(Ctx& ctx) {
 // excess is fine — that is what borrowing is for — so only tail rates
 // are compared.
 void check_ls_shares(Ctx& ctx) {
-  for (const auto& [parent, kids] : ctx.children) {
+  const HierarchySpec::Index& idx = ctx.idx;
+  const std::vector<ClassSpec>& classes = ctx.spec.classes;
+  constexpr std::size_t kLink = HierarchySpec::Index::npos;
+  auto shares = [&](std::size_t parent, const std::vector<std::size_t>& kids) {
     RateBps sum = 0;
-    for (const std::size_t k : kids) sum += ctx.spec.classes[k].ls.rate();
-    if (sum == 0) continue;
+    for (const std::size_t k : kids) sum += classes[k].ls.rate();
+    if (sum == 0) return;
     RateBps capacity;
     std::string where;
-    if (parent.empty()) {
+    std::string cls;
+    if (parent == kLink) {
       capacity = ctx.link_rate;
       where = "the link rate";
     } else {
-      const ClassSpec& p = ctx.spec.classes[ctx.index.at(parent)];
-      if (p.ls.is_zero()) continue;  // share undefined; nothing to bind to
+      const ClassSpec& p = classes[parent];
+      if (p.ls.is_zero()) return;  // share undefined; nothing to bind to
       capacity = p.ls.rate();
-      where = "parent '" + parent + "'s long-term share";
+      cls = p.name;
+      where = "parent '" + cls + "'s long-term share";
     }
     if (sum > capacity) {
-      const std::string cls = parent.empty() ? "" : parent;
       ctx.diag(Severity::kWarning, "ls-oversubscribed", cls,
                "children's link-sharing shares sum to " + fmt_mbps(sum) +
                    ", exceeding " + where + " (" + fmt_mbps(capacity) +
@@ -265,8 +288,8 @@ void check_ls_shares(Ctx& ctx) {
       // its backlog at exactly the moment load exceeds service — the
       // overload case the robustness runtime exists for.
       for (const std::size_t k : kids) {
-        const ClassSpec& kid = ctx.spec.classes[k];
-        if (ctx.leaf[k] && kid.qlimit == 0) {
+        const ClassSpec& kid = classes[k];
+        if (idx.is_leaf(k) && kid.qlimit == 0) {
           ctx.diag(Severity::kWarning, "qlimit-unbounded", kid.name,
                    "leaf has no queue limit under an oversubscribed "
                    "parent: its backlog is unbounded precisely when the "
@@ -275,21 +298,30 @@ void check_ls_shares(Ctx& ctx) {
         }
       }
     }
+  };
+  // The link first, then the interior classes by name.
+  if (!idx.top_level.empty()) shares(kLink, idx.top_level);
+  std::map<std::string, std::size_t> parents;
+  for (std::size_t i = 0; i < classes.size(); ++i) {
+    if (!idx.is_leaf(i)) parents.emplace(classes[i].name, i);
   }
+  for (const auto& [name, p] : parents) shares(p, idx.children[p]);
 
   // Sustained rt load above an interior node's share punishes siblings
   // (the fairness tension of Section III): the subtree's guarantees are
   // still met, but only by permanently borrowing the siblings' share.
-  for (std::size_t i = 0; i < ctx.spec.classes.size(); ++i) {
-    const ClassSpec& c = ctx.spec.classes[i];
-    if (ctx.leaf[i] || c.ls.is_zero()) continue;
-    RateBps rt_sum = 0;
-    for (const std::size_t l : ctx.subtree_leaves(c.name)) {
-      rt_sum += ctx.spec.classes[l].rt.rate();
-    }
-    if (rt_sum > c.ls.rate()) {
+  // Subtree sums accumulate bottom-up: every child follows its parent.
+  std::vector<RateBps> rt_sum(classes.size(), 0);
+  for (std::size_t i = classes.size(); i-- > 0;) {
+    if (idx.is_leaf(i)) rt_sum[i] = classes[i].rt.rate();
+    if (idx.parent[i] != kLink) rt_sum[idx.parent[i]] += rt_sum[i];
+  }
+  for (std::size_t i = 0; i < classes.size(); ++i) {
+    const ClassSpec& c = classes[i];
+    if (idx.is_leaf(i) || c.ls.is_zero()) continue;
+    if (rt_sum[i] > c.ls.rate()) {
       ctx.diag(Severity::kWarning, "rt-over-ls", c.name,
-               "the subtree's leaves reserve " + fmt_mbps(rt_sum) +
+               "the subtree's leaves reserve " + fmt_mbps(rt_sum[i]) +
                    " of sustained real-time service, more than the "
                    "class's own long-term share (" + fmt_mbps(c.ls.rate()) +
                    "): the guarantees hold, but only by permanently "
@@ -302,7 +334,7 @@ void check_ls_shares(Ctx& ctx) {
 void check_queues_and_sources(Ctx& ctx) {
   for (std::size_t i = 0; i < ctx.spec.classes.size(); ++i) {
     const ClassSpec& c = ctx.spec.classes[i];
-    if (!ctx.leaf[i]) {
+    if (!ctx.idx.is_leaf(i)) {
       if (c.env_burst != 0 || c.env_rate != 0) {
         ctx.diag(Severity::kWarning, "envelope-on-interior", c.name,
                  "arrival envelope declared on an interior class; "
@@ -324,7 +356,7 @@ void check_queues_and_sources(Ctx& ctx) {
                      "tail-dropped");
       }
     }
-    if (ctx.scenario != nullptr && !ctx.fed.count(c.name)) {
+    if (ctx.view != nullptr && ctx.view->class_max_pkt.count(c.name) == 0) {
       ctx.diag(Severity::kNote, "class-unfed", c.name,
                "no source feeds this leaf; it reserves resources but "
                "carries no traffic in this scenario");
@@ -339,7 +371,7 @@ void check_queues_and_sources(Ctx& ctx) {
 void check_delay_bounds(Ctx& ctx) {
   for (std::size_t i = 0; i < ctx.spec.classes.size(); ++i) {
     const ClassSpec& c = ctx.spec.classes[i];
-    if (!ctx.leaf[i]) continue;
+    if (!ctx.idx.is_leaf(i)) continue;
     const bool has_env = c.env_burst != 0 || c.env_rate != 0;
     if (c.rt.is_zero()) {
       if (has_env) {
@@ -358,32 +390,15 @@ void check_delay_bounds(Ctx& ctx) {
       continue;
     }
 
-    // Effective guarantee: the rt curve capped by every upper limit on
-    // the root path (exact pointwise min).
-    PiecewiseLinear effective = PiecewiseLinear::from_service_curve(c.rt);
-    std::string cur = c.name;
-    while (true) {
-      const ClassSpec& node = ctx.spec.classes[ctx.index.at(cur)];
-      if (!node.ul.is_zero()) {
-        effective =
-            effective.min(PiecewiseLinear::from_service_curve(node.ul));
-      }
-      if (ClassSpec::is_top_level(node.parent)) break;
-      cur = node.parent;
-    }
+    const PiecewiseLinear effective = effective_rt(ctx.spec, i);
 
     LeafDelayBound b;
     b.cls = c.name;
     b.env_burst = c.env_burst;
     b.env_rate = c.env_rate;
     b.loc = ctx.loc_of(c.name);
-    if (ctx.scenario != nullptr) {
-      for (const ScenarioClass& scn : ctx.scenario->classes) {
-        if (scn.name == c.name && scn.env_line != 0) {
-          b.loc.line = scn.env_line;
-          break;
-        }
-      }
+    if (ctx.view != nullptr && ctx.view->origin[i]->env_line != 0) {
+      b.loc.line = ctx.view->origin[i]->env_line;
     }
     const PiecewiseLinear env =
         PiecewiseLinear::token_bucket(c.env_burst, c.env_rate);
@@ -398,7 +413,7 @@ void check_delay_bounds(Ctx& ctx) {
                    "envelope, or relax an upper limit on the root path)");
       b.bound = std::nullopt;
     } else {
-      b.bound = sat_add(*gap, tx_time(ctx.global_max_pkt, ctx.link_rate));
+      b.bound = sat_add(*gap, tx_time(ctx.global_max_pkt(), ctx.link_rate));
     }
     ctx.report->delay_bounds.push_back(std::move(b));
   }
@@ -411,23 +426,14 @@ void check_portability(Ctx& ctx) {
   for (const SchedulerKind kind : all_scheduler_kinds()) {
     PortabilityEntry e;
     e.kind = kind;
-    HierarchySpec::CompileOptions strict;
-    strict.strict = true;
+    // Strict mode throws at exactly the losses the default mode records
+    // as notes, so one default compile gives the whole verdict.
     try {
-      (void)ctx.spec.compile(kind, ctx.link_rate, strict);
-      e.lossless = true;
-    } catch (const std::exception&) {
-      e.lossless = false;
-    }
-    if (!e.lossless) {
-      try {
-        HierarchySpec::Compiled lossy =
-            ctx.spec.compile(kind, ctx.link_rate, {});
-        e.notes = std::move(lossy.notes);
-      } catch (const std::exception& ex) {
-        e.compiles = false;
-        e.notes = {ex.what()};
-      }
+      e.notes = ctx.spec.compile(kind, ctx.link_rate, {}).notes;
+      e.lossless = e.notes.empty();
+    } catch (const std::exception& ex) {
+      e.compiles = false;
+      e.notes = {ex.what()};
     }
     ctx.report->portability.push_back(std::move(e));
   }
@@ -435,80 +441,64 @@ void check_portability(Ctx& ctx) {
 
 // ------------------------------------------------ end-to-end route walk
 
-// Effective guarantee of `cls` inside one node's hierarchy: the rt curve
-// capped by every upper limit on the root path (the same min-fold as
-// check_delay_bounds).  nullopt when the class is absent or has no rt
-// curve there — the hop then offers no guaranteed service at all.
-std::optional<PiecewiseLinear> hop_guarantee(const HierarchySpec& spec,
-                                             const std::string& cls) {
-  std::map<std::string, const ClassSpec*> by_name;
-  for (const ClassSpec& c : spec.classes) by_name[c.name] = &c;
-  const auto it = by_name.find(cls);
-  if (it == by_name.end() || it->second->rt.is_zero()) return std::nullopt;
-  PiecewiseLinear eff = PiecewiseLinear::from_service_curve(it->second->rt);
-  const ClassSpec* cur = it->second;
-  while (true) {
-    if (!cur->ul.is_zero()) {
-      eff = eff.min(PiecewiseLinear::from_service_curve(cur->ul));
-    }
-    if (ClassSpec::is_top_level(cur->parent)) break;
-    cur = by_name.at(cur->parent);
-  }
-  return eff;
-}
+// A parsed scenario split per node in one pass over its classes and
+// sources, plus the node and route lookups the cross-node checks use.
+struct ScenarioViews {
+  std::vector<NodeView> nodes;  // sc.nodes order; one view when single-node
+  std::unordered_map<std::string, std::size_t> node_at;
+  std::unordered_map<std::string, const ScenarioRoute*> route_of;
 
-// Largest packet a node can have on the wire: sources entering at the
-// node plus routed flows passing through it (their packets are forwarded
-// in unchanged).  Theorem 2's non-preemption term at that hop.
-Bytes node_max_pkt(const Scenario& sc, const std::string& node,
-                   Bytes fallback) {
-  Bytes m = fallback;
-  for (const ScenarioSource& s : sc.sources) {
-    const Bytes pkt =
-        s.kind == ScenarioSource::Kind::kVideo ? s.mtu : s.pkt_len;
-    bool touches = s.node == node;
-    if (!touches) {
-      if (const ScenarioRoute* r = sc.find_route(s.cls)) {
-        touches = std::find(r->nodes.begin(), r->nodes.end(), node) !=
-                  r->nodes.end();
+  ScenarioViews(const Scenario& sc, Bytes default_max_pkt) {
+    for (const ScenarioRoute& r : sc.routes) route_of.emplace(r.cls, &r);
+    std::vector<HierarchySpec> specs;
+    if (sc.multi_node) {
+      specs = sc.node_hierarchy_specs();
+    } else {
+      specs.push_back(sc.to_hierarchy_spec());
+    }
+    for (std::size_t k = 0; k < specs.size(); ++k) {
+      nodes.push_back(NodeView{std::move(specs[k]), {}, default_max_pkt, {}});
+      if (sc.multi_node) node_at.emplace(sc.nodes[k].name, k);
+    }
+    // A single-node scenario is one view whatever its `node` fields say.
+    auto view_of = [&](const std::string& node) -> NodeView* {
+      if (!sc.multi_node) return &nodes.front();
+      const auto it = node_at.find(node);
+      return it == node_at.end() ? nullptr : &nodes[it->second];
+    };
+    for (const ScenarioClass& c : sc.classes) {
+      if (NodeView* v = view_of(c.node)) v->origin.push_back(&c);
+    }
+    for (const ScenarioSource& s : sc.sources) {
+      const Bytes pkt =
+          s.kind == ScenarioSource::Kind::kVideo ? s.mtu : s.pkt_len;
+      auto feed = [&](NodeView* v) {
+        if (v == nullptr) return;
+        v->max_pkt = std::max(v->max_pkt, pkt);
+        Bytes& per = v->class_max_pkt[s.cls];
+        per = std::max(per, pkt);
+      };
+      feed(view_of(s.node));
+      // A routed class is fed on its later hops by the upstream node,
+      // with the packets its sources send at the first hop.
+      const auto r = route_of.find(s.cls);
+      if (!sc.multi_node || r == route_of.end()) continue;
+      for (std::size_t h = 1; h < r->second->nodes.size(); ++h) {
+        feed(view_of(r->second->nodes[h]));
       }
     }
-    if (touches) m = std::max(m, pkt);
   }
-  return m;
-}
 
-// Largest packet the flow itself sends (qlimit capacity sizing).
-Bytes flow_max_pkt(const Scenario& sc, const std::string& cls,
-                   Bytes fallback) {
-  Bytes m = 0;
-  for (const ScenarioSource& s : sc.sources) {
-    if (s.cls != cls) continue;
-    m = std::max(
-        m, s.kind == ScenarioSource::Kind::kVideo ? s.mtu : s.pkt_len);
+  // The declaring class of `cls` on node `node`, null when absent.
+  const ScenarioClass* find_class(const std::string& node,
+                                  const std::string& cls) const {
+    const auto at = node_at.find(node);
+    if (at == node_at.end()) return nullptr;
+    const NodeView& v = nodes[at->second];
+    const std::size_t i = v.spec.index().find(cls);
+    return i == HierarchySpec::Index::npos ? nullptr : v.origin[i];
   }
-  return m == 0 ? fallback : m;
-}
-
-const ScenarioClass* find_scenario_class(const Scenario& sc,
-                                         const std::string& node,
-                                         const std::string& cls) {
-  for (const ScenarioClass& c : sc.classes) {
-    if (c.node == node && c.name == cls) return &c;
-  }
-  return nullptr;
-}
-
-void push_diag(AnalysisReport& report, Severity sev, std::string id,
-               std::string cls, std::string message, SourceLoc loc) {
-  Diagnostic d;
-  d.severity = sev;
-  d.id = std::move(id);
-  d.cls = std::move(cls);
-  d.message = std::move(message);
-  d.loc = std::move(loc);
-  report.diagnostics.push_back(std::move(d));
-}
+};
 
 // The tentpole: walk every route, compose the per-hop guarantees with
 // min-plus convolution, propagate the arrival envelope by deconvolution,
@@ -527,12 +517,11 @@ void push_diag(AnalysisReport& report, Severity sev, std::string id,
 // curve operation is conservative in the safe direction (convolution
 // floors service down, deconvolution rounds envelopes up), so the
 // reported bounds remain sound upper bounds.
-void check_routes(const Scenario& sc, const AnalysisOptions& opts,
-                  AnalysisReport& report) {
+void check_routes(const Scenario& sc, const ScenarioViews& views,
+                  const AnalysisOptions& opts, AnalysisReport& report) {
   for (const ScenarioRoute& r : sc.routes) {
     const SourceLoc rloc{sc.file, r.line};
-    const ScenarioClass* first =
-        find_scenario_class(sc, r.nodes.front(), r.cls);
+    const ScenarioClass* first = views.find_class(r.nodes.front(), r.cls);
     if (first == nullptr) continue;  // parser rejects this; stay safe
     if (first->env_burst == 0 && first->env_rate == 0) {
       push_diag(report, Severity::kNote, "route-no-envelope", r.cls,
@@ -558,16 +547,19 @@ void check_routes(const Scenario& sc, const AnalysisOptions& opts,
     bool all_hops_guaranteed = true;
 
     for (const std::string& nname : r.nodes) {
-      const ScenarioNode* node = sc.find_node(nname);
-      if (node == nullptr) continue;  // parser rejects this too
+      const auto at = views.node_at.find(nname);
+      if (at == views.node_at.end()) continue;  // parser rejects this too
+      const NodeView& v = views.nodes[at->second];
       HopBudget hb;
       hb.node = nname;
       if (hop_env) {
         hb.in_burst = hop_env->pieces().front().y;
         hb.in_rate = hop_env->tail_rate();
       }
-      const auto g = hop_guarantee(sc.node_hierarchy_spec(nname), r.cls);
-      if (!g) {
+      // The hop offers no guaranteed service when the class is absent
+      // there or has no rt curve.
+      const std::size_t i = v.spec.index().find(r.cls);
+      if (i == HierarchySpec::Index::npos || v.spec.classes[i].rt.is_zero()) {
         push_diag(report, Severity::kNote, "route-hop-without-rt",
                   nname + "." + r.cls,
                   "hop " + nname + " gives the routed flow no rt "
@@ -577,16 +569,21 @@ void check_routes(const Scenario& sc, const AnalysisOptions& opts,
         fb.hops.push_back(std::move(hb));
         break;
       }
-      const PiecewiseLinear shifted = g->delayed(
-          tx_time(node_max_pkt(sc, nname, opts.default_max_pkt),
-                  node->rate));
+      const PiecewiseLinear shifted = effective_rt(v.spec, i).delayed(
+          tx_time(v.max_pkt, sc.nodes[at->second].rate));
       e2e = e2e ? e2e->convolve(shifted) : shifted;
       if (hop_env) {
         hb.delay = hop_env->max_horizontal_gap(shifted);
         hb.backlog = hop_env->max_vertical_gap(shifted);
-        const ScenarioClass* hc = find_scenario_class(sc, nname, r.cls);
-        if (hc != nullptr && hc->qlimit != 0 && hb.backlog) {
-          const Bytes pkt = flow_max_pkt(sc, r.cls, opts.default_max_pkt);
+        const ScenarioClass* hc = v.origin[i];
+        if (hc->qlimit != 0 && hb.backlog) {
+          // Every source of a routed class enters at its first hop and
+          // is forwarded to every later one, so each hop's largest
+          // packet of the class is the flow's.
+          const auto fp = v.class_max_pkt.find(r.cls);
+          const Bytes pkt = fp != v.class_max_pkt.end()
+                                ? fp->second
+                                : opts.default_max_pkt;
           const Bytes capacity = static_cast<Bytes>(hc->qlimit) * pkt;
           if (*hb.backlog > capacity) {
             push_diag(
@@ -627,12 +624,41 @@ void check_routes(const Scenario& sc, const AnalysisOptions& opts,
 // `deadline` budgets: routed flows check against the route-composed
 // bound, single-hop classes against their Theorem 2 bound.  The error
 // anchors at the deadline directive itself (exact file:line).
-void check_deadlines(const Scenario& sc, AnalysisReport& report) {
+void check_deadlines(const Scenario& sc, const ScenarioViews& views,
+                     AnalysisReport& report) {
+  // Rows by the class name a deadline gives: flows by class, delay
+  // bounds by "cls" in single-node reports and by "node.cls" or any of
+  // its suffixes after a '.' in multi-node ones.
+  std::unordered_map<std::string, std::vector<std::size_t>> flows_of;
+  std::unordered_map<std::string, std::vector<std::size_t>> bounds_of;
+  for (std::size_t k = 0; k < report.flows.size(); ++k) {
+    flows_of[report.flows[k].cls].push_back(k);
+  }
+  for (std::size_t k = 0; k < report.delay_bounds.size(); ++k) {
+    const std::string& name = report.delay_bounds[k].cls;
+    bounds_of[name].push_back(k);
+    for (std::size_t p = name.find('.', 1); p != std::string::npos;
+         p = name.find('.', p + 1)) {
+      bounds_of[name.substr(p + 1)].push_back(k);
+    }
+  }
   for (const ScenarioDeadline& dl : sc.deadlines) {
     const SourceLoc dloc{sc.file, dl.line};
-    if (sc.find_route(dl.cls) != nullptr) {
-      for (FlowBudget& f : report.flows) {
-        if (f.cls != dl.cls) continue;
+    if (views.route_of.count(dl.cls) != 0) {
+      const auto rows = flows_of.find(dl.cls);
+      if (rows == flows_of.end()) {
+        // A routed class without a first-hop envelope has no FlowBudget
+        // row: the deadline is then unverifiable.
+        push_diag(report, Severity::kWarning, "deadline-unverifiable",
+                  dl.cls,
+                  "deadline declared for routed flow " + dl.cls +
+                      " but its first hop has no arrival envelope, so no "
+                      "end-to-end bound can be derived",
+                  dloc);
+        continue;
+      }
+      for (const std::size_t k : rows->second) {
+        FlowBudget& f = report.flows[k];
         f.deadline = dl.budget;
         if (!f.e2e_delay) {
           push_diag(report, Severity::kError, "e2e-budget-exceeded", dl.cls,
@@ -649,32 +675,20 @@ void check_deadlines(const Scenario& sc, AnalysisReport& report) {
                     dloc);
         }
       }
-      // A routed class without a first-hop envelope has no FlowBudget
-      // row: the deadline is then unverifiable.
-      const bool has_row =
-          std::any_of(report.flows.begin(), report.flows.end(),
-                      [&](const FlowBudget& f) { return f.cls == dl.cls; });
-      if (!has_row) {
-        push_diag(report, Severity::kWarning, "deadline-unverifiable",
-                  dl.cls,
-                  "deadline declared for routed flow " + dl.cls +
-                      " but its first hop has no arrival envelope, so no "
-                      "end-to-end bound can be derived",
-                  dloc);
-      }
       continue;
     }
-    // Unrouted class: compare every per-node Theorem 2 bound ("cls" in
-    // single-node reports, "node.cls" in multi-node ones).
-    bool found = false;
-    for (const LeafDelayBound& b : report.delay_bounds) {
-      const bool match =
-          b.cls == dl.cls ||
-          (b.cls.size() > dl.cls.size() + 1 &&
-           b.cls.compare(b.cls.size() - dl.cls.size() - 1,
-                         std::string::npos, "." + dl.cls) == 0);
-      if (!match) continue;
-      found = true;
+    // Unrouted class: compare every per-node Theorem 2 bound.
+    const auto rows = bounds_of.find(dl.cls);
+    if (rows == bounds_of.end()) {
+      push_diag(report, Severity::kWarning, "deadline-unverifiable", dl.cls,
+                "deadline declared for " + dl.cls +
+                    " but no delay bound is derivable (the class needs "
+                    "both an rt curve and an arrival envelope)",
+                dloc);
+      continue;
+    }
+    for (const std::size_t k : rows->second) {
+      const LeafDelayBound& b = report.delay_bounds[k];
       if (!b.bound) {
         push_diag(report, Severity::kError, "e2e-budget-exceeded", b.cls,
                   "worst-case delay of " + b.cls +
@@ -689,50 +703,19 @@ void check_deadlines(const Scenario& sc, AnalysisReport& report) {
                   dloc);
       }
     }
-    if (!found) {
-      push_diag(report, Severity::kWarning, "deadline-unverifiable", dl.cls,
-                "deadline declared for " + dl.cls +
-                    " but no delay bound is derivable (the class needs "
-                    "both an rt curve and an arrival envelope)",
-                dloc);
-    }
   }
 }
 
 AnalysisReport analyze_impl(const HierarchySpec& spec, RateBps link_rate,
-                            const Scenario* scenario,
+                            const std::string& file, const NodeView* view,
                             const AnalysisOptions& opts) {
   ensure(link_rate > 0, Errc::kInvalidArgument,
          "analysis link rate must be > 0");
-  spec.validate();
-
   AnalysisReport report;
-  report.file = scenario != nullptr ? scenario->file : "";
+  report.file = file;
   report.num_classes = spec.classes.size();
   report.link_rate = link_rate;
-  Ctx ctx{spec, link_rate, scenario, opts, {}, {}, {}, 0, {}, {}, &report};
-
-  for (std::size_t i = 0; i < spec.classes.size(); ++i) {
-    ctx.index[spec.classes[i].name] = i;
-    const std::string& parent = spec.classes[i].parent;
-    ctx.children[ClassSpec::is_top_level(parent) ? "" : parent].push_back(i);
-  }
-  ctx.leaf.resize(spec.classes.size());
-  for (std::size_t i = 0; i < spec.classes.size(); ++i) {
-    ctx.leaf[i] = spec.is_leaf(spec.classes[i].name);
-  }
-
-  ctx.global_max_pkt = opts.default_max_pkt;
-  if (scenario != nullptr) {
-    for (const ScenarioSource& s : scenario->sources) {
-      const Bytes pkt =
-          s.kind == ScenarioSource::Kind::kVideo ? s.mtu : s.pkt_len;
-      ctx.global_max_pkt = std::max(ctx.global_max_pkt, pkt);
-      Bytes& per = ctx.class_max_pkt[s.cls];
-      per = std::max(per, pkt);
-      ctx.fed.insert(s.cls);
-    }
-  }
+  Ctx ctx{spec, spec.index(), link_rate, view, opts, &report};
 
   check_link_admissibility(ctx);
   check_ul_admissibility(ctx);
@@ -749,53 +732,25 @@ AnalysisReport analyze_impl(const HierarchySpec& spec, RateBps link_rate,
 
 AnalysisReport analyze(const HierarchySpec& spec, RateBps link_rate,
                        const AnalysisOptions& opts) {
-  return analyze_impl(spec, link_rate, nullptr, opts);
+  return analyze_impl(spec, link_rate, "", nullptr, opts);
 }
 
 AnalysisReport analyze(const Scenario& sc, const AnalysisOptions& opts) {
+  const ScenarioViews views(sc, opts.default_max_pkt);
   AnalysisReport report;
   if (!sc.multi_node) {
-    const HierarchySpec spec = sc.to_hierarchy_spec();
-    report = analyze_impl(spec, sc.link_rate, &sc, opts);
+    report = analyze_impl(views.nodes.front().spec, sc.link_rate, sc.file,
+                          &views.nodes.front(), opts);
   } else {
     // Multi-node topology: each node's hierarchy is admitted against its
-    // own link, so run the whole analysis once per node on a filtered
-    // single-node view and merge, tagging findings "node.class".
+    // own link, so run the whole analysis once per node and merge,
+    // tagging findings "node.class".
     report.file = sc.file;
     report.link_rate = sc.link_rate;
-    for (const ScenarioNode& node : sc.nodes) {
-      Scenario sub;
-      sub.file = sc.file;
-      sub.link_rate = node.rate;
-      sub.duration = sc.duration;
-      sub.window = sc.window;
-      sub.scheduler = sc.scheduler;
-      sub.admission = sc.admission;
-      sub.nodes.push_back(ScenarioNode{node.name, node.rate, node.line});
-      for (const ScenarioClass& c : sc.classes) {
-        if (c.node == node.name) sub.classes.push_back(c);
-      }
-      for (const ScenarioSource& s : sc.sources) {
-        if (s.node == node.name) sub.sources.push_back(s);
-      }
-      // A routed class is fed on its later hops by the upstream node, not
-      // by a source directive: synthesize the entry-hop sources there so
-      // the unfed lint doesn't misfire and packet sizes still propagate
-      // into the Theorem 2 transmission term.
-      for (const ScenarioRoute& r : sc.routes) {
-        if (std::find(r.nodes.begin() + 1, r.nodes.end(), node.name) ==
-            r.nodes.end()) {
-          continue;
-        }
-        for (const ScenarioSource& s : sc.sources) {
-          if (s.cls != r.cls) continue;
-          ScenarioSource fwd = s;
-          fwd.node = node.name;
-          sub.sources.push_back(std::move(fwd));
-        }
-      }
-      const HierarchySpec spec = sub.to_hierarchy_spec();
-      AnalysisReport rep = analyze_impl(spec, node.rate, &sub, opts);
+    for (std::size_t k = 0; k < sc.nodes.size(); ++k) {
+      const ScenarioNode& node = sc.nodes[k];
+      AnalysisReport rep = analyze_impl(views.nodes[k].spec, node.rate,
+                                        sc.file, &views.nodes[k], opts);
       report.num_classes += rep.num_classes;
       report.rt_feasible = report.rt_feasible && rep.rt_feasible;
       report.rt_utilization =
@@ -823,9 +778,9 @@ AnalysisReport analyze(const Scenario& sc, const AnalysisOptions& opts) {
         }
       }
     }
-    check_routes(sc, opts, report);
+    check_routes(sc, views, opts, report);
   }
-  check_deadlines(sc, report);
+  check_deadlines(sc, views, report);
   if (!sc.events.empty()) {
     Diagnostic d;
     d.severity = Severity::kNote;
@@ -843,28 +798,24 @@ AnalysisReport analyze(const Scenario& sc, const AnalysisOptions& opts) {
 
 // ---------------------------------------------------------------- output
 
+namespace {
+
+std::size_t count(const std::vector<Diagnostic>& ds, Severity sev) {
+  return static_cast<std::size_t>(
+      std::count_if(ds.begin(), ds.end(),
+                    [sev](const Diagnostic& d) { return d.severity == sev; }));
+}
+
+}  // namespace
+
 std::size_t AnalysisReport::errors() const noexcept {
-  return static_cast<std::size_t>(
-      std::count_if(diagnostics.begin(), diagnostics.end(),
-                    [](const Diagnostic& d) {
-                      return d.severity == Severity::kError;
-                    }));
+  return count(diagnostics, Severity::kError);
 }
-
 std::size_t AnalysisReport::warnings() const noexcept {
-  return static_cast<std::size_t>(
-      std::count_if(diagnostics.begin(), diagnostics.end(),
-                    [](const Diagnostic& d) {
-                      return d.severity == Severity::kWarning;
-                    }));
+  return count(diagnostics, Severity::kWarning);
 }
-
 std::size_t AnalysisReport::notes() const noexcept {
-  return static_cast<std::size_t>(
-      std::count_if(diagnostics.begin(), diagnostics.end(),
-                    [](const Diagnostic& d) {
-                      return d.severity == Severity::kNote;
-                    }));
+  return count(diagnostics, Severity::kNote);
 }
 
 std::string AnalysisReport::to_text() const {

@@ -219,11 +219,13 @@ struct Scenario {
   // that every family compiles from.  The one-argument overload selects a
   // single node's classes; the legacy zero-argument form returns the
   // whole class list (only meaningful for single-node scenarios).
+  // node_hierarchy_specs() is node_hierarchy_spec(n.name) for every node
+  // n, in `nodes` order, from one pass over the classes.
   HierarchySpec to_hierarchy_spec() const;
   HierarchySpec node_hierarchy_spec(const std::string& node) const;
+  std::vector<HierarchySpec> node_hierarchy_specs() const;
 
   const ScenarioNode* find_node(const std::string& name) const;
-  const ScenarioRoute* find_route(const std::string& cls) const;
 };
 
 // Fixed log-spaced delay-histogram bucket edges in milliseconds (1 us

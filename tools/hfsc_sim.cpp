@@ -48,6 +48,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/analyzer.hpp"
@@ -273,12 +274,15 @@ int main(int argc, char** argv) {
         hfsc::AnalysisOptions aopts;
         aopts.portability = false;
         const hfsc::AnalysisReport rep = hfsc::analyze(sc, aopts);
-        for (hfsc::ScenarioResult::EndToEnd& ee : result.e2e) {
-          for (const hfsc::FlowBudget& f : rep.flows) {
-            if (f.cls == ee.cls && f.e2e_delay) {
-              ee.bound_ms = static_cast<double>(*f.e2e_delay) / 1e6;
-            }
+        std::unordered_map<std::string, double> bound_ms;
+        for (const hfsc::FlowBudget& f : rep.flows) {
+          if (f.e2e_delay) {
+            bound_ms[f.cls] = static_cast<double>(*f.e2e_delay) / 1e6;
           }
+        }
+        for (hfsc::ScenarioResult::EndToEnd& ee : result.e2e) {
+          const auto it = bound_ms.find(ee.cls);
+          if (it != bound_ms.end()) ee.bound_ms = it->second;
         }
       } catch (const std::exception&) {
       }
