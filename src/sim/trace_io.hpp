@@ -26,8 +26,10 @@ struct TraceEntry {
   friend bool operator==(const TraceEntry&, const TraceEntry&) = default;
 };
 
-// Parses a trace from a stream; throws std::runtime_error on malformed
-// lines (with the line number).
+// Parses a trace from a stream.  Every field is a strict unsigned
+// decimal numeral that fits its type (no sign, no overflow, no class id
+// above ClassId's range); a malformed line throws Error{kBadTrace} naming
+// its line number and byte offset.
 std::vector<TraceEntry> read_trace(std::istream& in);
 std::vector<TraceEntry> read_trace_file(const std::string& path);
 

@@ -113,6 +113,33 @@ TEST(TraceIo, RejectsMalformedLines) {
   EXPECT_THROW(read_trace(ss5), std::runtime_error);
 }
 
+TEST(TraceIo, RejectsSignsAndOverflowingNumerals) {
+  // `istream >> unsigned` reads "-1" as 2^64 - 1 (or 2^32 - 1) and an
+  // overflowing class id as its type's maximum; every field must instead
+  // be a strict unsigned numeral that fits, failing at its line and the
+  // line's byte offset.
+  for (const char* bad :
+       {"-1 1 100", "5 -1 100", "5 1 -1", "+5 1 100", "5 +1 100",
+        "5 4294967296 100", "18446744073709551616 1 100",
+        "5 1 18446744073709551616", "5 1 100x", "5 0x1 100"}) {
+    SCOPED_TRACE(bad);
+    std::stringstream ss(std::string("100 1 64\n") + bad + "\n");
+    try {
+      read_trace(ss);
+      ADD_FAILURE() << "wrapped numeral parsed";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), Errc::kBadTrace);
+      EXPECT_NE(std::string(e.what()).find("line 2 (byte offset 9)"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The extremes that do fit still parse.
+  std::stringstream ok("18446744073709551615 4294967295 1\n");
+  EXPECT_EQ(read_trace(ok), (std::vector<TraceEntry>{
+                                {~TimeNs{0}, ~ClassId{0}, 1}}));
+}
+
 TEST(TraceIo, MalformedLineRaisesTypedErrorWithByteOffset) {
   // Two good lines (offsets 0 and 9), then a corrupt third line whose
   // first byte sits at offset 18: the error must be the typed kBadTrace
