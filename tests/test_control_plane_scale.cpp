@@ -1,0 +1,105 @@
+// Control-plane scale gate: parsing a scenario, analyzing it and
+// compiling its hierarchy must cost time in proportion to the class
+// count.  A per-class scan of every class (a name lookup, a leaf test, a
+// spec rebuilt per route hop) makes the 100k-class rows below take
+// minutes, which this ctest row's explicit TIMEOUT (tests/CMakeLists.txt)
+// turns into a failure, and makes doubling the class count cost about
+// four times as much, which the ratio row catches at any speed.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <ctime>
+#include <sstream>
+#include <string>
+
+#include "analysis/analyzer.hpp"
+#include "config/hierarchy_spec.hpp"
+#include "scenario_gen.hpp"
+#include "sim/scenario.hpp"
+
+namespace hfsc {
+namespace {
+
+struct Pipeline {
+  Scenario sc;
+  AnalysisReport report;
+  HierarchySpec::Compiled compiled;
+  ScenarioResult run;
+};
+
+// What hfsc_lint and hfsc_sim do with a file: parse, analyze (with the
+// portability pre-flight's seven compiles), compile for H-FSC, and run.
+Pipeline run_pipeline(const std::string& text) {
+  Pipeline p;
+  std::istringstream in(text);
+  p.sc = Scenario::parse(in, "generated.hfsc");
+  p.report = analyze(p.sc);
+  p.compiled = p.sc.to_hierarchy_spec().compile(SchedulerKind::kHfsc,
+                                                p.sc.link_rate);
+  p.run = run_scenario(p.sc);
+  return p;
+}
+
+void expect_sound(const Pipeline& p, std::size_t n) {
+  EXPECT_EQ(p.sc.classes.size(), n);
+  EXPECT_EQ(p.report.num_classes, n);
+  EXPECT_EQ(p.report.errors(), 0u);
+  EXPECT_TRUE(p.report.rt_feasible);
+  EXPECT_FALSE(p.report.delay_bounds.empty());
+  EXPECT_EQ(p.compiled.ids.size(), n);
+  EXPECT_TRUE(p.run.conserved());
+  EXPECT_GT(p.run.sent(), 0u);
+}
+
+TEST(ControlPlaneScale, HundredThousandFlatClasses) {
+  constexpr std::size_t kClasses = 100'000;
+  const Pipeline p = run_pipeline(testgen::flat_scenario(kClasses));
+  expect_sound(p, kClasses);
+  EXPECT_EQ(p.run.per_class.size(), kClasses);
+}
+
+TEST(ControlPlaneScale, HundredThousandClassFourAryTree) {
+  constexpr std::size_t kClasses = 100'000;
+  const Pipeline p = run_pipeline(testgen::deep_scenario(kClasses));
+  expect_sound(p, kClasses);
+  // 75k leaves under 25k interior classes, eight levels deep.
+  EXPECT_EQ(p.run.per_class.size(), kClasses - (kClasses - 1) / 4);
+}
+
+// Processor time of one pipeline: unlike wall time, it does not count
+// the time other processes (ctest -j runs suites side by side) hold the
+// CPU.
+double cpu_seconds(const std::string& text) {
+  const std::clock_t t0 = std::clock();
+  (void)run_pipeline(text);
+  return static_cast<double>(std::clock() - t0) / CLOCKS_PER_SEC;
+}
+
+TEST(ControlPlaneScale, DoublingTheClassesDoublesTheCost) {
+  // Linear work reads about 2 (a little more for the O(n log n) maps and
+  // a working set that outgrows the caches); a quadratic reader reads
+  // about 4.  Each size keeps its fastest of several interleaved runs:
+  // cache and memory contention from the rest of the host only ever
+  // adds time.
+  constexpr std::size_t kN = 10'000;
+  for (const bool deep : {false, true}) {
+    SCOPED_TRACE(deep ? "4-ary tree" : "flat");
+    const std::string one =
+        deep ? testgen::deep_scenario(kN) : testgen::flat_scenario(kN);
+    const std::string two = deep ? testgen::deep_scenario(2 * kN)
+                                 : testgen::flat_scenario(2 * kN);
+    double t1 = 1e30;
+    double t2 = 1e30;
+    for (int rep = 0; rep < 5; ++rep) {
+      t1 = std::min(t1, cpu_seconds(one));
+      t2 = std::min(t2, cpu_seconds(two));
+    }
+    RecordProperty(deep ? "deep_ratio" : "flat_ratio",
+                   std::to_string(t2 / t1));
+    EXPECT_LT(t2 / t1, 3.0) << "N = " << kN << ": " << t1 << " s, 2N: " << t2
+                            << " s";
+  }
+}
+
+}  // namespace
+}  // namespace hfsc

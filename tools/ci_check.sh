@@ -31,9 +31,10 @@
 # (test_analysis_topology_fuzz: measured delay/backlog never exceed the
 # analytic route bounds), the scenario-parser mutation fuzz
 # (test_scenario_fuzz: a mutated shipped scenario fails at its file:line
-# or analyzes and runs) and the journal framing fuzz (test_journal_fuzz:
+# or analyzes and runs), the journal framing fuzz (test_journal_fuzz:
 # a mutated journal is kBadJournal or recovers to a cut of the
-# original).  They run in every configuration; exclude them for a quick
+# original) and the trace-reader fuzz (test_trace_fuzz: a mutated
+# capture is kBadTrace or round-trips through write_trace).  They run in every configuration; exclude them for a quick
 # local gate with
 #   $ CTEST_ARGS="-LE fuzz" tools/ci_check.sh release
 #
@@ -50,6 +51,16 @@
 # timed-churn smoke under the invariant auditor (the 100k-flow churn soak
 # rides the opt-in "soak" label).  They run explicitly after the suite so
 # a CTEST_ARGS filter cannot silently skip them.
+#
+# The Release config then runs the control-plane scale gate (ctest label
+# "scale", binary hfsc_scale_tests, a 60 s TIMEOUT per row) as a named
+# step of its own: 100k-class flat and 4-ary scenarios parsed, analyzed,
+# compiled and run, the cost ratio of 20k to 10k classes (under 3), 50k
+# rt leaves added under admission, and a 100k-leaf checkpoint round
+# trip.  It guards the control plane against going quadratic in the
+# class count again: one scan of every class per class, anywhere on
+# those paths, turns the 100k rows into minutes and the ratio into
+# about 4.
 #
 # Last, the Release config runs the perf gate, tools/perf_smoke_check.py:
 # every workload BENCHMARK.json lists runs once through perfbench (built
@@ -114,6 +125,9 @@ case "${what}" in
     echo "=== Release: simulation gate (Section VII + churn smoke) ==="
     ctest --test-dir "${repo}/build-ci-release" --output-on-failure \
       -L sim
+    echo "=== Release: control-plane scale gate ==="
+    ctest --test-dir "${repo}/build-ci-release" --output-on-failure \
+      -L scale
     echo "=== Release: perf gate (perfbench vs BENCH_perfbench.json) ==="
     CARGO_TARGET_DIR="${repo}/build-ci-perf" \
       python3 "${repo}/tools/perf_smoke_check.py"
