@@ -17,9 +17,6 @@
 // source or scheduler constructor assert fires here too.
 #include <gtest/gtest.h>
 
-#include <sys/resource.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cctype>
 #include <chrono>
@@ -33,11 +30,15 @@
 
 #include "analysis/analyzer.hpp"
 #include "config/hierarchy_spec.hpp"
+#include "rss.hpp"
 #include "sim/scenario.hpp"
 #include "util/rng.hpp"
 
 namespace hfsc {
 namespace {
+
+using testrss::peak_rss_kib;
+using testrss::rss_kib;
 
 struct Seed {
   std::string name;
@@ -166,21 +167,6 @@ bool parse_analyze_run(const std::string& text, const std::string& name,
 // suite as freed blocks sit in quarantine.)
 constexpr auto kWallBudget = std::chrono::seconds(5);
 constexpr long kRssGrowthBudgetKib = 256L << 10;  // 256 MiB
-
-long peak_rss_kib() {
-  rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  return ru.ru_maxrss;  // KiB on Linux
-}
-
-// Current resident set in KiB, or -1 when /proc/self/statm is missing.
-long rss_kib() {
-  std::ifstream statm("/proc/self/statm");
-  long size = 0;
-  long resident = 0;
-  if (!(statm >> size >> resident)) return -1;
-  return resident * (sysconf(_SC_PAGESIZE) / 1024);
-}
 
 // parse_analyze_run within the budgets.
 bool check(const std::string& text, const std::string& name,
