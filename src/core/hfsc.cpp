@@ -40,8 +40,9 @@ void Hfsc::check_config(const ClassConfig& cfg, bool leaf) {
 
 void Hfsc::maybe_self_check() {
   // A Txn commit counts as one operation; it self-checks once at the end
-  // rather than after each applied op (mid-apply state is transient).
-  if (self_check_every_ == 0 || in_self_check_ || in_txn_apply_) return;
+  // rather than after each applied op (mid-apply state is transient), so
+  // apply_unchecked never calls this.
+  if (self_check_every_ == 0 || in_self_check_) return;
   if (++op_count_ % self_check_every_ != 0) return;
   in_self_check_ = true;  // audit() reads state only; guard re-entry anyway
   const AuditReport report = audit(*this);
@@ -50,54 +51,6 @@ void Hfsc::maybe_self_check() {
   if (!report.ok()) {
     throw Error(Errc::kInvariantViolation, report.to_string());
   }
-}
-
-ClassId Hfsc::add_class(ClassId parent, ClassConfig cfg) {
-  ensure(parent < nodes_.size() && (parent == kRootClass || live(parent)),
-         Errc::kInvalidClass, "unknown or deleted parent class");
-  ensure(!queues_.has(parent), Errc::kHasBacklog,
-         "cannot add children under a class that queues packets");
-  ensure(parent == kRootClass || hot_[parent].has_ls(), Errc::kMissingCurve,
-         "interior classes need a link-sharing curve");
-  check_config(cfg, /*leaf=*/true);
-  maybe_self_check();  // audits the state before the gate moves it
-  if (admission_ && !in_txn_apply_) {
-    std::vector<ServiceCurve> out;
-    if (parent != kRootClass && nodes_[parent].children.empty() &&
-        hot_[parent].has_rt()) {
-      out.push_back(nodes_[parent].cfg.rt);  // turns interior: rt inert
-    }
-    std::vector<ServiceCurve> in;
-    if (!cfg.rt.is_zero()) in.push_back(cfg.rt);
-    gate_direct(out, in);
-  }
-
-  Node n;
-  n.cfg = cfg;
-  HotClass h;
-  h.parent = parent;
-  h.refresh_flags(cfg);
-  h.idx_in_parent = static_cast<std::uint32_t>(nodes_[parent].children.size());
-  // Anchor all runtime curves at the origin; the becomes-active min-fold
-  // re-anchors them (min(S(t), S(t - a) + c) == S(t - a) + c at first
-  // activation, so no special first-time flag is needed).
-  ClassCurves cc;
-  if (!cfg.rt.is_zero()) {
-    cc.dc = RuntimeCurve(cfg.rt, 0, 0);
-    cc.ec = RuntimeCurve(cfg.rt, 0, 0);
-    if (cfg.rt.m1 < cfg.rt.m2) cc.ec.flatten_to_second_slope();
-  }
-  if (!cfg.ls.is_zero()) cc.vc = RuntimeCurve(cfg.ls, 0, 0);
-  if (!cfg.ul.is_zero()) cc.uc = RuntimeCurve(cfg.ul, 0, 0);
-
-  if (h.has_ul()) ++num_ul_;
-  nodes_.push_back(std::move(n));
-  hot_.push_back(h);
-  curves_.push_back(cc);
-  const ClassId id = static_cast<ClassId>(nodes_.size() - 1);
-  nodes_[parent].children.push_back(id);
-  queues_.ensure(id);
-  return id;
 }
 
 TimeNs Hfsc::system_vt(const Node& p) const noexcept {
@@ -264,120 +217,133 @@ Packet Hfsc::serve(ClassId leaf, Criterion crit, TimeNs now) {
   return p;
 }
 
-void Hfsc::change_class(TimeNs now, ClassId cls, ClassConfig cfg) {
-  ensure(live(cls), Errc::kInvalidClass, "unknown or deleted class");
-  Node& n = nodes_[cls];
-  HotClass& h = hot_[cls];
-  ClassCurves& cc = curves_[cls];
-  check_config(cfg, /*leaf=*/n.children.empty());
-  maybe_self_check();
-  if (admission_ && !in_txn_apply_ && n.children.empty()) {
-    std::vector<ServiceCurve> out;
-    if (h.has_rt()) out.push_back(n.cfg.rt);
-    std::vector<ServiceCurve> in;
-    if (!cfg.rt.is_zero()) in.push_back(cfg.rt);
-    gate_direct(out, in);
-  }
-  now = clamp_now(now);
+// The apply step of every class mutation, direct or batched.  The rules
+// and the admission gate ran before (core/txn.cpp), so nothing here
+// validates.
+ClassId Hfsc::apply_unchecked(const Op& op) {
+  switch (op.kind) {
+    case Op::Kind::kAdd: {
+      const ClassConfig& cfg = op.cfg;
+      HotClass h;
+      h.parent = op.parent;
+      h.refresh_flags(cfg);
+      h.idx_in_parent =
+          static_cast<std::uint32_t>(nodes_[op.parent].children.size());
+      // Anchor all runtime curves at the origin; the becomes-active
+      // min-fold re-anchors them (min(S(t), S(t - a) + c) == S(t - a) + c
+      // at first activation, so no special first-time flag is needed).
+      ClassCurves cc;
+      if (!cfg.rt.is_zero()) {
+        cc.dc = RuntimeCurve(cfg.rt, 0, 0);
+        cc.ec = RuntimeCurve(cfg.rt, 0, 0);
+        if (cfg.rt.m1 < cfg.rt.m2) cc.ec.flatten_to_second_slope();
+      }
+      if (!cfg.ls.is_zero()) cc.vc = RuntimeCurve(cfg.ls, 0, 0);
+      if (!cfg.ul.is_zero()) cc.uc = RuntimeCurve(cfg.ul, 0, 0);
 
-  const bool had_ls = h.has_ls();
-  const bool had_ul = h.has_ul();
-  n.cfg = cfg;
-  h.refresh_flags(cfg);
-  if (had_ul && !h.has_ul()) --num_ul_;
-  if (!had_ul && h.has_ul()) ++num_ul_;
-
-  // Real-time side: re-anchor at (now, c).
-  if (h.has_rt()) {
-    cc.dc = RuntimeCurve(cfg.rt, now, h.cumul);
-    cc.ec = RuntimeCurve(cfg.rt, now, h.cumul);
-    if (cfg.rt.m1 < cfg.rt.m2) cc.ec.flatten_to_second_slope();
-    if (queues_.has(cls)) {
-      h.e = cc.ec.y2x(h.cumul);
-      h.d = cc.dc.y2x(sat_add(h.cumul, queues_.head(cls).len));
-      rt_requests_.update(cls, h.e, h.d, now);
+      if (h.has_ul()) ++num_ul_;
+      Node n;
+      n.cfg = cfg;
+      nodes_.push_back(std::move(n));
+      hot_.push_back(h);
+      curves_.push_back(cc);
+      const ClassId id = static_cast<ClassId>(nodes_.size() - 1);
+      nodes_[op.parent].children.push_back(id);
+      queues_.ensure(id);
+      return id;
     }
-  } else if (rt_requests_.contains(cls)) {
-    rt_requests_.erase(cls);
-  }
+    case Op::Kind::kChange: {
+      const ClassId cls = op.cls;
+      const ClassConfig& cfg = op.cfg;
+      const TimeNs now = clamp_now(op.now);
+      Node& n = nodes_[cls];
+      HotClass& h = hot_[cls];
+      ClassCurves& cc = curves_[cls];
+      const bool had_ls = h.has_ls();
+      const bool had_ul = h.has_ul();
+      n.cfg = cfg;
+      h.refresh_flags(cfg);
+      if (had_ul && !h.has_ul()) --num_ul_;
+      if (!had_ul && h.has_ul()) ++num_ul_;
 
-  // Link-sharing side: re-anchor at (v, w).
-  if (h.has_ls()) {
-    cc.vc = RuntimeCurve(cfg.ls, h.vt, h.total);
-    if (h.active()) {
-      h.vt = cc.vc.y2x(h.total);
+      // Real-time side: re-anchor at (now, c).
+      if (h.has_rt()) {
+        cc.dc = RuntimeCurve(cfg.rt, now, h.cumul);
+        cc.ec = RuntimeCurve(cfg.rt, now, h.cumul);
+        if (cfg.rt.m1 < cfg.rt.m2) cc.ec.flatten_to_second_slope();
+        if (queues_.has(cls)) {
+          h.e = cc.ec.y2x(h.cumul);
+          h.d = cc.dc.y2x(sat_add(h.cumul, queues_.head(cls).len));
+          rt_requests_.update(cls, h.e, h.d, now);
+        }
+      } else if (rt_requests_.contains(cls)) {
+        rt_requests_.erase(cls);
+      }
+
+      // Link-sharing side: re-anchor at (v, w).
+      if (h.has_ls()) {
+        cc.vc = RuntimeCurve(cfg.ls, h.vt, h.total);
+        if (h.active()) {
+          h.vt = cc.vc.y2x(h.total);
+          Node& p = nodes_[h.parent];
+          p.active_children.update(h.idx_in_parent, h.vt);
+          p.vt_watermark = std::max(p.vt_watermark, h.vt);
+        } else if (queues_.has(cls)) {
+          activate_ls_path(cls, now);
+        }
+      } else if (had_ls && h.active()) {
+        set_passive(cls);
+      }
+
+      // Upper limit: re-anchor at (now, w).
+      if (h.has_ul()) {
+        cc.uc = RuntimeCurve(cfg.ul, now, h.total);
+        h.fit = cc.uc.y2x(h.total);
+      } else {
+        h.fit = 0;
+      }
+      return cls;
+    }
+    case Op::Kind::kDelete: {
+      const ClassId cls = op.cls;
+      Node& n = nodes_[cls];
+      HotClass& h = hot_[cls];
+      // Purge queued packets, counting them as drops.
+      while (queues_.has(cls)) {
+        const Packet p = queues_.pop(cls);
+        ++n.pkts_dropped;
+        n.bytes_dropped += p.len;
+      }
+      if (rt_requests_.contains(cls)) rt_requests_.erase(cls);
+      if (h.active()) set_passive(cls);
+      if (h.has_ul()) --num_ul_;
+
+      // Detach from the parent: swap-remove from the children vector and
+      // fix the displaced sibling's index (including its heap entry if
+      // active).
       Node& p = nodes_[h.parent];
-      p.active_children.update(h.idx_in_parent, h.vt);
-      p.vt_watermark = std::max(p.vt_watermark, h.vt);
-    } else if (queues_.has(cls)) {
-      activate_ls_path(cls, now);
+      const std::uint32_t idx = h.idx_in_parent;
+      const auto last = static_cast<std::uint32_t>(p.children.size() - 1);
+      if (idx != last) {
+        const ClassId moved = p.children[last];
+        p.children[idx] = moved;
+        HotClass& m = hot_[moved];
+        if (m.active()) {
+          const TimeNs key = p.active_children.key_of(m.idx_in_parent);
+          p.active_children.erase(m.idx_in_parent);
+          p.active_children.push(idx, key);
+        }
+        m.idx_in_parent = idx;
+      }
+      p.children.pop_back();
+      n.deleted = true;
+      return cls;
     }
-  } else if (had_ls && h.active()) {
-    set_passive(cls);
+    case Op::Kind::kQueueLimit:
+      nodes_[op.cls].queue_limit = op.limit;
+      return op.cls;
   }
-
-  // Upper limit: re-anchor at (now, w).
-  if (h.has_ul()) {
-    cc.uc = RuntimeCurve(cfg.ul, now, h.total);
-    h.fit = cc.uc.y2x(h.total);
-  } else {
-    h.fit = 0;
-  }
-}
-
-void Hfsc::delete_class(ClassId cls) {
-  ensure(live(cls), Errc::kInvalidClass, "unknown or deleted class");
-  Node& n = nodes_[cls];
-  HotClass& h = hot_[cls];
-  ensure(n.children.empty(), Errc::kHasChildren, "delete children first");
-  maybe_self_check();
-  if (admission_ && !in_txn_apply_) {
-    std::vector<ServiceCurve> out;
-    if (h.has_rt()) out.push_back(n.cfg.rt);
-    std::vector<ServiceCurve> in;
-    if (h.parent != kRootClass && nodes_[h.parent].children.size() == 1 &&
-        hot_[h.parent].has_rt()) {
-      // The parent becomes a leaf again; its rt guarantee re-activates
-      // and must fit back under the link curve.
-      in.push_back(nodes_[h.parent].cfg.rt);
-    }
-    gate_direct(out, in);
-  }
-
-  // Purge queued packets, counting them as drops.
-  while (queues_.has(cls)) {
-    const Packet p = queues_.pop(cls);
-    ++n.pkts_dropped;
-    n.bytes_dropped += p.len;
-  }
-  if (rt_requests_.contains(cls)) rt_requests_.erase(cls);
-  if (h.active()) set_passive(cls);
-  if (h.has_ul()) --num_ul_;
-
-  // Detach from the parent: swap-remove from the children vector and fix
-  // the displaced sibling's index (including its heap entry if active).
-  Node& p = nodes_[h.parent];
-  const std::uint32_t idx = h.idx_in_parent;
-  const std::uint32_t last = static_cast<std::uint32_t>(p.children.size() - 1);
-  if (idx != last) {
-    const ClassId moved = p.children[last];
-    p.children[idx] = moved;
-    HotClass& m = hot_[moved];
-    if (m.active()) {
-      const TimeNs key = p.active_children.key_of(m.idx_in_parent);
-      p.active_children.erase(m.idx_in_parent);
-      p.active_children.push(idx, key);
-    }
-    m.idx_in_parent = idx;
-  }
-  p.children.pop_back();
-  n.deleted = true;
-}
-
-void Hfsc::set_queue_limit(ClassId cls, std::size_t max_packets) {
-  ensure(live(cls), Errc::kInvalidClass, "unknown or deleted class");
-  maybe_self_check();
-  nodes_[cls].queue_limit = max_packets;
+  return op.cls;
 }
 
 void Hfsc::enqueue(TimeNs now, Packet pkt) {
@@ -470,58 +436,35 @@ AdmissionControl Hfsc::leaf_aggregate(RateBps link_rate) const {
   return ac;
 }
 
-bool Hfsc::apply_admission_delta(const std::vector<ServiceCurve>& out,
-                                 const std::vector<ServiceCurve>& in) {
-  if (admission_->replace(out, in)) return true;
-  ++admission_rejections_;
-  return false;
-}
-
-void Hfsc::gate_direct(const std::vector<ServiceCurve>& out,
-                       const std::vector<ServiceCurve>& in) {
-  if (apply_admission_delta(out, in)) return;
-  // Releasing curves only lowers a fitting aggregate, so a misfit always
-  // has a curve to blame.
-  assert(!in.empty());
-  const RateBps link = admission_->link_rate();
-  double reserved = admission_->utilization();
-  for (const ServiceCurve& sc : out) {
-    reserved -= static_cast<double>(sc.m2) / static_cast<double>(link);
-  }
-  throw Error(Errc::kAdmissionRejected,
-              "real-time curve " + to_string(in.back()) +
-                  " pushes the aggregate above the link curve (link rate " +
-                  std::to_string(link) + " B/s, " +
-                  std::to_string(reserved * 100.0) +
-                  "% already reserved); lower the curve, delete another "
-                  "real-time class, or raise the admission link rate");
+bool Hfsc::try_enable_admission_control(RateBps link_rate) {
+  // The AdmissionControl constructor rejects link_rate == 0.  The fresh
+  // aggregate is checked before it replaces the old one, so a misfit
+  // leaves the previous admission state (enabled or not) untouched.
+  auto fresh = std::make_unique<AdmissionControl>(leaf_aggregate(link_rate));
+  if (!fresh->fits()) return false;
+  admission_ = std::move(fresh);
+  return true;
 }
 
 void Hfsc::enable_admission_control(RateBps link_rate) {
-  // The AdmissionControl constructor rejects link_rate == 0.  Validate
-  // the existing hierarchy before enabling so a failure leaves the
-  // previous admission state (enabled or not) untouched.
-  auto fresh = std::make_unique<AdmissionControl>(leaf_aggregate(link_rate));
-  if (!fresh->fits()) {
-    ++admission_rejections_;
-    // Cold path: name the first curve, in class-id order, that overflows.
-    AdmissionControl scan(link_rate);
-    ServiceCurve offending{};
-    for (ClassId c = 1; c < nodes_.size(); ++c) {
-      const Node& n = nodes_[c];
-      if (n.deleted || !n.children.empty() || !hot_[c].has_rt()) continue;
-      if (!scan.admit(n.cfg.rt)) {
-        offending = n.cfg.rt;
-        break;
-      }
+  if (try_enable_admission_control(link_rate)) return;
+  ++admission_rejections_;
+  // Cold path: name the first curve, in class-id order, that overflows.
+  AdmissionControl scan(link_rate);
+  ServiceCurve offending{};
+  for (ClassId c = 1; c < nodes_.size(); ++c) {
+    const Node& n = nodes_[c];
+    if (n.deleted || !n.children.empty() || !hot_[c].has_rt()) continue;
+    if (!scan.admit(n.cfg.rt)) {
+      offending = n.cfg.rt;
+      break;
     }
-    throw Error(Errc::kAdmissionRejected,
-                "existing real-time curves already exceed the link curve "
-                "(offending curve " +
-                    to_string(offending) +
-                    "); admission control left unchanged");
   }
-  admission_ = std::move(fresh);
+  throw Error(Errc::kAdmissionRejected,
+              "existing real-time curves already exceed the link curve "
+              "(offending curve " +
+                  to_string(offending) +
+                  "); admission control left unchanged");
 }
 
 // -------------------------------------------------- starvation watchdog

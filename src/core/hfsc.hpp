@@ -95,6 +95,25 @@ class Hfsc final : public Scheduler {
   explicit Hfsc(RateBps link_rate,
                 SystemVtPolicy vt_policy = SystemVtPolicy::kMidpoint);
 
+  // --- Control plane ----------------------------------------------------
+  // One class mutation.  The named mutators below, Txn and the runtime's
+  // journal all speak this type, and every op, direct or batched, is
+  // checked by the same rules and admission delta (core/txn.cpp).
+  struct Op {
+    enum class Kind { kAdd, kChange, kDelete, kQueueLimit };
+    Kind kind = Kind::kAdd;
+    ClassId parent = kRootClass;  // kAdd
+    ClassId cls = kRootClass;     // the others (kAdd ignores it)
+    ClassConfig cfg{};            // kAdd / kChange
+    TimeNs now = 0;               // kChange
+    std::size_t limit = 0;        // kQueueLimit
+  };
+
+  // Applies one op now; returns the new class's id for kAdd, op.cls
+  // otherwise.  Throws Error, changing nothing, on a broken rule (see the
+  // mutators) or an admission rejection.
+  ClassId apply(const Op& op);
+
   // Adds a class under `parent` (kRootClass for top level).  Only leaf
   // classes may receive packets; interior classes' rt curves are ignored
   // (the paper's architecture applies the real-time criterion to leaves
@@ -104,12 +123,16 @@ class Hfsc final : public Scheduler {
   // ls curve (kMissingCurve), unsupported curve shapes
   // (kUnsupportedCurve), or a config with neither rt nor ls
   // (kMissingCurve).
-  ClassId add_class(ClassId parent, ClassConfig cfg);
+  ClassId add_class(ClassId parent, ClassConfig cfg) {
+    return apply({.kind = Op::Kind::kAdd, .parent = parent, .cfg = cfg});
+  }
 
   // Caps a leaf's queue at `max_packets` (0 = unlimited, the default).
   // Arrivals beyond the cap are tail-dropped and counted.  Throws
   // Error{kInvalidClass} for an unknown, root, or deleted class.
-  void set_queue_limit(ClassId cls, std::size_t max_packets);
+  void set_queue_limit(ClassId cls, std::size_t max_packets) {
+    apply({.kind = Op::Kind::kQueueLimit, .cls = cls, .limit = max_packets});
+  }
 
   // Replaces a class's service curves at runtime (the authors'
   // implementation exposes this as HFSC_CHANGE_SC).  Runtime curves are
@@ -118,24 +141,29 @@ class Hfsc final : public Scheduler {
   // resume from the present instead of re-crediting the past.  An
   // interior class must keep a link-sharing curve.  Throws Error on
   // misuse (see add_class).
-  void change_class(TimeNs now, ClassId cls, ClassConfig cfg);
+  void change_class(TimeNs now, ClassId cls, ClassConfig cfg) {
+    apply({.kind = Op::Kind::kChange, .cls = cls, .cfg = cfg, .now = now});
+  }
 
   // Deletes a leaf class: queued packets are dropped (counted against the
   // class), the class is detached from the tree and its id becomes
   // invalid.  Interior classes must have their children deleted first
   // (Error{kHasChildren} otherwise).
-  void delete_class(ClassId cls);
+  void delete_class(ClassId cls) {
+    apply({.kind = Op::Kind::kDelete, .cls = cls});
+  }
 
   bool is_deleted(ClassId cls) const { return nodes_[cls].deleted; }
 
   // --- Transactional reconfiguration --------------------------------------
-  // A Txn stages any number of mutations and applies them atomically at
-  // commit(): the whole batch is first validated (including the admission
-  // check when enabled) against a shadow of the hierarchy, so a failing
-  // commit throws hfsc::Error and leaves the live scheduler bit-for-bit
-  // untouched.  Staged add_class calls return the ids the classes will
-  // have after a successful commit; later staged ops may refer to them.
-  // Staging itself never validates — all errors surface at commit.
+  // A Txn stages any number of ops and applies them atomically at
+  // commit(): each op is checked by the direct mutators' rules against a
+  // shadow of the hierarchy as the ops before it leave it, and the
+  // batch's admission delta is checked once, so a failing commit throws
+  // hfsc::Error and leaves the live scheduler bit-for-bit untouched.
+  // Staged adds return the ids the classes will have after a successful
+  // commit; later staged ops may refer to them.  Staging itself never
+  // validates — all errors surface at commit.
   //
   // Data-path traffic may keep flowing while a Txn is open; commit
   // re-validates against the state at commit time.  Adding classes
@@ -150,13 +178,23 @@ class Hfsc final : public Scheduler {
     Txn& operator=(const Txn&) = delete;
     Txn& operator=(Txn&&) = delete;
 
-    // Stages a mutation; returns the id the class will have on commit.
-    ClassId add_class(ClassId parent, ClassConfig cfg);
-    void change_class(TimeNs now, ClassId cls, ClassConfig cfg);
-    void delete_class(ClassId cls);
-    void set_queue_limit(ClassId cls, std::size_t max_packets);
+    // Stages an op; returns the id the class will have on commit for
+    // kAdd, op.cls otherwise.
+    ClassId stage(const Op& op);
+    ClassId add_class(ClassId parent, ClassConfig cfg) {
+      return stage({.kind = Op::Kind::kAdd, .parent = parent, .cfg = cfg});
+    }
+    void change_class(TimeNs now, ClassId cls, ClassConfig cfg) {
+      stage({.kind = Op::Kind::kChange, .cls = cls, .cfg = cfg, .now = now});
+    }
+    void delete_class(ClassId cls) {
+      stage({.kind = Op::Kind::kDelete, .cls = cls});
+    }
+    void set_queue_limit(ClassId cls, std::size_t max_packets) {
+      stage({.kind = Op::Kind::kQueueLimit, .cls = cls, .limit = max_packets});
+    }
 
-    // Validates the whole batch against a shadow of the live hierarchy,
+    // Checks the whole batch against a shadow of the live hierarchy,
     // then applies it.  Throws hfsc::Error on the first invalid op or on
     // admission rejection, leaving the scheduler untouched and the Txn
     // open (fix or rollback).  On success the Txn is closed.
@@ -165,20 +203,9 @@ class Hfsc final : public Scheduler {
     void rollback() noexcept;
 
     bool open() const noexcept { return open_; }
-    std::size_t num_ops() const noexcept;
+    std::size_t num_ops() const noexcept { return ops_.size(); }
 
    private:
-    struct Op;
-    struct Shadow;
-
-    // Replays one op onto the shadow, throwing on any rule the live
-    // mutators would reject; returns the id assigned (adds only).
-    static ClassId replay(Shadow& sh, const Op& op);
-    // Applies the batch's admission delta, or throws
-    // Error{kAdmissionRejected} naming the first class, in id order, whose
-    // rt curve the final state cannot fit.
-    void admit_batch(Shadow& sh);
-
     Hfsc* s_;
     std::vector<Op> ops_;
     std::size_t base_classes_;  // num_classes() at begin; id prediction base
@@ -200,6 +227,10 @@ class Hfsc final : public Scheduler {
   // interior class's rt curve is inert until it becomes a leaf again.
   void enable_admission_control(RateBps link_rate);
   void enable_admission_control() { enable_admission_control(link_rate_); }
+  // The same feasibility check without the throw: returns false —
+  // changing nothing and counting no rejection — when the hierarchy does
+  // not fit `link_rate`.
+  bool try_enable_admission_control(RateBps link_rate);
   void disable_admission_control() noexcept { admission_.reset(); }
   bool admission_enabled() const noexcept { return admission_ != nullptr; }
   // Fraction of the admission link's long-term rate reserved; 0 when
@@ -433,28 +464,33 @@ class Hfsc final : public Scheduler {
 
   Packet serve(ClassId leaf, Criterion crit, TimeNs now);
 
-  // True when `cls` names a live (non-root, non-deleted) class.
-  bool live(ClassId cls) const noexcept {
-    return cls > 0 && cls < nodes_.size() && !nodes_[cls].deleted;
-  }
   // Validates a ClassConfig for a class with/without children; throws.
   static void check_config(const ClassConfig& cfg, bool leaf);
   // A fresh admission aggregate of the rt curves of all live leaves — the
   // set the admission check gates — unchecked (callers test fits() once).
   AdmissionControl leaf_aggregate(RateBps link_rate) const;
-  // One mutation's admission delta: releases the rt curves of classes
-  // that stop being rt leaves (`out`), adds those of classes that become
-  // rt leaves (`in`) and checks the link curve once.  On a misfit counts
-  // the rejection, leaves the aggregate exactly as it was and returns
-  // false.  Requires admission to be enabled.
-  bool apply_admission_delta(const std::vector<ServiceCurve>& out,
-                             const std::vector<ServiceCurve>& in);
-  // The direct mutators' gate: applies the delta or throws
-  // Error{kAdmissionRejected} naming the curve in `in` that does not fit.
-  // Callers skip it when admission is disabled or a Txn commit is
-  // mid-apply (the commit applied the whole batch's delta up front).
-  void gate_direct(const std::vector<ServiceCurve>& out,
-                   const std::vector<ServiceCurve>& in);
+
+  // The control plane's three steps (core/txn.cpp).  A Shadow is the
+  // hierarchy as the ops checked so far leave it; with nothing staged it
+  // reads straight through to the live tree.
+  struct Shadow;
+  // An admission delta: the rt curves of classes that stop being rt
+  // leaves (`out`) and of those that become rt leaves (`in`).
+  struct AdmissionDelta {
+    std::vector<ServiceCurve> out;
+    std::vector<ServiceCurve> in;
+  };
+  // The rules: throws Error on the first one `op` breaks against `v`.
+  // With `delta`, also appends the op's admission delta to it.
+  void check(const Shadow& v, const Op& op, AdmissionDelta* delta) const;
+  // Moves the admission aggregate by `d`, or counts the rejection and
+  // throws Error{kAdmissionRejected}, leaving the aggregate as it was.
+  // `batch` (a Txn's final shadow; null for a direct op) picks the
+  // message.  Requires admission to be enabled.
+  void admit(const AdmissionDelta& d, const Shadow* batch);
+  // Applies an op that passed check(); validates nothing.
+  ClassId apply_unchecked(const Op& op);
+
   // Scans for newly starved leaves; rate-limited to every horizon/4.
   void maybe_watchdog(TimeNs now);
   // Clamps a data-path clock that ran backwards, counting the anomaly.
@@ -502,7 +538,6 @@ class Hfsc final : public Scheduler {
   TimeNs starvation_horizon_ = 0;  // 0 = watchdog off
   TimeNs next_starvation_scan_ = 0;
   std::uint64_t starvation_events_ = 0;
-  bool in_txn_apply_ = false;  // suppresses per-op gating during commit
 
   friend AuditReport audit(const Hfsc&);
   // core/checkpoint.hpp

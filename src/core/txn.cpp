@@ -1,48 +1,46 @@
-// Hfsc::Txn — transactional live reconfiguration.
+// The control plane: every class mutation, direct or batched.
 //
-// A Txn records mutations without touching the scheduler.  commit()
-// replays the whole batch onto a Shadow — a sparse overlay on the live
-// hierarchy holding only the classes the batch touches (parent links,
-// configs, child counts, backlog flags) plus its staged adds — enforcing
-// exactly the rules the live mutators enforce.  When admission control is
-// on it then applies only the batch's admission delta: each touched class
-// releases its live rt-leaf curve and admits its final one (a parent that
-// turns interior drops out, one that turns back into a leaf re-enters),
-// and the exact aggregate is checked against the link curve once.  A
-// commit therefore costs O(ops * log n + B) for B distinct rt knee times,
-// whatever the size of the hierarchy.  Only after every op and the
-// admission check validate does commit() apply the batch through the live
-// mutators, so any hfsc::Error leaves the scheduler — and the admission
-// aggregate — bit-for-bit untouched (tests/test_txn_atomicity_fuzz.cpp
-// proves this by state digest over >= 10k failing batches).
+// An Hfsc::Op takes three steps, each written once:
 //
-// Ids for staged add_class calls are predicted: the live scheduler
-// assigns ids densely (nodes are never erased from the vector, only
-// tombstoned), so the k-th staged add gets num_classes() + k.  The
-// prediction is checked at commit; direct adds made while the Txn was
-// open make it stale and commit throws Error{kTxnInvalid}.
+//   check   the rules (Hfsc::check) read the tree through a Shadow — a
+//           sparse overlay on the live hierarchy holding only the classes
+//           staged ops have touched (parent links, configs, child counts,
+//           backlog flags) plus the staged adds.  With nothing staged it
+//           reads straight through to the live tree.  The same pass
+//           works out the op's admission delta against that view: each
+//           class that stops being an rt leaf releases its curve (a
+//           parent that turns interior, a deleted leaf), each class that
+//           becomes one admits its curve (an added leaf, a parent that
+//           turns back into a leaf), and a changed leaf swaps them.
+//   admit   when admission control is on, Hfsc::admit moves the
+//           aggregate by the delta and checks it against the link curve
+//           once, or throws leaving it as it was (Section II).
+//   apply   Hfsc::apply_unchecked (core/hfsc.cpp) changes the tree.
+//
+// A direct mutator runs the three steps for one op on an empty shadow,
+// so it allocates nothing beyond the delta.  Txn::commit checks every op
+// against a shadow staged with the ops before it, admits the summed
+// delta of the batch once, and only then applies the ops, so any
+// hfsc::Error leaves the scheduler — and the admission aggregate —
+// bit-for-bit untouched (tests/test_txn_atomicity_fuzz.cpp proves this
+// by state digest over >= 10k failing batches).  A commit costs
+// O(ops * log n + B) for B distinct rt knee times, whatever the size of
+// the hierarchy.
+//
+// Ids for staged adds are predicted: the live scheduler assigns ids
+// densely (nodes are never erased from the vector, only tombstoned), so
+// the k-th staged add gets num_classes() + k.  The prediction is checked
+// at commit; direct adds made while the Txn was open make it stale and
+// commit throws Error{kTxnInvalid}.
 
+#include <cassert>
 #include <unordered_map>
 
 #include "core/hfsc.hpp"
 
 namespace hfsc {
 
-struct Hfsc::Txn::Op {
-  enum class Kind { kAdd, kChange, kDelete, kQueueLimit };
-  Kind kind;
-  ClassId cls = 0;  // kAdd: the parent; otherwise the target class
-  ClassConfig cfg{};
-  TimeNs now = 0;           // kChange re-anchor time
-  std::size_t limit = 0;    // kQueueLimit
-};
-
-// The hierarchy as the batch so far leaves it, as an overlay on the live
-// tree: an existing class is copied in on first use, staged adds are
-// appended with ids from the live class count on.  Every other class
-// reads through to the scheduler, so a commit costs O(ops), not
-// O(classes).
-struct Hfsc::Txn::Shadow {
+struct Hfsc::Shadow {
   struct SNode {
     ClassId parent = kRootClass;
     ClassConfig cfg{};
@@ -64,23 +62,154 @@ struct Hfsc::Txn::Shadow {
   std::size_t base() const noexcept { return s->nodes_.size(); }
   std::size_t size() const noexcept { return base() + added.size(); }
 
-  // Class c < size() as the batch leaves it; an existing class is
-  // copied in from the live tree on first use.
+  // Class c < size() as the staged ops leave it.
+  SNode get(ClassId c) const {
+    if (c >= base()) return added[c - base()];
+    const auto it = touched.find(c);
+    return it != touched.end() ? it->second : from_tree(c);
+  }
+  bool live(ClassId c) const {
+    return c > 0 && c < size() && !get(c).deleted;
+  }
+
+  // Records a checked op as applied.
+  void stage(const Op& op) {
+    switch (op.kind) {
+      case Op::Kind::kAdd:
+        ++at(op.parent).children;
+        added.push_back(SNode{.parent = op.parent, .cfg = op.cfg});
+        break;
+      case Op::Kind::kChange:
+        at(op.cls).cfg = op.cfg;
+        break;
+      case Op::Kind::kDelete: {
+        SNode& sn = at(op.cls);
+        sn.deleted = true;
+        sn.backlogged = false;
+        const ClassId parent = sn.parent;
+        --at(parent).children;
+        break;
+      }
+      case Op::Kind::kQueueLimit:
+        break;
+    }
+  }
+
+ private:
+  // Class c, copied in from the live tree on first use.
   SNode& at(ClassId c) {
     if (c >= base()) return added[c - base()];
     const auto [it, first_use] = touched.try_emplace(c);
-    if (first_use) {
-      const Node& n = s->nodes_[c];
-      it->second = SNode{s->hot_[c].parent, n.cfg,
-                         static_cast<std::uint32_t>(n.children.size()),
-                         n.deleted, s->queues_.has(c)};
-    }
+    if (first_use) it->second = from_tree(c);
     return it->second;
   }
-  bool live(ClassId c) {
-    return c > 0 && c < size() && !at(c).deleted;
+  SNode from_tree(ClassId c) const {
+    const Node& n = s->nodes_[c];
+    return SNode{s->hot_[c].parent, n.cfg,
+                 static_cast<std::uint32_t>(n.children.size()), n.deleted,
+                 s->queues_.has(c)};
   }
 };
+
+void Hfsc::check(const Shadow& v, const Op& op, AdmissionDelta* delta) const {
+  switch (op.kind) {
+    case Op::Kind::kAdd: {
+      ensure(op.parent < v.size() &&
+                 (op.parent == kRootClass || v.live(op.parent)),
+             Errc::kInvalidClass, "unknown or deleted parent class");
+      const Shadow::SNode parent = v.get(op.parent);
+      ensure(!parent.backlogged, Errc::kHasBacklog,
+             "cannot add children under a class that queues packets");
+      ensure(op.parent == kRootClass || !parent.cfg.ls.is_zero(),
+             Errc::kMissingCurve,
+             "interior classes need a link-sharing curve");
+      check_config(op.cfg, /*leaf=*/true);
+      if (delta != nullptr) {
+        // A leaf parent turns interior: its rt curve goes inert.
+        if (parent.rt_leaf()) delta->out.push_back(parent.cfg.rt);
+        if (!op.cfg.rt.is_zero()) delta->in.push_back(op.cfg.rt);
+      }
+      return;
+    }
+    case Op::Kind::kChange: {
+      ensure(v.live(op.cls), Errc::kInvalidClass, "unknown or deleted class");
+      const Shadow::SNode sn = v.get(op.cls);
+      check_config(op.cfg, /*leaf=*/sn.children == 0);
+      if (delta != nullptr && sn.children == 0 && !(sn.cfg.rt == op.cfg.rt)) {
+        if (!sn.cfg.rt.is_zero()) delta->out.push_back(sn.cfg.rt);
+        if (!op.cfg.rt.is_zero()) delta->in.push_back(op.cfg.rt);
+      }
+      return;
+    }
+    case Op::Kind::kDelete: {
+      ensure(v.live(op.cls), Errc::kInvalidClass, "unknown or deleted class");
+      const Shadow::SNode sn = v.get(op.cls);
+      ensure(sn.children == 0, Errc::kHasChildren, "delete children first");
+      if (delta != nullptr) {
+        if (!sn.cfg.rt.is_zero()) delta->out.push_back(sn.cfg.rt);
+        // An only child's parent becomes a leaf again; its rt guarantee
+        // re-activates and must fit back under the link curve.
+        const Shadow::SNode parent = v.get(sn.parent);
+        if (parent.children == 1 && !parent.cfg.rt.is_zero()) {
+          delta->in.push_back(parent.cfg.rt);
+        }
+      }
+      return;
+    }
+    case Op::Kind::kQueueLimit:
+      ensure(v.live(op.cls), Errc::kInvalidClass, "unknown or deleted class");
+      return;
+  }
+  throw Error(Errc::kTxnInvalid, "corrupt op");
+}
+
+void Hfsc::admit(const AdmissionDelta& d, const Shadow* batch) {
+  if ((d.out.empty() && d.in.empty()) || admission_->replace(d.out, d.in)) {
+    return;
+  }
+  ++admission_rejections_;
+  if (batch == nullptr) {
+    // Releasing curves only lowers a fitting aggregate, so a misfit
+    // always has a curve to blame.
+    assert(!d.in.empty());
+    const RateBps link = admission_->link_rate();
+    double reserved = admission_->utilization();
+    for (const ServiceCurve& sc : d.out) {
+      reserved -= static_cast<double>(sc.m2) / static_cast<double>(link);
+    }
+    throw Error(Errc::kAdmissionRejected,
+                "real-time curve " + to_string(d.in.back()) +
+                    " pushes the aggregate above the link curve (link "
+                    "rate " +
+                    std::to_string(link) + " B/s, " +
+                    std::to_string(reserved * 100.0) +
+                    "% already reserved); lower the curve, delete another "
+                    "real-time class, or raise the admission link rate");
+  }
+  // Cold path: name the first class, in id order, whose rt curve
+  // overflows the final state's aggregate.
+  AdmissionControl scan(admission_->link_rate());
+  for (ClassId c = 1; c < batch->size(); ++c) {
+    const Shadow::SNode sn = batch->get(c);
+    if (!sn.rt_leaf() || scan.admit(sn.cfg.rt)) continue;
+    throw Error(Errc::kAdmissionRejected,
+                "committing this batch would put real-time curve " +
+                    to_string(sn.cfg.rt) + " (class " + std::to_string(c) +
+                    ") above the link curve; shrink the batch's rt "
+                    "curves or raise the admission link rate");
+  }
+  throw Error(Errc::kAdmissionRejected,
+              "committing this batch would put the real-time curves above "
+              "the link curve");
+}
+
+ClassId Hfsc::apply(const Op& op) {
+  AdmissionDelta delta;
+  check(Shadow(*this), op, admission_ ? &delta : nullptr);
+  maybe_self_check();  // audits the state before the gate moves it
+  if (admission_) admit(delta, nullptr);
+  return apply_unchecked(op);
+}
 
 Hfsc::Txn::Txn(Hfsc& sched) : s_(&sched), base_classes_(sched.num_classes()) {}
 
@@ -95,113 +224,17 @@ Hfsc::Txn::Txn(Txn&& other) noexcept
   other.open_ = false;
 }
 
-ClassId Hfsc::Txn::replay(Shadow& sh, const Op& op) {
-  switch (op.kind) {
-    case Op::Kind::kAdd: {
-      ensure(op.cls < sh.size() &&
-                 (op.cls == kRootClass || sh.live(op.cls)),
-             Errc::kInvalidClass, "unknown or deleted parent class");
-      Shadow::SNode& parent = sh.at(op.cls);
-      ensure(!parent.backlogged, Errc::kHasBacklog,
-             "cannot add children under a class that queues packets");
-      ensure(op.cls == kRootClass || !parent.cfg.ls.is_zero(),
-             Errc::kMissingCurve,
-             "interior classes need a link-sharing curve");
-      check_config(op.cfg, /*leaf=*/true);
-      ++parent.children;
-      Shadow::SNode sn;
-      sn.parent = op.cls;
-      sn.cfg = op.cfg;
-      sh.added.push_back(sn);  // invalidates `parent` if it is a staged add
-      return static_cast<ClassId>(sh.size() - 1);
-    }
-    case Op::Kind::kChange: {
-      ensure(sh.live(op.cls), Errc::kInvalidClass, "unknown or deleted class");
-      Shadow::SNode& sn = sh.at(op.cls);
-      check_config(op.cfg, /*leaf=*/sn.children == 0);
-      sn.cfg = op.cfg;
-      return op.cls;
-    }
-    case Op::Kind::kDelete: {
-      ensure(sh.live(op.cls), Errc::kInvalidClass, "unknown or deleted class");
-      Shadow::SNode& sn = sh.at(op.cls);
-      ensure(sn.children == 0, Errc::kHasChildren, "delete children first");
-      sn.deleted = true;
-      sn.backlogged = false;
-      --sh.at(sn.parent).children;
-      return op.cls;
-    }
-    case Op::Kind::kQueueLimit: {
-      ensure(sh.live(op.cls), Errc::kInvalidClass, "unknown or deleted class");
-      return op.cls;
-    }
-  }
-  throw Error(Errc::kTxnInvalid, "corrupt staged op");
-}
-
-ClassId Hfsc::Txn::add_class(ClassId parent, ClassConfig cfg) {
+ClassId Hfsc::Txn::stage(const Op& op) {
   ensure(open_, Errc::kTxnInvalid, "transaction already closed");
-  ops_.push_back(Op{Op::Kind::kAdd, parent, cfg, 0, 0});
+  ops_.push_back(op);
+  if (op.kind != Op::Kind::kAdd) return op.cls;
   return static_cast<ClassId>(base_classes_ + staged_adds_++);
 }
-
-void Hfsc::Txn::change_class(TimeNs now, ClassId cls, ClassConfig cfg) {
-  ensure(open_, Errc::kTxnInvalid, "transaction already closed");
-  ops_.push_back(Op{Op::Kind::kChange, cls, cfg, now, 0});
-}
-
-void Hfsc::Txn::delete_class(ClassId cls) {
-  ensure(open_, Errc::kTxnInvalid, "transaction already closed");
-  ops_.push_back(Op{Op::Kind::kDelete, cls, ClassConfig{}, 0, 0});
-}
-
-void Hfsc::Txn::set_queue_limit(ClassId cls, std::size_t max_packets) {
-  ensure(open_, Errc::kTxnInvalid, "transaction already closed");
-  ops_.push_back(Op{Op::Kind::kQueueLimit, cls, ClassConfig{}, 0, max_packets});
-}
-
-std::size_t Hfsc::Txn::num_ops() const noexcept { return ops_.size(); }
 
 void Hfsc::Txn::rollback() noexcept {
   ops_.clear();
   staged_adds_ = 0;
   open_ = false;
-}
-
-void Hfsc::Txn::admit_batch(Shadow& sh) {
-  // Only the touched classes can change rt-leaf status or curve: each
-  // leaves the aggregate with its live curve and re-enters with its final
-  // one.
-  std::vector<ServiceCurve> out;
-  std::vector<ServiceCurve> in;
-  for (const auto& [c, sn] : sh.touched) {
-    const bool was_rt_leaf = s_->live(c) && s_->nodes_[c].children.empty() &&
-                             s_->hot_[c].has_rt();
-    const ServiceCurve& old_rt = s_->nodes_[c].cfg.rt;
-    if (was_rt_leaf && sn.rt_leaf() && old_rt == sn.cfg.rt) continue;
-    if (was_rt_leaf) out.push_back(old_rt);
-    if (sn.rt_leaf()) in.push_back(sn.cfg.rt);
-  }
-  for (const Shadow::SNode& sn : sh.added) {
-    if (sn.rt_leaf()) in.push_back(sn.cfg.rt);
-  }
-  if (s_->apply_admission_delta(out, in)) return;
-
-  // Cold path: name the first class, in id order, whose rt curve
-  // overflows the final state's aggregate.
-  AdmissionControl scan(s_->admission_->link_rate());
-  for (ClassId c = 1; c < sh.size(); ++c) {
-    const Shadow::SNode& sn = sh.at(c);
-    if (!sn.rt_leaf() || scan.admit(sn.cfg.rt)) continue;
-    throw Error(Errc::kAdmissionRejected,
-                "committing this batch would put real-time curve " +
-                    to_string(sn.cfg.rt) + " (class " + std::to_string(c) +
-                    ") above the link curve; shrink the batch's rt "
-                    "curves or raise the admission link rate");
-  }
-  throw Error(Errc::kAdmissionRejected,
-              "committing this batch would put the real-time curves above "
-              "the link curve");
 }
 
 void Hfsc::Txn::commit() {
@@ -211,44 +244,25 @@ void Hfsc::Txn::commit() {
          "classes were added outside the transaction since begin(); the "
          "staged ids are stale — rollback and re-stage");
 
-  // Phase 1: validate the whole batch against a shadow of the live tree.
-  // Any throw here (or in the admission check below) leaves the scheduler
-  // untouched and the transaction open.
+  // Phase 1: check each op against the shadow as the ops before it leave
+  // it, summing the batch's admission delta.  Any throw here (or in the
+  // admission check below) leaves the scheduler untouched and the
+  // transaction open.
   Shadow sh(*s_);
-  for (const Op& op : ops_) replay(sh, op);
+  AdmissionDelta delta;
+  AdmissionDelta* const d = s_->admission_ ? &delta : nullptr;
+  for (const Op& op : ops_) {
+    s_->check(sh, op, d);
+    sh.stage(op);
+  }
 
   // Phase 2: admission over the final state — the sum of the surviving
-  // leaves' rt curves must stay below the link curve (Section II).  The
-  // aggregate takes the batch's delta here; a misfit restores it.
-  if (s_->admission_) admit_batch(sh);
+  // leaves' rt curves must stay below the link curve (Section II).
+  if (d != nullptr) s_->admit(delta, &sh);
 
-  // Phase 3: apply.  Validation mirrored every rule the live mutators
-  // enforce, so none of these calls can throw; per-op admission gating
-  // and self-checks are suspended for the batch (the final state was
-  // validated above, and intermediate states are transient).
-  s_->in_txn_apply_ = true;
-  try {
-    for (const Op& op : ops_) {
-      switch (op.kind) {
-        case Op::Kind::kAdd:
-          s_->add_class(op.cls, op.cfg);
-          break;
-        case Op::Kind::kChange:
-          s_->change_class(op.now, op.cls, op.cfg);
-          break;
-        case Op::Kind::kDelete:
-          s_->delete_class(op.cls);
-          break;
-        case Op::Kind::kQueueLimit:
-          s_->set_queue_limit(op.cls, op.limit);
-          break;
-      }
-    }
-  } catch (...) {
-    s_->in_txn_apply_ = false;
-    throw;  // unreachable unless the scheduler was already corrupt
-  }
-  s_->in_txn_apply_ = false;
+  // Phase 3: apply.  Every op passed the rules in order, so none can
+  // fail; self-checks wait for the final state.
+  for (const Op& op : ops_) s_->apply_unchecked(op);
   open_ = false;
   ops_.clear();
   staged_adds_ = 0;

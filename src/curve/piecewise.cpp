@@ -455,17 +455,18 @@ bool AdmissionControl::admit(const ServiceCurve& sc) {
 
 bool AdmissionControl::replace(const std::vector<ServiceCurve>& out,
                                const std::vector<ServiceCurve>& in) {
+  for (const ServiceCurve& sc : in) add(sc);
   std::size_t released = 0;
   try {
     for (; released < out.size(); ++released) release(out[released]);
   } catch (...) {
     for (std::size_t i = 0; i < released; ++i) add(out[i]);
+    for (const ServiceCurve& sc : in) release(sc);
     throw;
   }
-  for (const ServiceCurve& sc : in) add(sc);
   if (fits()) return true;
-  for (const ServiceCurve& sc : in) release(sc);
   for (const ServiceCurve& sc : out) add(sc);
+  for (const ServiceCurve& sc : in) release(sc);
   return false;
 }
 

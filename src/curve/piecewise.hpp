@@ -188,9 +188,9 @@ class PiecewiseLinear {
 // check_link_admissibility runs this same class, so it and the runtime
 // share one order-independent verdict.
 //
-// Hfsc::enable_admission_control wires an instance into every mutation
-// path (direct mutators and Hfsc::Txn commits), each applying only its
-// delta through replace(), so the scheduler refuses configurations whose
+// Hfsc::enable_admission_control wires an instance into the control
+// plane (core/txn.cpp), which applies only each op's or batch's delta
+// through replace(), so the scheduler refuses configurations whose
 // guarantees it cannot honour.
 class AdmissionControl {
  public:
@@ -215,9 +215,10 @@ class AdmissionControl {
   // aggregate from many curves and checking fits() once.
   void add(const ServiceCurve& sc);
 
-  // Releases every curve of `out` and adds every curve of `in`, then
-  // checks the link curve once.  On a misfit the aggregate is restored
-  // exactly (== its previous value) and false is returned.  Throws like
+  // Adds every curve of `in` and releases every curve of `out` — in that
+  // order, so `out` may name a curve that `in` brings — then checks the
+  // link curve once.  On a misfit the aggregate is restored exactly
+  // (== its previous value) and false is returned.  Throws like
   // release() — changing nothing — if some curve of `out` is not
   // admitted.
   bool replace(const std::vector<ServiceCurve>& out,

@@ -15,8 +15,8 @@ using BatchOp = RuntimeHost::BatchOp;
 using OpKind = BatchOp::Kind;
 
 // The journal text of one control-plane op: the only writer of
-// add/chg/del/qlim lines, for direct mutators, commit_batch and
-// governor interventions alike.  put_record ends the line with '\n'.
+// add/chg/del/qlim lines, for commit_batch and governor interventions
+// alike.  put_record ends the line with '\n'.
 void put_op(std::string& out, const BatchOp& op) {
   const ClassConfig& c = op.cfg;
   switch (op.kind) {
@@ -37,15 +37,7 @@ void put_op(std::string& out, const BatchOp& op) {
   }
 }
 
-// One bare op record: put_op's line without its newline.
-std::string op_text(const BatchOp& op) {
-  std::string p;
-  put_op(p, op);
-  p.pop_back();
-  return p;
-}
-
-// The only reader of put_op's output: parses one op's whole text.
+// The only reader of put_op's output: parses one op's whole line.
 BatchOp read_op(TextReader in) {
   const std::string_view name = in.word();
   BatchOp op;
@@ -79,25 +71,6 @@ BatchOp read_op(TextReader in) {
   return op;
 }
 
-// Applies one op to the scheduler or to an open Txn (same mutators).
-template <class Target>
-void apply_op(Target& target, const BatchOp& op) {
-  switch (op.kind) {
-    case OpKind::kAdd:
-      target.add_class(op.parent, op.cfg);
-      break;
-    case OpKind::kChange:
-      target.change_class(op.now, op.cls, op.cfg);
-      break;
-    case OpKind::kDelete:
-      target.delete_class(op.cls);
-      break;
-    case OpKind::kQueueLimit:
-      target.set_queue_limit(op.cls, op.limit);
-      break;
-  }
-}
-
 }  // namespace
 
 const char* to_string(CrashPoint p) noexcept {
@@ -114,7 +87,7 @@ const char* to_string(CrashPoint p) noexcept {
 
 RuntimeHost::RuntimeHost(const RuntimeOptions& opts)
     : opts_(opts),
-      sched_(opts.link_rate, opts.vt_policy),
+      sched_(opts.link_rate),
       gov_(opts.governor) {
   if (opts_.admission_rate > 0) {
     sched_.enable_admission_control(opts_.admission_rate);
@@ -133,67 +106,43 @@ RuntimeHost::RuntimeHost(const RuntimeOptions& opts, Hfsc&& restored,
 
 // --- Journaled control plane -----------------------------------------------
 
-ClassId RuntimeHost::add_class(ClassId parent, ClassConfig cfg) {
-  const ClassId id = sched_.add_class(parent, cfg);
-  maybe_crash(CrashPoint::kAfterApply);
-  journal_append(op_text({.kind = OpKind::kAdd, .parent = parent, .cfg = cfg}));
-  maybe_crash(CrashPoint::kAfterJournalAppend);
-  return id;
-}
-
-void RuntimeHost::change_class(TimeNs now, ClassId cls, ClassConfig cfg) {
-  sched_.change_class(now, cls, cfg);
-  maybe_crash(CrashPoint::kAfterApply);
-  journal_append(
-      op_text({.kind = OpKind::kChange, .cls = cls, .cfg = cfg, .now = now}));
-  maybe_crash(CrashPoint::kAfterJournalAppend);
-}
-
-void RuntimeHost::delete_class(ClassId cls) {
-  sched_.delete_class(cls);
-  forget_governed(cls);
-  maybe_crash(CrashPoint::kAfterApply);
-  journal_append(op_text({.kind = OpKind::kDelete, .cls = cls}));
-  maybe_crash(CrashPoint::kAfterJournalAppend);
-}
-
-void RuntimeHost::set_queue_limit(ClassId cls, std::size_t max_packets) {
-  sched_.set_queue_limit(cls, max_packets);
-  maybe_crash(CrashPoint::kAfterApply);
-  journal_append(op_text(
-      {.kind = OpKind::kQueueLimit, .cls = cls, .limit = max_packets}));
-  maybe_crash(CrashPoint::kAfterJournalAppend);
-}
-
-void RuntimeHost::commit_batch(const std::vector<BatchOp>& ops) {
+std::vector<ClassId> RuntimeHost::commit_ops(const std::vector<BatchOp>& ops) {
   Hfsc::Txn txn = sched_.begin();
-  for (const BatchOp& op : ops) apply_op(txn, op);
-  txn.commit();  // throws without journaling on a failed batch
+  std::vector<ClassId> added;
   for (const BatchOp& op : ops) {
-    if (op.kind == OpKind::kDelete) forget_governed(op.cls);
+    const ClassId id = txn.stage(op);
+    if (op.kind == OpKind::kAdd) added.push_back(id);
   }
+  txn.commit();
+  for (const BatchOp& op : ops) {
+    if (op.kind != OpKind::kDelete) continue;
+    gov_.forget_clamp(op.cls);
+    gov_.forget_quarantine(op.cls);
+  }
+  return added;
+}
+
+std::vector<ClassId> RuntimeHost::commit_batch(
+    const std::vector<BatchOp>& ops) {
+  std::vector<ClassId> added = commit_ops(ops);  // throws: nothing journaled
   maybe_crash(CrashPoint::kAfterApply);
   std::string p;
   put_record(p, "txn", ops.size());
   for (const BatchOp& op : ops) put_op(p, op);
   journal_append(p);
   maybe_crash(CrashPoint::kAfterJournalAppend);
+  return added;
 }
 
 // --- Data path ---------------------------------------------------------------
-
-bool RuntimeHost::rt_leaf(ClassId cls) const {
-  return cls != kRootClass && cls < sched_.num_classes() &&
-         !sched_.is_deleted(cls) && sched_.is_leaf(cls) &&
-         !sched_.config_of(cls).rt.is_zero();
-}
 
 void RuntimeHost::enqueue(TimeNs now, Packet pkt) {
   sched_.enqueue(now, pkt);
   if (!opts_.governor_enabled) return;
   if (gov_.level() >= 1 && pkt.cls != kRootClass &&
       pkt.cls < sched_.num_classes() &&
-      gov_.should_push_out(sched_.queued_bytes(pkt.cls), rt_leaf(pkt.cls))) {
+      gov_.should_push_out(sched_.queued_bytes(pkt.cls),
+                           live_leaf(pkt.cls, /*with_rt=*/true))) {
     // Early drop: push the arrival straight back out of the tail rather
     // than letting the class ride to its queue-limit cliff.
     if (sched_.drop_tail(pkt.cls)) gov_.count_push_out();
@@ -244,37 +193,18 @@ void RuntimeHost::maybe_sample(TimeNs now) {
   if (!actions.empty() || gov_.level() != prev_level) execute(actions, now);
 }
 
-bool RuntimeHost::retune_admission(RateBps rate) {
-  if (rate == 0 || !sched_.admission_enabled()) return false;
-  // Pre-check against a probe so enable_admission_control can never
-  // throw (it would leave admission DISABLED on an infeasible
-  // hierarchy, which is the opposite of tightening).
-  AdmissionControl probe(rate);
-  for (ClassId c = 1; c < sched_.num_classes(); ++c) {
-    if (sched_.is_deleted(c) || !sched_.is_leaf(c)) continue;
-    const ServiceCurve& rt = sched_.config_of(c).rt;
-    if (rt.is_zero()) continue;
-    if (!probe.admit(rt)) return false;
-  }
-  sched_.enable_admission_control(rate);
-  return true;
-}
-
 void RuntimeHost::execute(const GovActions& actions, TimeNs now) {
   std::string mutations;  // one journal line per mutation
   std::size_t n_mutations = 0;
-  auto journal_op = [&](const BatchOp& op) {
+  auto run = [&](const BatchOp& op) {
+    sched_.apply(op);
     put_op(mutations, op);
     ++n_mutations;
   };
-  auto governable = [&](ClassId cls) {
-    return cls != kRootClass && cls < sched_.num_classes() &&
-           !sched_.is_deleted(cls) && sched_.is_leaf(cls) &&
-           sched_.config_of(cls).rt.is_zero();
-  };
-
+  // Clamps and quarantines touch only live non-rt leaves: the rt
+  // invariant, enforced here and in the governor's plan.
   for (const ClassId cls : actions.clamp) {
-    if (!governable(cls)) continue;  // the rt invariant, enforced twice
+    if (!live_leaf(cls, /*with_rt=*/false)) continue;
     const ClassConfig original = sched_.config_of(cls);
     ClassConfig clamped = original;
     const double f = opts_.governor.clamp_fraction;
@@ -282,33 +212,27 @@ void RuntimeHost::execute(const GovActions& actions, TimeNs now) {
         1, static_cast<RateBps>(static_cast<double>(original.ls.m1) * f));
     clamped.ls.m2 = std::max<RateBps>(
         1, static_cast<RateBps>(static_cast<double>(original.ls.m2) * f));
-    sched_.change_class(now, cls, clamped);
+    run({.kind = OpKind::kChange, .cls = cls, .cfg = clamped, .now = now});
     gov_.note_clamped(cls, original);
-    journal_op(
-        {.kind = OpKind::kChange, .cls = cls, .cfg = clamped, .now = now});
   }
   for (const ClassId cls : actions.unclamp) {
     const ClassConfig original = gov_.saved_config(cls);
-    if (governable(cls)) {
-      sched_.change_class(now, cls, original);
-      journal_op(
-          {.kind = OpKind::kChange, .cls = cls, .cfg = original, .now = now});
+    if (live_leaf(cls, /*with_rt=*/false)) {
+      run({.kind = OpKind::kChange, .cls = cls, .cfg = original, .now = now});
     }
     gov_.forget_clamp(cls);
   }
   for (const ClassId cls : actions.quarantine) {
-    if (!governable(cls)) continue;
+    if (!live_leaf(cls, /*with_rt=*/false)) continue;
     const std::size_t saved = sched_.queue_limit_of(cls);
     const std::size_t qlim = opts_.governor.quarantine_qlimit;
-    sched_.set_queue_limit(cls, qlim);
+    run({.kind = OpKind::kQueueLimit, .cls = cls, .limit = qlim});
     gov_.note_quarantined(cls, saved);
-    journal_op({.kind = OpKind::kQueueLimit, .cls = cls, .limit = qlim});
   }
   for (const ClassId cls : actions.release) {
     const std::size_t saved = gov_.saved_qlimit(cls);
-    if (governable(cls)) {
-      sched_.set_queue_limit(cls, saved);
-      journal_op({.kind = OpKind::kQueueLimit, .cls = cls, .limit = saved});
+    if (live_leaf(cls, /*with_rt=*/false)) {
+      run({.kind = OpKind::kQueueLimit, .cls = cls, .limit = saved});
     }
     gov_.forget_quarantine(cls);
   }
@@ -369,18 +293,14 @@ void RuntimeHost::save_checkpoint() {
 }
 
 void RuntimeHost::apply_record(const std::string& payload) {
-  // A record is one bare op, or a "txn N" / "gov N" header line followed
-  // by N op lines (and, for gov, the governor's state blob).
+  // A record is a "txn N" or "gov N" header line followed by N op lines
+  // (and, for gov, the governor's state blob).
   TextReader in(payload, Errc::kBadJournal, kBadRecord);
-  const std::string_view kind = TextReader(in).word();
-  if (kind != "txn" && kind != "gov") {
-    const BatchOp op = read_op(in);
-    apply_op(sched_, op);
-    if (op.kind == OpKind::kDelete) forget_governed(op.cls);
-    return;
-  }
   TextReader head = in.line();
-  head.word();
+  const std::string_view kind = head.word();
+  if (kind != "txn" && kind != "gov") {
+    head.fail("unknown record " + TextReader::quoted(kind));
+  }
   const auto n = head.num<std::size_t>("op count");
   head.expect_end();
   auto next_line = [&] {
@@ -388,16 +308,10 @@ void RuntimeHost::apply_record(const std::string& payload) {
     return in.line();
   };
   if (kind == "txn") {
-    Hfsc::Txn txn = sched_.begin();
-    std::vector<ClassId> deleted;
-    for (std::size_t i = 0; i < n; ++i) {
-      const BatchOp op = read_op(next_line());
-      apply_op(txn, op);
-      if (op.kind == OpKind::kDelete) deleted.push_back(op.cls);
-    }
+    std::vector<BatchOp> ops;
+    for (std::size_t i = 0; i < n; ++i) ops.push_back(read_op(next_line()));
     in.expect_end();
-    txn.commit();
-    for (const ClassId cls : deleted) forget_governed(cls);
+    commit_ops(ops);
     return;
   }
   // gov: the plan's chg/qlim ops and admission retunes, then the state.
@@ -414,7 +328,7 @@ void RuntimeHost::apply_record(const std::string& payload) {
     if (op.kind != OpKind::kChange && op.kind != OpKind::kQueueLimit) {
       line.fail_at(line.offset(), "a gov record holds only chg/qlim/adm");
     }
-    apply_op(sched_, op);
+    sched_.apply(op);
   }
   const std::size_t blob_at = in.offset();
   try {
@@ -479,21 +393,16 @@ AuditReport RuntimeHost::audit_runtime() const {
   auto fail = [&](const std::string& what) {
     r.failures.push_back("governor: " + what);
   };
-  auto governable = [&](ClassId cls) {
-    return cls != kRootClass && cls < sched_.num_classes() &&
-           !sched_.is_deleted(cls) && sched_.is_leaf(cls) &&
-           sched_.config_of(cls).rt.is_zero();
-  };
   for (const auto& [cls, saved] : gov_.clamped()) {
     (void)saved;
-    if (!governable(cls)) {
+    if (!live_leaf(cls, /*with_rt=*/false)) {
       fail("clamped class " + std::to_string(cls) +
            " is not a live non-rt leaf");
     }
   }
   for (const auto& [cls, saved] : gov_.quarantined()) {
     (void)saved;
-    if (!governable(cls)) {
+    if (!live_leaf(cls, /*with_rt=*/false)) {
       fail("quarantined class " + std::to_string(cls) +
            " is not a live non-rt leaf");
     }

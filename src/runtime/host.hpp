@@ -3,9 +3,10 @@
 //
 // The host composes the three resilience pieces into one object:
 //
-//   * every successful control-plane mutation — direct or a whole
-//     Txn batch — is appended to the write-ahead Journal
-//     (apply-then-journal, see runtime/journal.hpp), so the pair
+//   * every user mutation is one commit_batch — a Hfsc::Txn of any
+//     number of Hfsc::Ops — and each successful batch is appended to the
+//     write-ahead Journal as one `txn` record (apply-then-journal, see
+//     runtime/journal.hpp), so the pair
 //     (checkpoint image, journal image) is always enough to rebuild the
 //     scheduler: recover() = restore the checkpoint, replay the
 //     surviving records past its watermark, verify by audit;
@@ -69,7 +70,6 @@ struct CrashSignal {
 
 struct RuntimeOptions {
   RateBps link_rate = 0;
-  SystemVtPolicy vt_policy = SystemVtPolicy::kMidpoint;
   bool governor_enabled = true;
   GovernorConfig governor{};
   // 0 = admission control off.  This is the governor's "base" rate; at
@@ -89,25 +89,12 @@ class RuntimeHost {
   explicit RuntimeHost(const RuntimeOptions& opts);
 
   // --- Journaled control plane ---------------------------------------------
-  // Same contracts as the Hfsc mutators; on success the operation is
-  // additionally appended to the journal.
-  ClassId add_class(ClassId parent, ClassConfig cfg);
-  void change_class(TimeNs now, ClassId cls, ClassConfig cfg);
-  void delete_class(ClassId cls);
-  void set_queue_limit(ClassId cls, std::size_t max_packets);
-
-  struct BatchOp {
-    enum class Kind { kAdd, kChange, kDelete, kQueueLimit };
-    Kind kind = Kind::kAdd;
-    ClassId parent = kRootClass;  // kAdd
-    ClassId cls = kRootClass;     // others (kAdd ignores it)
-    ClassConfig cfg{};            // kAdd / kChange
-    TimeNs now = 0;               // kChange
-    std::size_t limit = 0;        // kQueueLimit
-  };
-  // Applies the batch atomically through Hfsc::Txn and journals it as
-  // one record; throws without journaling if the commit fails.
-  void commit_batch(const std::vector<BatchOp>& ops);
+  // The one journaled entry point for user mutations: commits the ops
+  // atomically through Hfsc::Txn (the Hfsc mutators' rules) and journals
+  // them as one `txn` record.  Returns the ids of the classes it added,
+  // in op order; throws without journaling if the commit fails.
+  using BatchOp = Hfsc::Op;
+  std::vector<ClassId> commit_batch(const std::vector<BatchOp>& ops);
 
   // --- Data path -----------------------------------------------------------
   // Wraps the scheduler's data path with the governor's enqueue hook
@@ -190,20 +177,26 @@ class RuntimeHost {
   // Executes a governor plan through direct scheduler mutations and
   // journals the whole intervention as one `gov` record.
   void execute(const GovActions& actions, TimeNs now);
-  // Drops a deleted class from the governor's saved state.  Every delete
-  // path (direct, batched, and their journal replays) calls it, so
-  // recovery converges to the same governor state.
-  void forget_governed(ClassId cls) {
-    gov_.forget_clamp(cls);
-    gov_.forget_quarantine(cls);
-  }
+  // Commits `ops` as one Hfsc::Txn and drops deleted classes from the
+  // governor's saved state — the shared step of commit_batch and its
+  // journal replay, so recovery converges to the same governor state.
+  std::vector<ClassId> commit_ops(const std::vector<BatchOp>& ops);
   // Replays one journal payload onto the scheduler (recovery path).
   void apply_record(const std::string& payload);
-  // True if `cls` is a live leaf carrying an rt curve.
-  bool rt_leaf(ClassId cls) const;
+  // True if `cls` is a live leaf that carries (`with_rt`) or lacks an rt
+  // curve.
+  bool live_leaf(ClassId cls, bool with_rt) const {
+    return cls != kRootClass && cls < sched_.num_classes() &&
+           !sched_.is_deleted(cls) && sched_.is_leaf(cls) &&
+           sched_.config_of(cls).rt.is_zero() != with_rt;
+  }
   std::uint64_t total_drops() const;
-  // Pre-checked admission switch (never leaves admission disabled).
-  bool retune_admission(RateBps rate);
+  // Moves admission to `rate` unless the hierarchy does not fit it; a
+  // refusal changes nothing and counts no rejection.
+  bool retune_admission(RateBps rate) {
+    return rate != 0 && sched_.admission_enabled() &&
+           sched_.try_enable_admission_control(rate);
+  }
   RateBps tightened_rate() const noexcept {
     const double h = opts_.governor.headroom;
     return static_cast<RateBps>(static_cast<double>(opts_.admission_rate) * h);

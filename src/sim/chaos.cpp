@@ -23,6 +23,16 @@ std::string chaos_seed_tag(std::uint64_t seed) {
   return os.str();
 }
 
+using Op = RuntimeHost::BatchOp;
+using OpKind = Op::Kind;
+
+// One mutation through the host's journaled entry point; returns the
+// added class's id for an add, op.cls otherwise.
+ClassId commit_one(RuntimeHost& host, const Op& op) {
+  const std::vector<ClassId> added = host.commit_batch({op});
+  return added.empty() ? op.cls : added.front();
+}
+
 // Every failure carries the run's seed so a red line is reproducible
 // verbatim (rep.seed is set before any episode runs).
 void fail(ChaosReport& rep, const std::string& what) {
@@ -121,12 +131,14 @@ OverloadResult run_overload(bool governor_on) {
   // Fig. 1-style: one guaranteed audio-like leaf, four bulk leaves.
   const ServiceCurve rt_curve = ServiceCurve::linear(mbps(20));
   const ServiceCurve bulk_ls = ServiceCurve::linear(mbps(20));
-  const ClassId rt_cls = host.add_class(
-      kRootClass, ClassConfig{rt_curve, rt_curve, ServiceCurve{}});
+  const ClassId rt_cls = commit_one(
+      host, {.kind = OpKind::kAdd,
+             .cfg = ClassConfig{rt_curve, rt_curve, ServiceCurve{}}});
   std::vector<ClassId> bulk;
   for (int i = 0; i < 4; ++i) {
-    bulk.push_back(
-        host.add_class(kRootClass, ClassConfig::link_share_only(bulk_ls)));
+    bulk.push_back(commit_one(
+        host, {.kind = OpKind::kAdd,
+               .cfg = ClassConfig::link_share_only(bulk_ls)}));
   }
 
   const Bytes rt_len = 200;
@@ -198,9 +210,10 @@ OverloadResult run_overload(bool governor_on) {
       // Level 3 tightens headroom for NEW flows: an rt flow that fits
       // the base link but not base*headroom must be refused here...
       try {
-        host.add_class(kRootClass,
-                       ClassConfig::real_time_only(ServiceCurve::linear(
-                           mbps(60))));  // 20 + 60 > 75 = tightened
+        // 20 + 60 > 75 = tightened
+        commit_one(host, {.kind = OpKind::kAdd,
+                          .cfg = ClassConfig::real_time_only(
+                              ServiceCurve::linear(mbps(60)))});
       } catch (const Error& e) {
         res.admission_probe_rejected = e.code() == Errc::kAdmissionRejected;
       }
@@ -219,10 +232,11 @@ OverloadResult run_overload(bool governor_on) {
   // and the headroom is restored (then cleaned up again).
   if (governor_on && res.admission_probe_rejected) {
     try {
-      const ClassId probe = host.add_class(
-          kRootClass,
-          ClassConfig::real_time_only(ServiceCurve::linear(mbps(60))));
-      host.delete_class(probe);
+      const ClassId probe = commit_one(
+          host, {.kind = OpKind::kAdd,
+                 .cfg = ClassConfig::real_time_only(
+                     ServiceCurve::linear(mbps(60)))});
+      commit_one(host, {.kind = OpKind::kDelete, .cls = probe});
       res.admission_probe_after_decay_ok = true;
     } catch (const Error&) {
       res.admission_probe_after_decay_ok = false;
@@ -355,23 +369,22 @@ void run_episode(const ChaosConfig& cfg, int ep, ChaosReport& rep) {
   std::optional<RuntimeHost> host;
   host.emplace(opts);
 
-  // Hierarchy: direct journaled adds plus one txn batch, so both replay
-  // paths are exercised from the very first records.
+  // Hierarchy: single-op commits plus one three-op batch, so replay
+  // meets both from the very first records.
   const ServiceCurve rt_curve = ServiceCurve::linear(mbps(10));
-  const ClassId rt_cls = host->add_class(
-      kRootClass, ClassConfig{rt_curve, rt_curve, ServiceCurve{}});
-  const ClassId org = host->add_class(
-      kRootClass, ClassConfig::link_share_only(ServiceCurve::linear(mbps(80))));
-  std::vector<RuntimeHost::BatchOp> batch;
-  for (int i = 0; i < 3; ++i) {
-    RuntimeHost::BatchOp op;
-    op.kind = RuntimeHost::BatchOp::Kind::kAdd;
-    op.parent = org;
-    op.cfg = ClassConfig::link_share_only(ServiceCurve::linear(mbps(25)));
-    batch.push_back(op);
-  }
-  host->commit_batch(batch);
-  std::vector<ClassId> bulk = {org + 1, org + 2, org + 3};
+  const ClassId rt_cls = commit_one(
+      *host, {.kind = OpKind::kAdd,
+              .cfg = ClassConfig{rt_curve, rt_curve, ServiceCurve{}}});
+  const ClassId org = commit_one(
+      *host, {.kind = OpKind::kAdd,
+              .cfg = ClassConfig::link_share_only(
+                  ServiceCurve::linear(mbps(80)))});
+  const Op bulk_add{
+      .kind = OpKind::kAdd,
+      .parent = org,
+      .cfg = ClassConfig::link_share_only(ServiceCurve::linear(mbps(25)))};
+  std::vector<ClassId> bulk =
+      host->commit_batch({bulk_add, bulk_add, bulk_add});
 
   EpochBase base = snapshot(*host);
   std::uint64_t offered_epoch = 0;
@@ -465,35 +478,30 @@ void run_episode(const ChaosConfig& cfg, int ep, ChaosReport& rep) {
     if (now >= next_churn) {
       next_churn = now + msec(1);
       if (scratch.size() < 4 && rng.chance(0.7)) {
-        const std::size_t before = host->sched().num_classes();
-        std::vector<RuntimeHost::BatchOp> ops;
-        RuntimeHost::BatchOp add;
-        add.kind = RuntimeHost::BatchOp::Kind::kAdd;
-        add.parent = org;
-        add.cfg = ClassConfig::link_share_only(
-            ServiceCurve::linear(mbps(rng.uniform(1, 10))));
-        ops.push_back(add);
-        RuntimeHost::BatchOp lim;
-        lim.kind = RuntimeHost::BatchOp::Kind::kQueueLimit;
-        lim.cls = static_cast<ClassId>(before);
-        lim.limit = rng.uniform(16, 64);
-        ops.push_back(lim);
-        host->commit_batch(ops);
-        scratch.push_back(static_cast<ClassId>(before));
+        const auto before =
+            static_cast<ClassId>(host->sched().num_classes());
+        const Op add{.kind = OpKind::kAdd,
+                     .parent = org,
+                     .cfg = ClassConfig::link_share_only(
+                         ServiceCurve::linear(mbps(rng.uniform(1, 10))))};
+        const Op lim{.kind = OpKind::kQueueLimit,
+                     .cls = before,
+                     .limit = rng.uniform(16, 64)};
+        host->commit_batch({add, lim});
+        scratch.push_back(before);
       } else if (!scratch.empty()) {
-        host->delete_class(scratch.back());
+        commit_one(*host, {.kind = OpKind::kDelete, .cls = scratch.back()});
         scratch.pop_back();
       }
       if (rng.chance(0.3)) {
-        std::vector<RuntimeHost::BatchOp> bad;
-        RuntimeHost::BatchOp op;
-        op.kind = RuntimeHost::BatchOp::Kind::kChange;
-        op.cls = 60000;  // unknown class: the whole batch must fail
-        op.now = now;
-        op.cfg = ClassConfig::link_share_only(ServiceCurve::linear(mbps(1)));
-        bad.push_back(op);
+        // Unknown class: the whole batch must fail.
+        const Op bad{
+            .kind = OpKind::kChange,
+            .cls = 60000,
+            .cfg = ClassConfig::link_share_only(ServiceCurve::linear(mbps(1))),
+            .now = now};
         try {
-          host->commit_batch(bad);
+          host->commit_batch({bad});
           fail(rep, "episode " + std::to_string(ep) +
                         ": invalid batch committed");
         } catch (const Error& e) {
@@ -522,12 +530,16 @@ void run_episode(const ChaosConfig& cfg, int ep, ChaosReport& rep) {
               kAllCrashPoints[mode] == CrashPoint::kAfterCompact) {
             host->save_checkpoint();
           } else {
-            host->set_queue_limit(bulk[2], rng.uniform(32, 256));
+            commit_one(*host, {.kind = OpKind::kQueueLimit,
+                               .cls = bulk[2],
+                               .limit = rng.uniform(32, 256)});
           }
         } else {
           ++rep.torn_appends;
           host->tear_next_append(rng.uniform(1, 60));
-          host->set_queue_limit(bulk[2], rng.uniform(32, 256));
+          commit_one(*host, {.kind = OpKind::kQueueLimit,
+                             .cls = bulk[2],
+                             .limit = rng.uniform(32, 256)});
         }
         fail(rep, "episode " + std::to_string(ep) +
                       ": armed crash point never fired");
@@ -557,11 +569,14 @@ void run_episode(const ChaosConfig& cfg, int ep, ChaosReport& rep) {
   // recovery (= checkpoint + journal replay) must land digest-identical
   // to the live scheduler, byte for byte.
   host->save_checkpoint();
-  host->set_queue_limit(bulk[0], 128);
-  host->change_class(now, bulk[0],
-                     ClassConfig::link_share_only(ServiceCurve::linear(
-                         mbps(rng.uniform(5, 30)))));
-  host->set_queue_limit(bulk[0], 0);
+  commit_one(*host,
+             {.kind = OpKind::kQueueLimit, .cls = bulk[0], .limit = 128});
+  commit_one(*host, {.kind = OpKind::kChange,
+                     .cls = bulk[0],
+                     .cfg = ClassConfig::link_share_only(
+                         ServiceCurve::linear(mbps(rng.uniform(5, 30)))),
+                     .now = now});
+  commit_one(*host, {.kind = OpKind::kQueueLimit, .cls = bulk[0], .limit = 0});
   try {
     RuntimeHost rec = RuntimeHost::recover(opts, host->checkpoint_image(),
                                            host->journal_image());

@@ -1249,6 +1249,23 @@ bool ScenarioResult::conserved() const noexcept {
 // ---------------------------------------------------------------------------
 // Rendering
 
+namespace {
+
+using ClassRows = std::vector<const ScenarioResult::PerClass*>;
+
+// The per-class rows grouped by node name in one pass, each group in
+// per_class order, so a report renders in time linear in its rows.
+std::unordered_map<std::string_view, ClassRows> rows_by_node(
+    const std::vector<ScenarioResult::PerClass>& per_class) {
+  std::unordered_map<std::string_view, ClassRows> out;
+  for (const ScenarioResult::PerClass& pc : per_class) {
+    out[pc.node].push_back(&pc);
+  }
+  return out;
+}
+
+}  // namespace
+
 std::string CompareResult::to_table() const {
   // One row per class that appeared in any run; a family that dropped the
   // class shows "-".  Classes keep first-appearance order, labelled
@@ -1292,33 +1309,35 @@ std::string CompareResult::to_table() const {
 }
 
 std::string ScenarioResult::to_table() const {
-  // The classes of `node`, or of every node when it is null.
-  auto class_table = [this](const std::string* node) {
+  auto class_table = [](const ClassRows& rows) {
     TablePrinter table({"class", "packets", "bytes", "dropped", "mean_ms",
                         "p99_ms", "max_ms", "rate_mbps"});
-    for (const PerClass& pc : per_class) {
-      if (node != nullptr && pc.node != *node) continue;
-      table.add_row({pc.name, std::to_string(pc.packets),
-                     std::to_string(pc.bytes), std::to_string(pc.dropped),
-                     TablePrinter::fmt(pc.mean_delay_ms),
-                     TablePrinter::fmt(pc.p99_delay_ms),
-                     TablePrinter::fmt(pc.max_delay_ms),
-                     TablePrinter::fmt(pc.rate_mbps, 2)});
+    for (const PerClass* pc : rows) {
+      table.add_row({pc->name, std::to_string(pc->packets),
+                     std::to_string(pc->bytes), std::to_string(pc->dropped),
+                     TablePrinter::fmt(pc->mean_delay_ms),
+                     TablePrinter::fmt(pc->p99_delay_ms),
+                     TablePrinter::fmt(pc->max_delay_ms),
+                     TablePrinter::fmt(pc->rate_mbps, 2)});
     }
     return table.to_string();
   };
   std::ostringstream os;
   if (nodes.size() <= 1 && e2e.empty()) {
     // The historical single-link format, byte-for-byte (pinned by the
-    // engine-equivalence tests).
-    os << class_table(nullptr);
+    // engine-equivalence tests): every class, whatever its node.
+    ClassRows all;
+    for (const PerClass& pc : per_class) all.push_back(&pc);
+    os << class_table(all);
     os << "link utilization: "
        << TablePrinter::fmt(link_utilization * 100.0, 1) << "%\n";
     return os.str();
   }
+  std::unordered_map<std::string_view, ClassRows> by_node =
+      rows_by_node(per_class);
   for (const NodeStats& ns : nodes) {
     os << "node " << ns.name << "\n";
-    os << class_table(&ns.name);
+    os << class_table(by_node[ns.name]);
     os << "link utilization: "
        << TablePrinter::fmt(ns.link_utilization * 100.0, 1)
        << "%  conservation: offered " << ns.offered << " = sent " << ns.sent
@@ -1373,6 +1392,8 @@ std::string ScenarioResult::to_json() const {
   }
   os << "]";
   os << ",\"nodes\":[";
+  std::unordered_map<std::string_view, ClassRows> by_node =
+      rows_by_node(per_class);
   for (std::size_t ni = 0; ni < nodes.size(); ++ni) {
     const NodeStats& ns = nodes[ni];
     if (ni) os << ',';
@@ -1387,8 +1408,8 @@ std::string ScenarioResult::to_json() const {
        << ",\"conserved\":" << (ns.conserved() ? "true" : "false");
     os << ",\"classes\":[";
     bool first = true;
-    for (const PerClass& pc : per_class) {
-      if (pc.node != ns.name) continue;
+    for (const PerClass* row : by_node[ns.name]) {
+      const PerClass& pc = *row;
       if (!first) os << ',';
       first = false;
       os << "{\"name\":\"" << json_escape(pc.name) << "\""

@@ -1,6 +1,6 @@
 // Scenario text generators shared by the analyzer pins
-// (tests/test_analysis_pins.cpp) and the control-plane scale gates
-// (tests/test_control_plane_scale.cpp).  Every generator is a pure
+// (tests/test_analysis_pins.cpp) and the control-plane and rendering
+// scale gates (tests/test_control_plane_scale.cpp).  Every generator is a pure
 // function of its arguments, so a pinned hash of what the program does
 // with the text pins the program, not the generator's luck.
 #pragma once
@@ -170,6 +170,24 @@ inline std::string deep_scenario(std::size_t n) {
         << "source cbr n" << i << " 80kbps 1000 0s 1ms";
     }
     s << "\n";
+  }
+  return s.str();
+}
+
+// `nodes` nodes of `per_node` top-level ls classes each (the same class
+// names on every node), 1 ms long and without traffic: a report of
+// nodes * per_node class rows whose cost is all parse, set-up and
+// rendering.
+inline std::string many_node_scenario(std::size_t nodes,
+                                      std::size_t per_node = 10) {
+  std::ostringstream s;
+  s << "duration 1ms\n";
+  for (std::size_t n = 0; n < nodes; ++n) {
+    s << "node n" << n << " 1Gbps\n";
+    for (std::size_t c = 0; c < per_node; ++c) {
+      s << "  class c" << c << " root ls linear 10Mbps\n";
+    }
+    s << "end\n";
   }
   return s.str();
 }

@@ -110,17 +110,20 @@ TEST_P(BatchAblationFuzz, BatchIsBitIdenticalToSingles) {
   for (int o = 0; o < num_orgs; ++o) {
     const ClassConfig org_cfg = ClassConfig::link_share_only(
         ServiceCurve::linear(opts.link_rate / static_cast<RateBps>(num_orgs)));
-    const ClassId org_s = single->add_class(kRootClass, org_cfg);
-    const ClassId org_b = batch->add_class(kRootClass, org_cfg);
-    ASSERT_EQ(org_s, org_b);
+    // One single-op commit per mutation, the same on both twins.
+    auto commit_both = [&](const RuntimeHost::BatchOp& op) {
+      const std::vector<ClassId> ids = single->commit_batch({op});
+      EXPECT_EQ(ids, batch->commit_batch({op}));
+      return ids.empty() ? op.cls : ids.front();
+    };
+    using OpKind = RuntimeHost::BatchOp::Kind;
+    const ClassId org = commit_both({.kind = OpKind::kAdd, .cfg = org_cfg});
     const int n_leaves = rng.uniform(2, 5);
     for (int l = 0; l < n_leaves; ++l) {
-      const ClassConfig cfg = random_leaf_cfg(rng);
-      const ClassId leaf = single->add_class(org_s, cfg);
-      ASSERT_EQ(leaf, batch->add_class(org_b, cfg));
+      const ClassId leaf = commit_both(
+          {.kind = OpKind::kAdd, .parent = org, .cfg = random_leaf_cfg(rng)});
       if (rng.chance(0.3)) {
-        single->set_queue_limit(leaf, 6);
-        batch->set_queue_limit(leaf, 6);
+        commit_both({.kind = OpKind::kQueueLimit, .cls = leaf, .limit = 6});
       }
       leaves.push_back(leaf);
     }

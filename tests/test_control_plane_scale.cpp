@@ -4,7 +4,8 @@
 // spec rebuilt per route hop) makes the 100k-class rows below take
 // minutes, which this ctest row's explicit TIMEOUT (tests/CMakeLists.txt)
 // turns into a failure, and makes doubling the class count cost about
-// four times as much, which the ratio row catches at any speed.
+// four times as much, which the ratio rows catch at any speed.  The
+// last row holds rendering a many-node report to the same ratio.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -99,6 +100,36 @@ TEST(ControlPlaneScale, DoublingTheClassesDoublesTheCost) {
     EXPECT_LT(t2 / t1, 3.0) << "N = " << kN << ": " << t1 << " s, 2N: " << t2
                             << " s";
   }
+}
+
+TEST(ControlPlaneScale, DoublingTheNodesDoublesTheRenderCost) {
+  // The report of a run with many nodes: to_table and to_json must group
+  // the class rows by node in one pass.  Filtering every class row once
+  // per node reads above 5 here; the linear renderer about 2.
+  constexpr std::size_t kNodes = 2'000;
+  auto run = [](std::size_t nodes) {
+    std::istringstream in(testgen::many_node_scenario(nodes));
+    return run_scenario(Scenario::parse(in, "generated.hfsc"));
+  };
+  const ScenarioResult one = run(kNodes);
+  const ScenarioResult two = run(2 * kNodes);
+  ASSERT_EQ(one.per_class.size(), 10 * kNodes);
+  ASSERT_EQ(two.per_class.size(), 20 * kNodes);
+  auto render_seconds = [](const ScenarioResult& r) {
+    const std::clock_t t0 = std::clock();
+    const std::size_t bytes = r.to_table().size() + r.to_json().size();
+    EXPECT_GT(bytes, 0u);
+    return static_cast<double>(std::clock() - t0) / CLOCKS_PER_SEC;
+  };
+  double t1 = 1e30;
+  double t2 = 1e30;
+  for (int rep = 0; rep < 5; ++rep) {
+    t1 = std::min(t1, render_seconds(one));
+    t2 = std::min(t2, render_seconds(two));
+  }
+  RecordProperty("render_ratio", std::to_string(t2 / t1));
+  EXPECT_LT(t2 / t1, 3.0) << kNodes << " nodes: " << t1 << " s, "
+                          << 2 * kNodes << " nodes: " << t2 << " s";
 }
 
 }  // namespace

@@ -38,7 +38,7 @@ RuntimeOptions opts() {
 }
 
 // The seed: a host checkpointed mid-backlog, whose journal was compacted
-// by that checkpoint and then took one record of every kind.  `cuts[k]`
+// by that checkpoint and then took one `txn` record per op kind.  `cuts[k]`
 // is the digest of a recovery from the journal cut after k records.
 struct Seed {
   std::string checkpoint;
@@ -49,13 +49,22 @@ struct Seed {
 };
 
 Seed make_seed() {
+  using OpKind = RuntimeHost::BatchOp::Kind;
   RuntimeHost h(opts());
-  const ClassId org = h.add_class(
+  auto add = [&](ClassId parent, const ClassConfig& cfg) {
+    return h
+        .commit_batch({{.kind = OpKind::kAdd, .parent = parent, .cfg = cfg}})
+        .at(0);
+  };
+  auto qlim = [&](ClassId cls, std::size_t limit) {
+    h.commit_batch({{.kind = OpKind::kQueueLimit, .cls = cls, .limit = limit}});
+  };
+  const ClassId org = add(
       kRootClass, ClassConfig::link_share_only(ServiceCurve::linear(mbps(6))));
-  const ClassId rt = h.add_class(
+  const ClassId rt = add(
       kRootClass, ClassConfig::both(ServiceCurve{mbps(3), msec(2), mbps(1)}));
-  const ClassId bulk = h.add_class(
-      org, ClassConfig::link_share_only(ServiceCurve::linear(mbps(2))));
+  const ClassId bulk =
+      add(org, ClassConfig::link_share_only(ServiceCurve::linear(mbps(2))));
   TimeNs now = usec(1);
   std::uint64_t pseq = 1;
   for (int i = 0; i < 40; ++i) {
@@ -66,21 +75,22 @@ Seed make_seed() {
   }
   h.save_checkpoint();
 
-  // Post-checkpoint control-plane tail: one record per mutation kind.
-  const ClassId extra = h.add_class(
-      org, ClassConfig::link_share_only(ServiceCurve::linear(mbps(1))));
-  h.set_queue_limit(bulk, 16);
-  h.change_class(now, rt, ClassConfig::both(ServiceCurve::linear(mbps(2))));
-  std::vector<RuntimeHost::BatchOp> batch(2);
-  batch[0].kind = RuntimeHost::BatchOp::Kind::kAdd;
-  batch[0].parent = org;
-  batch[0].cfg = ClassConfig::link_share_only(ServiceCurve::linear(mbps(1)));
-  batch[1].kind = RuntimeHost::BatchOp::Kind::kQueueLimit;
-  batch[1].cls = extra;
-  batch[1].limit = 8;
-  h.commit_batch(batch);
-  h.delete_class(extra);
-  h.set_queue_limit(bulk, 0);
+  // Post-checkpoint control-plane tail: a one-op `txn` record per op
+  // kind, and one two-op batch.
+  const ClassId extra =
+      add(org, ClassConfig::link_share_only(ServiceCurve::linear(mbps(1))));
+  qlim(bulk, 16);
+  h.commit_batch({{.kind = OpKind::kChange,
+                   .cls = rt,
+                   .cfg = ClassConfig::both(ServiceCurve::linear(mbps(2))),
+                   .now = now}});
+  h.commit_batch(
+      {{.kind = OpKind::kAdd,
+        .parent = org,
+        .cfg = ClassConfig::link_share_only(ServiceCurve::linear(mbps(1)))},
+       {.kind = OpKind::kQueueLimit, .cls = extra, .limit = 8}});
+  h.commit_batch({{.kind = OpKind::kDelete, .cls = extra}});
+  qlim(bulk, 0);
 
   Seed s;
   s.checkpoint = h.checkpoint_image();

@@ -143,6 +143,18 @@ TEST(Governor, RestoreRejectsGarbage) {
 
 // --- RuntimeHost recovery --------------------------------------------------
 
+using Op = RuntimeHost::BatchOp;
+using OpKind = Op::Kind;
+
+// Single-op commits through the host's one journaled entry point.
+ClassId add(RuntimeHost& h, ClassId parent, const ClassConfig& cfg) {
+  return h.commit_batch({{.kind = OpKind::kAdd, .parent = parent, .cfg = cfg}})
+      .at(0);
+}
+void qlim(RuntimeHost& h, ClassId cls, std::size_t limit) {
+  h.commit_batch({{.kind = OpKind::kQueueLimit, .cls = cls, .limit = limit}});
+}
+
 RuntimeOptions small_opts() {
   RuntimeOptions o;
   o.link_rate = mbps(10);
@@ -154,20 +166,18 @@ RuntimeOptions small_opts() {
 // A few journaled mutations plus traffic; returns the host for probing.
 RuntimeHost busy_host() {
   RuntimeHost h(small_opts());
-  const ClassId org = h.add_class(
-      kRootClass, ClassConfig::link_share_only(ServiceCurve::linear(mbps(8))));
-  const ClassId rt = h.add_class(
-      kRootClass, ClassConfig::both(ServiceCurve::linear(mbps(2))));
-  std::vector<RuntimeHost::BatchOp> batch;
-  for (int i = 0; i < 3; ++i) {
-    RuntimeHost::BatchOp op;
-    op.kind = RuntimeHost::BatchOp::Kind::kAdd;
-    op.parent = org;
-    op.cfg = ClassConfig::link_share_only(ServiceCurve::linear(mbps(2)));
-    batch.push_back(op);
-  }
-  h.commit_batch(batch);
-  h.set_queue_limit(org + 1, 32);
+  const ClassId org = add(
+      h, kRootClass,
+      ClassConfig::link_share_only(ServiceCurve::linear(mbps(8))));
+  const ClassId rt =
+      add(h, kRootClass, ClassConfig::both(ServiceCurve::linear(mbps(2))));
+  const Op leaf{
+      .kind = OpKind::kAdd,
+      .parent = org,
+      .cfg = ClassConfig::link_share_only(ServiceCurve::linear(mbps(2)))};
+  EXPECT_EQ(h.commit_batch({leaf, leaf, leaf}),
+            (std::vector<ClassId>{org + 2, org + 3, org + 4}));
+  qlim(h, org + 1, 32);
   TimeNs now = usec(1);
   std::uint64_t seq = 1;
   for (int i = 0; i < 50; ++i) {
@@ -199,9 +209,11 @@ TEST(RuntimeHost, RecoverFromCheckpointPlusTailMatchesDigest) {
   RuntimeHost live = busy_host();
   live.save_checkpoint();
   // Post-checkpoint control-plane tail — exactly what replay must redo.
-  live.set_queue_limit(1, 64);
-  live.change_class(msec(100), 2,
-                    ClassConfig::both(ServiceCurve::linear(mbps(1))));
+  qlim(live, 1, 64);
+  live.commit_batch({{.kind = OpKind::kChange,
+                      .cls = 2,
+                      .cfg = ClassConfig::both(ServiceCurve::linear(mbps(1))),
+                      .now = msec(100)}});
   RuntimeHost back = RuntimeHost::recover(small_opts(), live.checkpoint_image(),
                                           live.journal_image());
   EXPECT_EQ(back.digest(), live.digest());
@@ -220,10 +232,10 @@ TEST(RuntimeHost, EveryCrashPointRecoversClean) {
       // points, a snapshot for the checkpoint points.
       if (p == CrashPoint::kBeforeCheckpoint ||
           p == CrashPoint::kAfterCheckpoint || p == CrashPoint::kAfterCompact) {
-        live.set_queue_limit(1, 16);
+        qlim(live, 1, 16);
         live.save_checkpoint();
       } else {
-        live.set_queue_limit(1, 16);
+        qlim(live, 1, 16);
       }
     } catch (const CrashSignal& s) {
       crashed = true;
@@ -243,11 +255,11 @@ TEST(RuntimeHost, EveryCrashPointRecoversClean) {
 TEST(RuntimeHost, TornAppendLosesOnlyTheTornRecord) {
   RuntimeHost live = busy_host();
   live.save_checkpoint();
-  live.set_queue_limit(1, 64);  // survives: appended whole
+  qlim(live, 1, 64);  // survives: appended whole
   live.tear_next_append(4);
   bool crashed = false;
   try {
-    live.set_queue_limit(1, 7);  // torn: must NOT survive
+    qlim(live, 1, 7);  // torn: must NOT survive
   } catch (const CrashSignal&) {
     crashed = true;
   }
@@ -288,11 +300,11 @@ struct ClampedHost {
   explicit ClampedHost(bool checkpoint_first)
       : opts(overload_opts()), host(opts) {
     const ServiceCurve rt = ServiceCurve::linear(mbps(20));
-    host.add_class(kRootClass, ClassConfig::both(rt));
+    add(host, kRootClass, ClassConfig::both(rt));
     std::vector<ClassId> bulk;
     for (int i = 0; i < 4; ++i) {
-      bulk.push_back(host.add_class(
-          kRootClass,
+      bulk.push_back(add(
+          host, kRootClass,
           ClassConfig::link_share_only(ServiceCurve::linear(mbps(20)))));
     }
     if (checkpoint_first) host.save_checkpoint();
@@ -321,16 +333,13 @@ struct ClampedHost {
   }
 };
 
-std::vector<RuntimeHost::BatchOp> delete_op(ClassId cls) {
-  RuntimeHost::BatchOp op;
-  op.kind = RuntimeHost::BatchOp::Kind::kDelete;
-  op.cls = cls;
-  return {op};
+std::vector<Op> delete_op(ClassId cls) {
+  return {{.kind = OpKind::kDelete, .cls = cls}};
 }
 
 TEST(RuntimeHost, BatchDeleteOfClampedClassRecovers) {
   // Deleting a governed class through commit_batch must drop its saved
-  // state exactly like delete_class does, live and on replay; otherwise
+  // state, live and on replay; otherwise
   // the audit finds a clamp on a dead class and recovery refuses a
   // durable, committed state.
   ClampedHost c(/*checkpoint_first=*/false);
@@ -375,6 +384,47 @@ TEST(RuntimeHost, ReplayedBatchDeleteOfClampedClassRecovers) {
   EXPECT_EQ(from_journal.digest(), from_cp.digest());
 }
 
+TEST(RuntimeHost, RefusedAdmissionRetuneChangesNothing) {
+  // Level 3 tightens admission to base * headroom (0.75) — unless the
+  // live rt leaves do not fit the tighter rate, as 80 of 100 Mb/s here do
+  // not.  The refused retune must leave the admission rate, the rejection
+  // count and the governor's headroom state as they were.
+  const RuntimeOptions opts = ClampedHost::overload_opts();
+  RuntimeHost host(opts);
+  add(host, kRootClass,
+      ClassConfig::real_time_only(ServiceCurve::linear(mbps(80))));
+  std::vector<ClassId> bulk;
+  for (int i = 0; i < 4; ++i) {
+    bulk.push_back(add(
+        host, kRootClass,
+        ClassConfig::link_share_only(ServiceCurve::linear(mbps(20)))));
+  }
+  std::uint64_t seq = 1;
+  TimeNs next_tx = usec(1);
+  for (TimeNs now = usec(1); host.gov_level() < 3 && now < msec(500);
+       now += usec(100)) {
+    while (next_tx <= now) {
+      const std::optional<Packet> p = host.dequeue(next_tx);
+      if (!p) {
+        next_tx = now + 1;
+        break;
+      }
+      next_tx += tx_time(p->len, opts.link_rate);
+    }
+    for (const ClassId b : bulk) {
+      for (int k = 0; k < 3; ++k) {
+        host.enqueue(now, Packet{b, 1200, now, seq++});
+      }
+    }
+  }
+  ASSERT_EQ(host.gov_level(), 3) << "the flood never reached level 3";
+  EXPECT_FALSE(host.governor().admission_tightened());
+  ASSERT_TRUE(host.sched().admission_enabled());
+  EXPECT_EQ(host.sched().admission_control()->link_rate(), mbps(100));
+  EXPECT_EQ(host.sched().admission_rejections(), 0u);
+  EXPECT_TRUE(host.audit_runtime().ok()) << host.audit_runtime().to_string();
+}
+
 TEST(RuntimeHost, CorruptImagesRaiseTypedErrors) {
   RuntimeHost live = busy_host();
   live.save_checkpoint();
@@ -397,8 +447,8 @@ TEST(RuntimeHost, CorruptImagesRaiseTypedErrors) {
 // A journal image holding a valid `add` of class 1 followed by `record`.
 std::string journal_after_add(const std::string& record) {
   RuntimeHost h(small_opts());
-  h.add_class(kRootClass,
-              ClassConfig::link_share_only(ServiceCurve::linear(mbps(1))));
+  add(h, kRootClass,
+      ClassConfig::link_share_only(ServiceCurve::linear(mbps(1))));
   Journal j;
   j.append(h.journal().records_after(0).at(0).payload);
   j.append(record);
@@ -410,8 +460,9 @@ TEST(RuntimeHost, TrailingTokensInJournalRecordsAreRejected) {
   // Each well-formed record recovers; the same record with one more
   // token anywhere is a corrupt journal, not a silent partial replay.
   const std::pair<std::string, std::string> cases[] = {
-      {"del 1", "del 1 junk"},
-      {"qlim 1 5", "qlim 1 5 junk"},
+      {"txn 1\nadd 1 0 0 0 1000 0 1000 0 0 0\n",
+       "txn 1\nadd 1 0 0 0 1000 0 1000 0 0 0 junk\n"},
+      {"txn 1\nqlim 1 5\n", "txn 1\nqlim 1 5 junk\n"},
       {"txn 1\ndel 1\n", "txn 1\ndel 1 junk\n"},
       {"txn 1\ndel 1\n", "txn 1 junk\ndel 1\n"},
       {"txn 1\ndel 1\n", "txn 1\ndel 1\njunk"},
@@ -438,10 +489,9 @@ TEST(RuntimeHost, SignedNumeralsInJournalRecordsAreRejected) {
   std::string signed_blob = gov_state;
   signed_blob.replace(signed_blob.find("level 0"), 7, "level -0");
   const std::pair<std::string, std::string> cases[] = {
-      {"qlim 1 1", "qlim 1 -1"},
-      {"qlim 1 3", "qlim 1 +3"},
-      {"del 1", "del -4294967295"},
-      {"del 1", "del +1"},
+      {"txn 1\nqlim 1 3\n", "txn 1\nqlim 1 +3\n"},
+      {"txn 1\ndel 1\n", "txn 1\ndel -4294967295\n"},
+      {"txn 1\ndel 1\n", "txn 1\ndel +1\n"},
       {"txn 1\nqlim 1 1\n", "txn 1\nqlim 1 -1\n"},
       {"txn 1\ndel 1\n", "txn +1\ndel 1\n"},
       {"gov 1\nqlim 1 5\n" + gov_state, "gov 1\nqlim 1 -5\n" + gov_state},
@@ -465,6 +515,22 @@ TEST(RuntimeHost, SignedNumeralsInJournalRecordsAreRejected) {
     FAIL() << "a governor blob with a signed numeral restored";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), Errc::kBadCheckpoint) << e.what();
+  }
+}
+
+TEST(RuntimeHost, BareOpRecordsAreRejected) {
+  // Every user mutation is journaled inside a `txn` record, so an op
+  // line at the top level of a record is a corrupt journal.
+  for (const char* bare :
+       {"add 1 0 0 0 1000 0 1000 0 0 0", "chg 0 1 0 0 0 1000 0 1000 0 0 0",
+        "del 1", "qlim 1 5"}) {
+    SCOPED_TRACE(bare);
+    try {
+      RuntimeHost::recover(small_opts(), "", journal_after_add(bare));
+      ADD_FAILURE() << "a bare op record recovered";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), Errc::kBadJournal) << e.what();
+    }
   }
 }
 
@@ -543,11 +609,11 @@ ClassConfig ls_class(RateBps rate) {
 TEST(JournalSync, PolicyNoneLosesEverythingSinceTheCheckpoint) {
   RuntimeOptions opts = small_host_options(SyncPolicy::kNone);
   RuntimeHost h(opts);
-  const ClassId a = h.add_class(kRootClass, ls_class(mbps(4)));
+  const ClassId a = add(h, kRootClass, ls_class(mbps(4)));
   h.save_checkpoint();  // checkpointing always syncs (see journal.hpp)
   const std::uint64_t at_checkpoint = h.digest();
 
-  h.add_class(a, ls_class(mbps(2)));  // journaled but never synced
+  add(h, a, ls_class(mbps(2)));  // journaled but never synced
   ASSERT_NE(h.digest(), at_checkpoint);
   ASSERT_LT(h.durable_journal_image().size(), h.journal_image().size());
 
@@ -566,10 +632,10 @@ TEST(JournalSync, PolicyNoneLosesEverythingSinceTheCheckpoint) {
 TEST(JournalSync, PolicyOnCommitKeepsEveryCompletedAppend) {
   RuntimeOptions opts = small_host_options(SyncPolicy::kOnCommit);
   RuntimeHost h(opts);
-  const ClassId a = h.add_class(kRootClass, ls_class(mbps(4)));
+  const ClassId a = add(h, kRootClass, ls_class(mbps(4)));
   h.save_checkpoint();
-  h.add_class(a, ls_class(mbps(2)));
-  h.add_class(a, ls_class(mbps(1)));
+  add(h, a, ls_class(mbps(2)));
+  add(h, a, ls_class(mbps(1)));
 
   // Every completed append is behind the fsync: the durable image IS
   // the image, and recovery from it reproduces the live scheduler.

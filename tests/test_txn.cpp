@@ -1,7 +1,8 @@
 // Unit tests for Hfsc::Txn — transactional live reconfiguration
 // (src/core/txn.cpp): staging, predicted ids, atomic commit, rollback,
-// and the equivalence between a committed batch and the same mutations
-// applied directly.
+// the equivalence between a committed batch and the same mutations
+// applied directly, and the parity of their rules: a direct op and a
+// one-op Txn break the same rules with the same error.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -202,6 +203,129 @@ TEST(Txn, CommitValidatesAgainstBacklogAtCommitTime) {
   EXPECT_EQ(s.backlog_packets(), 1u);
   const AuditReport report = audit(s);
   EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
+// The parity fixture on a 10 Mb/s link.  Admission, when on, gates the
+// rt leaves `leaf` (3 Mb/s) and `rt_only` (2 Mb/s); `org`'s 9 Mb/s rt
+// curve is inert while `leaf` is its only child.
+struct Fixture {
+  static constexpr ClassId kOrg = 1;      // interior: ls 8, rt 9 (inert)
+  static constexpr ClassId kLeaf = 2;     // org's only child: rt = ls 3
+  static constexpr ClassId kRtOnly = 3;   // leaf with no ls curve
+  static constexpr ClassId kDeleted = 4;  // tombstone
+  static constexpr ClassId kBusy = 5;     // leaf with a queued packet
+
+  static Hfsc build(bool admission) {
+    Hfsc s(mbps(10));
+    s.add_class(kRootClass,
+                ClassConfig{ServiceCurve::linear(mbps(9)),
+                            ServiceCurve::linear(mbps(8)), ServiceCurve{}});
+    s.add_class(kOrg, ClassConfig::both(ServiceCurve::linear(mbps(3))));
+    s.add_class(kRootClass,
+                ClassConfig::real_time_only(ServiceCurve::linear(mbps(2))));
+    s.delete_class(s.add_class(kRootClass, ls_only(mbps(1))));
+    s.add_class(kRootClass, ls_only(mbps(1)));
+    s.enqueue(0, Packet{kBusy, 100, 0, 0});
+    if (admission) s.enable_admission_control();
+    return s;
+  }
+};
+
+// The Errc `fn` throws; kInvariantViolation stands for "did not throw".
+template <class Fn>
+Errc error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.code();
+  }
+  return Errc::kInvariantViolation;
+}
+
+TEST(Txn, DirectAndTransactionalOpsBreakTheSameRules) {
+  using Kind = Hfsc::Op::Kind;
+  using F = Fixture;
+  const ClassConfig ls1 = ls_only(mbps(1));
+  const ServiceCurve convex_m1{mbps(1), msec(1), mbps(2)};  // unsupported
+  struct Case {
+    const char* rule;
+    bool admission;
+    Hfsc::Op op;
+    Errc want;
+  };
+  const Case cases[] = {
+      {"add under an unknown parent", false,
+       {.kind = Kind::kAdd, .parent = 99, .cfg = ls1}, Errc::kInvalidClass},
+      {"add under a deleted parent", false,
+       {.kind = Kind::kAdd, .parent = F::kDeleted, .cfg = ls1},
+       Errc::kInvalidClass},
+      {"add under a backlogged parent", false,
+       {.kind = Kind::kAdd, .parent = F::kBusy, .cfg = ls1},
+       Errc::kHasBacklog},
+      {"add under a parent without ls", false,
+       {.kind = Kind::kAdd, .parent = F::kRtOnly, .cfg = ls1},
+       Errc::kMissingCurve},
+      {"change an interior class to drop ls", false,
+       {.kind = Kind::kChange,
+        .cls = F::kOrg,
+        .cfg = ClassConfig::real_time_only(ServiceCurve::linear(mbps(1)))},
+       Errc::kMissingCurve},
+      {"add with an unsupported curve", false,
+       {.kind = Kind::kAdd, .cfg = ClassConfig::both(convex_m1)},
+       Errc::kUnsupportedCurve},
+      {"change to an unsupported curve", false,
+       {.kind = Kind::kChange,
+        .cls = F::kLeaf,
+        .cfg = ClassConfig::link_share_only(convex_m1)},
+       Errc::kUnsupportedCurve},
+      {"add with neither rt nor ls", false,
+       {.kind = Kind::kAdd, .cfg = ClassConfig{}}, Errc::kMissingCurve},
+      {"change a leaf to neither rt nor ls", false,
+       {.kind = Kind::kChange, .cls = F::kLeaf, .cfg = ClassConfig{}},
+       Errc::kMissingCurve},
+      {"change a deleted class", false,
+       {.kind = Kind::kChange, .cls = F::kDeleted, .cfg = ls1},
+       Errc::kInvalidClass},
+      {"delete an unknown class", false,
+       {.kind = Kind::kDelete, .cls = 99}, Errc::kInvalidClass},
+      {"delete the root", false,
+       {.kind = Kind::kDelete, .cls = kRootClass}, Errc::kInvalidClass},
+      {"delete a class with children", false,
+       {.kind = Kind::kDelete, .cls = F::kOrg}, Errc::kHasChildren},
+      {"queue limit on a deleted class", false,
+       {.kind = Kind::kQueueLimit, .cls = F::kDeleted, .limit = 4},
+       Errc::kInvalidClass},
+      {"admission: add an rt leaf that overflows", true,
+       {.kind = Kind::kAdd,
+        .cfg = ClassConfig::real_time_only(ServiceCurve::linear(mbps(6)))},
+       Errc::kAdmissionRejected},
+      {"admission: change a leaf's rt to overflow", true,
+       {.kind = Kind::kChange,
+        .cls = F::kLeaf,
+        .cfg = ClassConfig::both(ServiceCurve::linear(mbps(9)))},
+       Errc::kAdmissionRejected},
+      {"admission: delete re-leafs a parent that overflows", true,
+       {.kind = Kind::kDelete, .cls = F::kLeaf}, Errc::kAdmissionRejected},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.rule);
+    Hfsc direct = Fixture::build(c.admission);
+    Hfsc batched = Fixture::build(c.admission);
+    const std::uint64_t before = state_digest(direct);
+    ASSERT_EQ(state_digest(batched), before);
+    const std::uint64_t rejections = direct.admission_rejections();
+
+    EXPECT_EQ(error_of([&] { direct.apply(c.op); }), c.want);
+    Hfsc::Txn txn = batched.begin();
+    txn.stage(c.op);
+    EXPECT_EQ(error_of([&] { txn.commit(); }), c.want);
+
+    EXPECT_EQ(state_digest(direct), before);
+    EXPECT_EQ(state_digest(batched), before);
+    const std::uint64_t moved = c.want == Errc::kAdmissionRejected ? 1 : 0;
+    EXPECT_EQ(direct.admission_rejections(), rejections + moved);
+    EXPECT_EQ(batched.admission_rejections(), rejections + moved);
+  }
 }
 
 }  // namespace

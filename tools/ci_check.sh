@@ -34,8 +34,8 @@
 # or analyzes and runs), the journal framing fuzz (test_journal_fuzz:
 # a mutated journal is kBadJournal or recovers to a cut of the
 # original) and the trace-reader fuzz (test_trace_fuzz: a mutated
-# capture is kBadTrace or round-trips through write_trace).  They run in every configuration; exclude them for a quick
-# local gate with
+# capture is kBadTrace or round-trips through write_trace).  They run in
+# every configuration; exclude them for a quick local gate with
 #   $ CTEST_ARGS="-LE fuzz" tools/ci_check.sh release
 #
 # The Release config additionally runs the scenario-engine smoke (ctest
@@ -56,11 +56,13 @@
 # "scale", binary hfsc_scale_tests, a 60 s TIMEOUT per row) as a named
 # step of its own: 100k-class flat and 4-ary scenarios parsed, analyzed,
 # compiled and run, the cost ratio of 20k to 10k classes (under 3), 50k
-# rt leaves added under admission, and a 100k-leaf checkpoint round
-# trip.  It guards the control plane against going quadratic in the
-# class count again: one scan of every class per class, anywhere on
-# those paths, turns the 100k rows into minutes and the ratio into
-# about 4.
+# rt leaves added under admission, a 100k-leaf checkpoint round trip,
+# and the rendering row: the cost ratio of rendering a 4k-node report
+# (to_table and to_json, 10 classes a node) to a 2k-node one (under 3).
+# It guards the control plane against going quadratic in the class
+# count again: one scan of every class per class, anywhere on those
+# paths, turns the 100k rows into minutes and the ratio into about 4;
+# a renderer that filters every class row once per node reads above 5.
 #
 # Last, the Release config runs the perf gate, tools/perf_smoke_check.py:
 # every workload BENCHMARK.json lists runs once through perfbench (built
