@@ -66,14 +66,12 @@ PiecewiseLinear effective_rt(const HierarchySpec& spec, std::size_t i) {
   return eff;
 }
 
-// A scenario node as the per-node checks see it: its hierarchy, the
-// scenario class each spec class came from, and the packet sizes of
-// every source whose packets cross the node (its own sources plus the
-// routed flows forwarded in from upstream hops).
+// A scenario node as the per-node checks see it: its hierarchy and the
+// packet sizes of every source whose packets cross the node (its own
+// sources plus the routed flows forwarded in from upstream hops).
 struct NodeView {
-  HierarchySpec spec;
-  std::vector<const ScenarioClass*> origin;  // parallel to spec.classes
-  Bytes max_pkt = 0;                         // Theorem 2 transmission term
+  const HierarchySpec& spec;
+  Bytes max_pkt = 0;  // Theorem 2 transmission term
   // Largest packet per class; its keys are the classes a source feeds.
   std::unordered_map<std::string, Bytes> class_max_pkt;
 };
@@ -96,8 +94,8 @@ struct Ctx {
   // Where `cls` was declared; nowhere for a bare spec.
   SourceLoc loc_of(const std::string& cls) const {
     const std::size_t i = idx.find(cls);
-    if (view == nullptr || i == HierarchySpec::Index::npos) return {};
-    return SourceLoc{report->file, view->origin[i]->line};
+    if (i == HierarchySpec::Index::npos) return {};
+    return SourceLoc{report->file, spec.classes[i].line};
   }
 
   Bytes global_max_pkt() const {
@@ -396,10 +394,8 @@ void check_delay_bounds(Ctx& ctx) {
     b.cls = c.name;
     b.env_burst = c.env_burst;
     b.env_rate = c.env_rate;
-    b.loc = ctx.loc_of(c.name);
-    if (ctx.view != nullptr && ctx.view->origin[i]->env_line != 0) {
-      b.loc.line = ctx.view->origin[i]->env_line;
-    }
+    b.loc = SourceLoc{ctx.report->file,
+                      c.env_line != 0 ? c.env_line : c.line};
     const PiecewiseLinear env =
         PiecewiseLinear::token_bucket(c.env_burst, c.env_rate);
     const auto gap = env.max_horizontal_gap(effective);
@@ -450,25 +446,15 @@ struct ScenarioViews {
 
   ScenarioViews(const Scenario& sc, Bytes default_max_pkt) {
     for (const ScenarioRoute& r : sc.routes) route_of.emplace(r.cls, &r);
-    std::vector<HierarchySpec> specs;
-    if (sc.multi_node) {
-      specs = sc.node_hierarchy_specs();
-    } else {
-      specs.push_back(sc.to_hierarchy_spec());
+    nodes.reserve(sc.nodes.size());
+    for (std::size_t k = 0; k < sc.nodes.size(); ++k) {
+      nodes.push_back(NodeView{sc.nodes[k].spec, default_max_pkt, {}});
+      node_at.emplace(sc.nodes[k].name, k);
     }
-    for (std::size_t k = 0; k < specs.size(); ++k) {
-      nodes.push_back(NodeView{std::move(specs[k]), {}, default_max_pkt, {}});
-      if (sc.multi_node) node_at.emplace(sc.nodes[k].name, k);
-    }
-    // A single-node scenario is one view whatever its `node` fields say.
     auto view_of = [&](const std::string& node) -> NodeView* {
-      if (!sc.multi_node) return &nodes.front();
       const auto it = node_at.find(node);
       return it == node_at.end() ? nullptr : &nodes[it->second];
     };
-    for (const ScenarioClass& c : sc.classes) {
-      if (NodeView* v = view_of(c.node)) v->origin.push_back(&c);
-    }
     for (const ScenarioSource& s : sc.sources) {
       const Bytes pkt =
           s.kind == ScenarioSource::Kind::kVideo ? s.mtu : s.pkt_len;
@@ -482,7 +468,7 @@ struct ScenarioViews {
       // A routed class is fed on its later hops by the upstream node,
       // with the packets its sources send at the first hop.
       const auto r = route_of.find(s.cls);
-      if (!sc.multi_node || r == route_of.end()) continue;
+      if (r == route_of.end()) continue;
       for (std::size_t h = 1; h < r->second->nodes.size(); ++h) {
         feed(view_of(r->second->nodes[h]));
       }
@@ -490,13 +476,13 @@ struct ScenarioViews {
   }
 
   // The declaring class of `cls` on node `node`, null when absent.
-  const ScenarioClass* find_class(const std::string& node,
-                                  const std::string& cls) const {
+  const ClassSpec* find_class(const std::string& node,
+                              const std::string& cls) const {
     const auto at = node_at.find(node);
     if (at == node_at.end()) return nullptr;
-    const NodeView& v = nodes[at->second];
-    const std::size_t i = v.spec.index().find(cls);
-    return i == HierarchySpec::Index::npos ? nullptr : v.origin[i];
+    const HierarchySpec& spec = nodes[at->second].spec;
+    const std::size_t i = spec.index().find(cls);
+    return i == HierarchySpec::Index::npos ? nullptr : &spec.classes[i];
   }
 };
 
@@ -521,7 +507,7 @@ void check_routes(const Scenario& sc, const ScenarioViews& views,
                   const AnalysisOptions& opts, AnalysisReport& report) {
   for (const ScenarioRoute& r : sc.routes) {
     const SourceLoc rloc{sc.file, r.line};
-    const ScenarioClass* first = views.find_class(r.nodes.front(), r.cls);
+    const ClassSpec* first = views.find_class(r.nodes.front(), r.cls);
     if (first == nullptr) continue;  // parser rejects this; stay safe
     if (first->env_burst == 0 && first->env_rate == 0) {
       push_diag(report, Severity::kNote, "route-no-envelope", r.cls,
@@ -575,7 +561,7 @@ void check_routes(const Scenario& sc, const ScenarioViews& views,
       if (hop_env) {
         hb.delay = hop_env->max_horizontal_gap(shifted);
         hb.backlog = hop_env->max_vertical_gap(shifted);
-        const ScenarioClass* hc = v.origin[i];
+        const ClassSpec* hc = &v.spec.classes[i];
         if (hc->qlimit != 0 && hb.backlog) {
           // Every source of a routed class enters at its first hop and
           // is forwarded to every later one, so each hop's largest
@@ -736,17 +722,18 @@ AnalysisReport analyze(const HierarchySpec& spec, RateBps link_rate,
 }
 
 AnalysisReport analyze(const Scenario& sc, const AnalysisOptions& opts) {
+  ensure(!sc.nodes.empty(), Errc::kInvalidArgument, "scenario has no nodes");
   const ScenarioViews views(sc, opts.default_max_pkt);
   AnalysisReport report;
   if (!sc.multi_node) {
-    report = analyze_impl(views.nodes.front().spec, sc.link_rate, sc.file,
-                          &views.nodes.front(), opts);
+    report = analyze_impl(views.nodes.front().spec, sc.nodes.front().rate,
+                          sc.file, &views.nodes.front(), opts);
   } else {
     // Multi-node topology: each node's hierarchy is admitted against its
     // own link, so run the whole analysis once per node and merge,
     // tagging findings "node.class".
     report.file = sc.file;
-    report.link_rate = sc.link_rate;
+    report.link_rate = sc.nodes.front().rate;
     for (std::size_t k = 0; k < sc.nodes.size(); ++k) {
       const ScenarioNode& node = sc.nodes[k];
       AnalysisReport rep = analyze_impl(views.nodes[k].spec, node.rate,

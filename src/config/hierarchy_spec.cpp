@@ -1,8 +1,15 @@
 #include "config/hierarchy_spec.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
 
+#include "sched/cbq.hpp"
+#include "sched/drr.hpp"
+#include "sched/fifo.hpp"
+#include "sched/hpfq.hpp"
+#include "sched/sced.hpp"
+#include "sched/virtual_clock.hpp"
 #include "util/errors.hpp"
 
 namespace hfsc {
@@ -41,20 +48,20 @@ const std::vector<SchedulerKind>& all_scheduler_kinds() {
 namespace {
 
 using ClassSpec = HierarchySpec::ClassSpec;
-using IdMap = HierarchySpec::IdMap;
+using Compiled = HierarchySpec::Compiled;
 using CompileOptions = HierarchySpec::CompileOptions;
 
 // Records a lossy mapping (default), or rejects it in strict mode.
-void lose(std::vector<std::string>* notes, bool strict, Errc errc,
+void lose(std::vector<std::string>& notes, bool strict, Errc errc,
           const std::string& msg) {
   if (strict) throw Error(errc, msg);
-  if (notes) notes->push_back(msg);
+  notes.push_back(msg);
 }
 
 // The losses every rate-based family shares: curves collapsed to one
 // long-term rate and queue limits dropped.  Returns the rate.
 RateBps rate_based_losses(const ClassSpec& c, std::string_view family,
-                          std::vector<std::string>* notes, bool strict) {
+                          std::vector<std::string>& notes, bool strict) {
   const RateBps r = c.share_rate();
   ensure(r > 0, Errc::kMissingCurve,
          "class '" + c.name + "': no long-term rate (m2 == 0) to map onto " +
@@ -76,16 +83,15 @@ RateBps rate_based_losses(const ClassSpec& c, std::string_view family,
 }
 
 void note_hfsc_only_options(const CompileOptions& opts, std::string_view family,
-                            std::vector<std::string>* notes) {
+                            std::vector<std::string>& notes) {
   // Run options, not spec losses: never a strict-mode error.
-  if (notes == nullptr) return;
   if (opts.audit_every != 0) {
-    notes->push_back(std::string("invariant audit ignored (") +
-                     std::string(family) + " has no auditor)");
+    notes.push_back(std::string("invariant audit ignored (") +
+                    std::string(family) + " has no auditor)");
   }
   if (opts.admission) {
-    notes->push_back(std::string("admission control ignored (") +
-                     std::string(family) + " has no admission check)");
+    notes.push_back(std::string("admission control ignored (") +
+                    std::string(family) + " has no admission check)");
   }
 }
 
@@ -94,6 +100,180 @@ void note_hfsc_only_options(const CompileOptions& opts, std::string_view family,
 // engine has always had.
 [[noreturn]] void rethrow_for(const std::string& name, const Error& e) {
   throw std::runtime_error("class '" + name + "': " + e.what());
+}
+
+// The id of c's parent among the classes compiled so far.
+ClassId parent_id(const ClassSpec& c, const Compiled& out) {
+  return ClassSpec::is_top_level(c.parent) ? kRootClass
+                                           : out.ids.at(c.parent);
+}
+
+// Flat families drop the interior of the tree; leaves attach directly to
+// the server.  Returns the leaves in declaration order.
+std::vector<const ClassSpec*> flatten(const HierarchySpec& spec,
+                                      std::string_view family,
+                                      std::vector<std::string>& notes,
+                                      bool strict) {
+  const HierarchySpec::Index& idx = spec.index();
+  std::vector<const ClassSpec*> leaves;
+  for (std::size_t i = 0; i < spec.classes.size(); ++i) {
+    const ClassSpec& c = spec.classes[i];
+    if (idx.is_leaf(i)) {
+      leaves.push_back(&c);
+    } else {
+      lose(notes, strict, Errc::kInvalidArgument,
+           "class '" + c.name + "': interior class dropped (" +
+               std::string(family) + " is flat)");
+    }
+  }
+  return leaves;
+}
+
+// One compiler per family, each filling `out`.
+
+void compile_hfsc(const HierarchySpec& spec, RateBps link_rate,
+                  const CompileOptions& opts, Compiled& out) {
+  // H-FSC expresses the full spec: nothing to record.
+  auto sched = std::make_unique<Hfsc>(link_rate);
+  if (opts.audit_every != 0) sched->enable_self_check(opts.audit_every);
+  if (opts.admission) sched->enable_admission_control();
+  for (const ClassSpec& c : spec.classes) {
+    ClassId id;
+    try {
+      id = sched->add_class(parent_id(c, out), c.config());
+    } catch (const Error& e) {
+      rethrow_for(c.name, e);
+    }
+    if (c.qlimit != 0) sched->set_queue_limit(id, c.qlimit);
+    out.ids[c.name] = id;
+  }
+  out.hfsc = sched.get();
+  out.sched = std::move(sched);
+}
+
+void compile_hpfq(const HierarchySpec& spec, RateBps link_rate,
+                  const CompileOptions& opts, Compiled& out) {
+  note_hfsc_only_options(opts, "H-PFQ", out.notes);
+  auto sched = std::make_unique<HPfq>(link_rate);
+  for (const ClassSpec& c : spec.classes) {
+    const RateBps r = rate_based_losses(c, "H-PFQ", out.notes, opts.strict);
+    if (!c.ul.is_zero()) {
+      lose(out.notes, opts.strict, Errc::kInvalidArgument,
+           "class '" + c.name +
+               "': ul curve dropped (H-PFQ is work-conserving)");
+    }
+    try {
+      out.ids[c.name] = sched->add_class(parent_id(c, out), r);
+    } catch (const Error& e) {
+      rethrow_for(c.name, e);
+    }
+  }
+  out.sched = std::move(sched);
+}
+
+void compile_cbq(const HierarchySpec& spec, RateBps link_rate,
+                 const CompileOptions& opts, Compiled& out) {
+  note_hfsc_only_options(opts, "CBQ", out.notes);
+  auto sched = std::make_unique<Cbq>(link_rate);
+  for (const ClassSpec& c : spec.classes) {
+    RateBps r = rate_based_losses(c, "CBQ", out.notes, opts.strict);
+    bool borrow = true;
+    if (!c.ul.is_zero()) {
+      // CBQ's only cap is the estimator at the allocated rate: clamp the
+      // allocation to the upper limit and forbid borrowing past it.
+      borrow = false;
+      r = std::min(r, c.ul.rate());
+      ensure(r > 0, Errc::kMissingCurve,
+             "class '" + c.name + "': ul long-term rate is zero under CBQ");
+      lose(out.notes, opts.strict, Errc::kUnsupportedCurve,
+           "class '" + c.name +
+               "': ul curve became borrow=off with the allocation clamped "
+               "to the ul rate under CBQ");
+    }
+    try {
+      out.ids[c.name] = sched->add_class(parent_id(c, out), r, borrow);
+    } catch (const Error& e) {
+      rethrow_for(c.name, e);
+    }
+  }
+  out.sched = std::move(sched);
+}
+
+void compile_drr(const HierarchySpec& spec, RateBps link_rate,
+                 const CompileOptions& opts, Compiled& out) {
+  note_hfsc_only_options(opts, "DRR", out.notes);
+  auto sched = std::make_unique<Drr>();
+  for (const ClassSpec* c : flatten(spec, "DRR", out.notes, opts.strict)) {
+    const RateBps r = rate_based_losses(*c, "DRR", out.notes, opts.strict);
+    if (!c->ul.is_zero()) {
+      lose(out.notes, opts.strict, Errc::kInvalidArgument,
+           "class '" + c->name + "': ul curve dropped (DRR is "
+           "work-conserving)");
+    }
+    // A round serves ~one MTU-sized quantum per unit of link share; 8
+    // full-size packets at an even split, never below one byte so a tiny
+    // class still progresses.
+    const Bytes n = std::max<std::size_t>(spec.classes.size(), 1);
+    const Bytes quantum =
+        std::max<Bytes>(1, muldiv_floor(Bytes{12000} * n, r, link_rate));
+    out.ids[c->name] = sched->add_session(quantum);
+  }
+  out.sched = std::move(sched);
+}
+
+void compile_sced(const HierarchySpec& spec, const CompileOptions& opts,
+                  Compiled& out) {
+  note_hfsc_only_options(opts, "SCED", out.notes);
+  auto sched = std::make_unique<Sced>();
+  for (const ClassSpec* c : flatten(spec, "SCED", out.notes, opts.strict)) {
+    // SCED keeps the full (possibly non-linear) guarantee: rt, else ls.
+    const ServiceCurve& sc = !c->rt.is_zero() ? c->rt : c->ls;
+    if (!c->ul.is_zero()) {
+      lose(out.notes, opts.strict, Errc::kInvalidArgument,
+           "class '" + c->name + "': ul curve dropped (SCED is "
+           "work-conserving)");
+    }
+    if (c->qlimit != 0) {
+      lose(out.notes, opts.strict, Errc::kInvalidArgument,
+           "class '" + c->name + "': queue limit dropped (SCED queues are "
+           "unlimited)");
+    }
+    out.ids[c->name] = sched->add_session(sc);
+  }
+  out.sched = std::move(sched);
+}
+
+void compile_vclock(const HierarchySpec& spec, const CompileOptions& opts,
+                    Compiled& out) {
+  note_hfsc_only_options(opts, "VirtualClock", out.notes);
+  auto sched = std::make_unique<VirtualClock>();
+  for (const ClassSpec* c :
+       flatten(spec, "VirtualClock", out.notes, opts.strict)) {
+    const RateBps r =
+        rate_based_losses(*c, "VirtualClock", out.notes, opts.strict);
+    if (!c->ul.is_zero()) {
+      lose(out.notes, opts.strict, Errc::kInvalidArgument,
+           "class '" + c->name + "': ul curve dropped (VirtualClock is "
+           "work-conserving)");
+    }
+    out.ids[c->name] = sched->add_session(r);
+  }
+  out.sched = std::move(sched);
+}
+
+void compile_fifo(const HierarchySpec& spec, const CompileOptions& opts,
+                  Compiled& out) {
+  note_hfsc_only_options(opts, "FIFO", out.notes);
+  lose(out.notes, opts.strict, Errc::kInvalidArgument,
+       "all class guarantees collapsed into one shared FIFO queue");
+  // FIFO ignores the class id on the wire, but synthetic ids on the
+  // leaves keep per-class arrival statistics meaningful downstream.
+  const HierarchySpec::Index& idx = spec.index();
+  ClassId next = 1;
+  for (std::size_t i = 0; i < spec.classes.size(); ++i) {
+    if (idx.is_leaf(i)) out.ids[spec.classes[i].name] = next++;
+  }
+  out.sched = std::make_unique<Fifo>();
 }
 
 }  // namespace
@@ -126,19 +306,13 @@ void HierarchySpec::Index::push(const ClassSpec& c) {
 }
 
 void HierarchySpec::add(ClassSpec c) {
-  index();  // a directly assigned vector is indexed first
   index_.push(c);
   classes.push_back(std::move(c));
 }
 
-void HierarchySpec::validate() const {
-  Index fresh;
-  for (const ClassSpec& c : classes) fresh.push(c);
-  index_ = std::move(fresh);
-}
-
 const HierarchySpec::Index& HierarchySpec::index() const {
-  if (index_.parent.size() != classes.size()) validate();
+  assert(index_.parent.size() == classes.size() &&
+         "HierarchySpec::classes changed outside add()");
   return index_;
 }
 
@@ -148,240 +322,30 @@ bool HierarchySpec::is_leaf(const std::string& name) const {
   return i == Index::npos || idx.is_leaf(i);
 }
 
-std::unique_ptr<Hfsc> HierarchySpec::build_hfsc(
-    RateBps link_rate, IdMap* ids, std::vector<std::string>* notes,
-    const CompileOptions& opts) const {
-  index();
-  (void)notes;  // H-FSC expresses the full spec — nothing to record.
-  auto sched = std::make_unique<Hfsc>(link_rate);
-  if (opts.audit_every != 0) sched->enable_self_check(opts.audit_every);
-  if (opts.admission) sched->enable_admission_control();
-  IdMap local;
-  for (const ClassSpec& c : classes) {
-    const ClassId parent =
-        ClassSpec::is_top_level(c.parent) ? kRootClass : local.at(c.parent);
-    ClassId id;
-    try {
-      id = sched->add_class(parent, ClassConfig{c.rt, c.ls, c.ul});
-    } catch (const Error& e) {
-      rethrow_for(c.name, e);
-    }
-    if (c.qlimit != 0) sched->set_queue_limit(id, c.qlimit);
-    local[c.name] = id;
-  }
-  if (ids) *ids = std::move(local);
-  return sched;
-}
-
-std::unique_ptr<HPfq> HierarchySpec::build_hpfq(
-    RateBps link_rate, IdMap* ids, std::vector<std::string>* notes,
-    const CompileOptions& opts) const {
-  index();
-  note_hfsc_only_options(opts, "H-PFQ", notes);
-  auto sched = std::make_unique<HPfq>(link_rate);
-  IdMap local;
-  for (const ClassSpec& c : classes) {
-    const RateBps r = rate_based_losses(c, "H-PFQ", notes, opts.strict);
-    if (!c.ul.is_zero()) {
-      lose(notes, opts.strict, Errc::kInvalidArgument,
-           "class '" + c.name +
-               "': ul curve dropped (H-PFQ is work-conserving)");
-    }
-    const ClassId parent =
-        ClassSpec::is_top_level(c.parent) ? kRootClass : local.at(c.parent);
-    try {
-      local[c.name] = sched->add_class(parent, r);
-    } catch (const Error& e) {
-      rethrow_for(c.name, e);
-    }
-  }
-  if (ids) *ids = std::move(local);
-  return sched;
-}
-
-std::unique_ptr<Cbq> HierarchySpec::build_cbq(
-    RateBps link_rate, IdMap* ids, std::vector<std::string>* notes,
-    const CompileOptions& opts) const {
-  index();
-  note_hfsc_only_options(opts, "CBQ", notes);
-  auto sched = std::make_unique<Cbq>(link_rate);
-  IdMap local;
-  for (const ClassSpec& c : classes) {
-    RateBps r = rate_based_losses(c, "CBQ", notes, opts.strict);
-    bool borrow = true;
-    if (!c.ul.is_zero()) {
-      // CBQ's only cap is the estimator at the allocated rate: clamp the
-      // allocation to the upper limit and forbid borrowing past it.
-      borrow = false;
-      r = std::min(r, c.ul.rate());
-      ensure(r > 0, Errc::kMissingCurve,
-             "class '" + c.name + "': ul long-term rate is zero under CBQ");
-      lose(notes, opts.strict, Errc::kUnsupportedCurve,
-           "class '" + c.name +
-               "': ul curve became borrow=off with the allocation clamped "
-               "to the ul rate under CBQ");
-    }
-    const ClassId parent =
-        ClassSpec::is_top_level(c.parent) ? kRootClass : local.at(c.parent);
-    try {
-      local[c.name] = sched->add_class(parent, r, borrow);
-    } catch (const Error& e) {
-      rethrow_for(c.name, e);
-    }
-  }
-  if (ids) *ids = std::move(local);
-  return sched;
-}
-
-namespace {
-
-// Flat families drop the interior of the tree; leaves attach directly to
-// the server.  Returns the leaves in declaration order.
-std::vector<const ClassSpec*> flatten(const HierarchySpec& spec,
-                                      std::string_view family,
-                                      std::vector<std::string>* notes,
-                                      bool strict) {
-  const HierarchySpec::Index& idx = spec.index();
-  std::vector<const ClassSpec*> leaves;
-  for (std::size_t i = 0; i < spec.classes.size(); ++i) {
-    const ClassSpec& c = spec.classes[i];
-    if (idx.is_leaf(i)) {
-      leaves.push_back(&c);
-    } else {
-      lose(notes, strict, Errc::kInvalidArgument,
-           "class '" + c.name + "': interior class dropped (" +
-               std::string(family) + " is flat)");
-    }
-  }
-  return leaves;
-}
-
-}  // namespace
-
-std::unique_ptr<Drr> HierarchySpec::build_drr(
-    RateBps link_rate, IdMap* ids, std::vector<std::string>* notes,
-    const CompileOptions& opts) const {
-  index();
-  note_hfsc_only_options(opts, "DRR", notes);
-  auto sched = std::make_unique<Drr>();
-  IdMap local;
-  for (const ClassSpec* c : flatten(*this, "DRR", notes, opts.strict)) {
-    const RateBps r = rate_based_losses(*c, "DRR", notes, opts.strict);
-    if (!c->ul.is_zero()) {
-      lose(notes, opts.strict, Errc::kInvalidArgument,
-           "class '" + c->name + "': ul curve dropped (DRR is "
-           "work-conserving)");
-    }
-    // A round serves ~one MTU-sized quantum per unit of link share; 8
-    // full-size packets at an even split, never below one byte so a tiny
-    // class still progresses.
-    const Bytes quantum = std::max<Bytes>(
-        1, muldiv_floor(Bytes{12000} * static_cast<Bytes>(
-                            std::max<std::size_t>(classes.size(), 1)),
-                        r, link_rate));
-    local[c->name] = sched->add_session(quantum);
-  }
-  if (ids) *ids = std::move(local);
-  return sched;
-}
-
-std::unique_ptr<Sced> HierarchySpec::build_sced(
-    RateBps link_rate, IdMap* ids, std::vector<std::string>* notes,
-    const CompileOptions& opts) const {
-  index();
-  note_hfsc_only_options(opts, "SCED", notes);
-  (void)link_rate;  // SCED has no server curve parameter here.
-  auto sched = std::make_unique<Sced>();
-  IdMap local;
-  for (const ClassSpec* c : flatten(*this, "SCED", notes, opts.strict)) {
-    // SCED keeps the full (possibly non-linear) guarantee: rt, else ls.
-    const ServiceCurve& sc = !c->rt.is_zero() ? c->rt : c->ls;
-    if (!c->ul.is_zero()) {
-      lose(notes, opts.strict, Errc::kInvalidArgument,
-           "class '" + c->name + "': ul curve dropped (SCED is "
-           "work-conserving)");
-    }
-    if (c->qlimit != 0) {
-      lose(notes, opts.strict, Errc::kInvalidArgument,
-           "class '" + c->name + "': queue limit dropped (SCED queues are "
-           "unlimited)");
-    }
-    local[c->name] = sched->add_session(sc);
-  }
-  if (ids) *ids = std::move(local);
-  return sched;
-}
-
-std::unique_ptr<VirtualClock> HierarchySpec::build_vclock(
-    RateBps link_rate, IdMap* ids, std::vector<std::string>* notes,
-    const CompileOptions& opts) const {
-  index();
-  note_hfsc_only_options(opts, "VirtualClock", notes);
-  (void)link_rate;
-  auto sched = std::make_unique<VirtualClock>();
-  IdMap local;
-  for (const ClassSpec* c : flatten(*this, "VirtualClock", notes,
-                                    opts.strict)) {
-    const RateBps r = rate_based_losses(*c, "VirtualClock", notes,
-                                        opts.strict);
-    if (!c->ul.is_zero()) {
-      lose(notes, opts.strict, Errc::kInvalidArgument,
-           "class '" + c->name + "': ul curve dropped (VirtualClock is "
-           "work-conserving)");
-    }
-    local[c->name] = sched->add_session(r);
-  }
-  if (ids) *ids = std::move(local);
-  return sched;
-}
-
-std::unique_ptr<Fifo> HierarchySpec::build_fifo(
-    RateBps link_rate, IdMap* ids, std::vector<std::string>* notes,
-    const CompileOptions& opts) const {
-  index();
-  note_hfsc_only_options(opts, "FIFO", notes);
-  (void)link_rate;
-  lose(notes, opts.strict, Errc::kInvalidArgument,
-       "all class guarantees collapsed into one shared FIFO queue");
-  auto sched = std::make_unique<Fifo>();
-  // FIFO ignores the class id on the wire, but synthetic ids keep
-  // per-class arrival statistics meaningful downstream.
-  IdMap local;
-  ClassId next = 1;
-  for (const ClassSpec* c : flatten(*this, "FIFO", nullptr, false)) {
-    local[c->name] = next++;
-  }
-  if (ids) *ids = std::move(local);
-  return sched;
-}
-
 HierarchySpec::Compiled HierarchySpec::compile(
     SchedulerKind kind, RateBps link_rate, const CompileOptions& opts) const {
   Compiled out;
   switch (kind) {
-    case SchedulerKind::kHfsc: {
-      auto s = build_hfsc(link_rate, &out.ids, &out.notes, opts);
-      out.hfsc = s.get();
-      out.sched = std::move(s);
+    case SchedulerKind::kHfsc:
+      compile_hfsc(*this, link_rate, opts, out);
       break;
-    }
     case SchedulerKind::kHpfq:
-      out.sched = build_hpfq(link_rate, &out.ids, &out.notes, opts);
+      compile_hpfq(*this, link_rate, opts, out);
       break;
     case SchedulerKind::kCbq:
-      out.sched = build_cbq(link_rate, &out.ids, &out.notes, opts);
+      compile_cbq(*this, link_rate, opts, out);
       break;
     case SchedulerKind::kDrr:
-      out.sched = build_drr(link_rate, &out.ids, &out.notes, opts);
+      compile_drr(*this, link_rate, opts, out);
       break;
     case SchedulerKind::kSced:
-      out.sched = build_sced(link_rate, &out.ids, &out.notes, opts);
+      compile_sced(*this, opts, out);
       break;
     case SchedulerKind::kVirtualClock:
-      out.sched = build_vclock(link_rate, &out.ids, &out.notes, opts);
+      compile_vclock(*this, opts, out);
       break;
     case SchedulerKind::kFifo:
-      out.sched = build_fifo(link_rate, &out.ids, &out.notes, opts);
+      compile_fifo(*this, opts, out);
       break;
   }
   return out;

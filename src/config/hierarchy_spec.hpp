@@ -45,13 +45,7 @@
 
 #include "core/hfsc.hpp"
 #include "curve/service_curve.hpp"
-#include "sched/cbq.hpp"
-#include "sched/drr.hpp"
-#include "sched/fifo.hpp"
-#include "sched/hpfq.hpp"
-#include "sched/sced.hpp"
 #include "sched/scheduler.hpp"
-#include "sched/virtual_clock.hpp"
 #include "util/types.hpp"
 
 namespace hfsc {
@@ -108,10 +102,16 @@ struct HierarchySpec {
     // Both zero = no envelope declared.
     Bytes env_burst = 0;
     RateBps env_rate = 0;
+    // 1-based lines of the scenario directives that declared the class
+    // and its envelope; 0 for a spec built in code, which diagnostics
+    // print as "<spec>".
+    std::size_t line = 0;
+    std::size_t env_line = 0;
 
     static bool is_top_level(const std::string& parent) {
       return parent.empty() || parent == "root";
     }
+    ClassConfig config() const { return ClassConfig{rt, ls, ul}; }
     // The single guaranteed rate a rate-based family sees (mapping rule
     // above): the ls long-term rate, else rt's.
     RateBps share_rate() const noexcept {
@@ -142,10 +142,9 @@ struct HierarchySpec {
     void push(const ClassSpec& c);
   };
 
-  // Fill through add().  A vector assigned or edited directly is
-  // validated and indexed again on the next validate(), and on the next
-  // index() or compile when its size no longer matches the index; until
-  // then, concurrent const calls on the spec are not safe.
+  // Append through add() only: the index covers every class's name and
+  // parent, so only the other fields (an envelope read later in a file,
+  // say) may be set in place.
   std::vector<ClassSpec> classes;
 
   // Appends a class after validating it against what is already declared:
@@ -156,12 +155,7 @@ struct HierarchySpec {
   // two-piece algebra.
   void add(ClassSpec c);
 
-  // Whole-spec validation (add() incrementally enforces the same rules;
-  // this re-checks and re-indexes a directly assigned `classes` vector).
-  void validate() const;
-
-  // The index over `classes` (validating them first when the index is
-  // out of date).
+  // The index over `classes`.
   const Index& index() const;
 
   // True when `name` is not declared or no class declares it as its
@@ -172,8 +166,8 @@ struct HierarchySpec {
 
   struct Compiled {
     std::unique_ptr<Scheduler> sched;
-    // Non-owning view of sched when it is an Hfsc (checkpointing, audit);
-    // null for every other family.
+    // Non-owning view of sched when it is an Hfsc (checkpointing, audit,
+    // state_digest); null for every other family.
     Hfsc* hfsc = nullptr;
     // Class name -> id under the compiled scheduler.  Flat families map
     // leaves only; interior names are absent.
@@ -189,34 +183,8 @@ struct HierarchySpec {
   Compiled compile(SchedulerKind kind, RateBps link_rate,
                    const CompileOptions& opts = {}) const;
 
-  // Typed per-family compilers (compile() dispatches to these; exposed so
-  // tests and tools can keep the concrete type — e.g. state_digest on the
-  // compiled Hfsc).  `ids`/`notes` may be null.
-  std::unique_ptr<Hfsc> build_hfsc(RateBps link_rate, IdMap* ids = nullptr,
-                                   std::vector<std::string>* notes = nullptr,
-                                   const CompileOptions& opts = {}) const;
-  std::unique_ptr<HPfq> build_hpfq(RateBps link_rate, IdMap* ids = nullptr,
-                                   std::vector<std::string>* notes = nullptr,
-                                   const CompileOptions& opts = {}) const;
-  std::unique_ptr<Cbq> build_cbq(RateBps link_rate, IdMap* ids = nullptr,
-                                 std::vector<std::string>* notes = nullptr,
-                                 const CompileOptions& opts = {}) const;
-  std::unique_ptr<Drr> build_drr(RateBps link_rate, IdMap* ids = nullptr,
-                                 std::vector<std::string>* notes = nullptr,
-                                 const CompileOptions& opts = {}) const;
-  std::unique_ptr<Sced> build_sced(RateBps link_rate, IdMap* ids = nullptr,
-                                   std::vector<std::string>* notes = nullptr,
-                                   const CompileOptions& opts = {}) const;
-  std::unique_ptr<VirtualClock> build_vclock(
-      RateBps link_rate, IdMap* ids = nullptr,
-      std::vector<std::string>* notes = nullptr,
-      const CompileOptions& opts = {}) const;
-  std::unique_ptr<Fifo> build_fifo(RateBps link_rate, IdMap* ids = nullptr,
-                                   std::vector<std::string>* notes = nullptr,
-                                   const CompileOptions& opts = {}) const;
-
  private:
-  mutable Index index_;
+  Index index_;
 };
 
 }  // namespace hfsc

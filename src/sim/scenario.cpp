@@ -179,16 +179,16 @@ ServiceCurve parse_spec(std::istringstream& ls, const std::string& fname,
 // Body of a `class` directive after <name> <parent>: rt/ls/ul/qlimit
 // attributes.  Shared between static classes and timed (`at ... class`)
 // creations.
-void parse_class_attrs(std::istringstream& ls, ScenarioClass* c,
+void parse_class_attrs(std::istringstream& ls, HierarchySpec::ClassSpec* c,
                        const std::string& fname, std::size_t line) {
   std::string key;
   while (ls >> key) {
     if (key == "rt") {
-      c->cfg.rt = parse_spec(ls, fname, line);
+      c->rt = parse_spec(ls, fname, line);
     } else if (key == "ls") {
-      c->cfg.ls = parse_spec(ls, fname, line);
+      c->ls = parse_spec(ls, fname, line);
     } else if (key == "ul") {
-      c->cfg.ul = parse_spec(ls, fname, line);
+      c->ul = parse_spec(ls, fname, line);
     } else if (key == "qlimit") {
       std::string n;
       if (!(ls >> n)) fail_at(fname, line, "qlimit needs a count");
@@ -197,7 +197,7 @@ void parse_class_attrs(std::istringstream& ls, ScenarioClass* c,
       fail_at(fname, line, "unknown class attribute: " + key);
     }
   }
-  if (c->cfg.rt.is_zero() && c->cfg.ls.is_zero()) {
+  if (c->rt.is_zero() && c->ls.is_zero()) {
     fail_at(fname, line, "class " + c->name + " needs at least one of rt/ls");
   }
 }
@@ -328,28 +328,32 @@ ScenarioSource parse_source(std::istringstream& ls, const std::string& kind,
 Scenario Scenario::parse(std::istream& in, const std::string& name) {
   Scenario sc;
   sc.file = name;
-  // Parser scope: "" at top level, else the open `node` block.  Legacy
-  // single-node files keep everything at top level; the implicit node
-  // "link" is materialized after the loop.
+  // Parser scope: "" at top level, else the open `node` block.  Classes
+  // declared at top level go to `top`, which becomes the implicit node
+  // "link" of a single-node file once the whole file is read (a
+  // multi-node file rejects them then).
   std::string cur_node;
+  ScenarioNode top;
+  top.name = "link";
   bool saw_link = false;
-  // Every class declared so far, static or timed, under "<node> <name>"
-  // (node "" at top level): its position in sc.classes, or kTimed when
-  // only timed `at` events create it.  `owners` lists each name's static
-  // declarations on every node.  Directives look names up here instead
-  // of scanning the classes.
-  constexpr std::size_t kTimed = static_cast<std::size_t>(-1);
-  std::unordered_map<std::string, std::size_t> declared;
-  std::unordered_map<std::string, std::vector<std::size_t>> owners;
-  std::unordered_set<std::string> node_names;
-  auto key = [](const std::string& node, const std::string& nm) {
-    return node + ' ' + nm;
+  auto scope = [&]() -> ScenarioNode& {
+    return cur_node.empty() ? top : sc.nodes.back();
   };
-  auto find_static = [&](const std::string& node,
-                         const std::string& nm) -> ScenarioClass* {
-    const auto it = declared.find(key(node, nm));
-    if (it == declared.end() || it->second == kTimed) return nullptr;
-    return &sc.classes[it->second];
+  std::unordered_map<std::string, std::size_t> node_at;  // into sc.nodes
+  // Class name -> every node declaring it statically (positions in
+  // sc.nodes, kTop for the top level): the cross-node view a top-level
+  // source or a deadline needs and no node's own index holds.
+  constexpr std::size_t kTop = static_cast<std::size_t>(-1);
+  std::unordered_map<std::string, std::vector<std::size_t>> owners;
+  // "<node> <name>" (node "" at top level) of every class that only a
+  // timed `at` event creates.
+  std::unordered_set<std::string> timed;
+  auto is_static = [](const ScenarioNode& n, const std::string& nm) {
+    return n.spec.index().find(nm) != HierarchySpec::Index::npos;
+  };
+  // Whether the open scope declares `nm`, statically or by a timed event.
+  auto declared = [&](const std::string& nm) {
+    return is_static(scope(), nm) || timed.count(cur_node + ' ' + nm) != 0;
   };
 
   std::string raw;
@@ -383,7 +387,7 @@ Scenario Scenario::parse(std::istream& in, const std::string& name) {
       }
       std::string r;
       if (!(ls >> r)) fail_at(name, line, "link needs a rate");
-      sc.link_rate = parse_positive_rate(r, "link rate");
+      top.rate = parse_positive_rate(r, "link rate");
       saw_link = true;
     } else if (directive == "node") {
       if (!cur_node.empty()) fail_at(name, line, "nested node block");
@@ -394,7 +398,7 @@ Scenario Scenario::parse(std::istream& in, const std::string& name) {
       std::string r;
       if (!(ls >> n.name >> r)) fail_at(name, line, "node needs <name> <rate>");
       no_trailing();
-      if (!node_names.insert(n.name).second) {
+      if (!node_at.emplace(n.name, sc.nodes.size()).second) {
         fail_at(name, line, "duplicate node " + n.name);
       }
       n.rate = parse_positive_rate(r, "node rate");
@@ -431,30 +435,31 @@ Scenario Scenario::parse(std::istream& in, const std::string& name) {
       if (sc.multi_node && cur_node.empty()) {
         fail_at(name, line, "class declared outside a node block");
       }
-      ScenarioClass c;
+      HierarchySpec::ClassSpec c;
       if (!(ls >> c.name >> c.parent)) {
         fail_at(name, line, "class needs <name> <parent>");
       }
-      c.node = cur_node;
-      if (declared.count(key(cur_node, c.name)) != 0) {
-        fail_at(name, line, "duplicate class " + c.name);
-      }
-      if (c.parent != "root" && find_static(cur_node, c.parent) == nullptr) {
+      if (declared(c.name)) fail_at(name, line, "duplicate class " + c.name);
+      ScenarioNode& node = scope();
+      if (c.parent != "root" && !is_static(node, c.parent)) {
         fail_at(name, line, "unknown parent class " + c.parent);
       }
       parse_class_attrs(ls, &c, name, line);
       c.line = line;
-      declared.emplace(key(cur_node, c.name), sc.classes.size());
-      owners[c.name].push_back(sc.classes.size());
-      sc.classes.push_back(std::move(c));
+      owners[c.name].push_back(cur_node.empty() ? kTop : sc.nodes.size() - 1);
+      node.spec.add(std::move(c));
     } else if (directive == "envelope") {
       std::string cls, burst, rate;
       if (!(ls >> cls >> burst >> rate)) {
         fail_at(name, line, "envelope needs <class> <burst> <rate>");
       }
       no_trailing();
-      ScenarioClass* c = find_static(cur_node, cls);
-      if (c == nullptr) fail_at(name, line, "unknown class " + cls);
+      HierarchySpec& spec = scope().spec;
+      const std::size_t i = spec.index().find(cls);
+      if (i == HierarchySpec::Index::npos) {
+        fail_at(name, line, "unknown class " + cls);
+      }
+      HierarchySpec::ClassSpec* c = &spec.classes[i];
       if (c->env_line != 0) {
         fail_at(name, line, "duplicate envelope for class " + cls);
       }
@@ -488,9 +493,8 @@ Scenario Scenario::parse(std::istream& in, const std::string& name) {
       // Inside a node block the class must live on that node; a top-level
       // source may name a class on any node (the entry node is resolved
       // from the route after the whole file is read).
-      const bool known = cur_node.empty()
-                             ? owners.count(cls) != 0
-                             : find_static(cur_node, cls) != nullptr;
+      const bool known = cur_node.empty() ? owners.count(cls) != 0
+                                          : is_static(scope(), cls);
       if (!known) fail_at(name, line, "unknown class " + cls);
       ScenarioSource s = parse_source(ls, kind, /*timed=*/false, name, line);
       s.cls = cls;
@@ -521,23 +525,21 @@ Scenario Scenario::parse(std::istream& in, const std::string& name) {
         if (!(ls >> e.cls.name >> e.cls.parent)) {
           fail_at(name, line, "at ... class needs <name> <parent>");
         }
-        if (find_static(cur_node, e.cls.name) != nullptr) {
+        if (is_static(scope(), e.cls.name)) {
           fail_at(name, line,
                   "timed class " + e.cls.name + " duplicates a static class");
         }
-        if (e.cls.parent != "root" &&
-            declared.count(key(cur_node, e.cls.parent)) == 0) {
+        if (e.cls.parent != "root" && !declared(e.cls.parent)) {
           fail_at(name, line, "unknown parent class " + e.cls.parent);
         }
-        e.cls.node = cur_node;
         parse_class_attrs(ls, &e.cls, name, line);
         e.cls.line = line;
-        declared.emplace(key(cur_node, e.cls.name), kTimed);
+        timed.insert(cur_node + ' ' + e.cls.name);
       } else if (what == "delete") {
         e.kind = ScenarioEvent::Kind::kDeleteClass;
         if (!(ls >> e.target)) fail_at(name, line, "at ... delete needs <class>");
         no_trailing();
-        if (declared.count(key(cur_node, e.target)) == 0) {
+        if (!declared(e.target)) {
           fail_at(name, line, "unknown class " + e.target);
         }
       } else if (what == "source") {
@@ -546,9 +548,7 @@ Scenario Scenario::parse(std::istream& in, const std::string& name) {
         if (!(ls >> kind >> cls)) {
           fail_at(name, line, "at ... source needs <kind> <class>");
         }
-        if (declared.count(key(cur_node, cls)) == 0) {
-          fail_at(name, line, "unknown class " + cls);
-        }
+        if (!declared(cls)) fail_at(name, line, "unknown class " + cls);
         e.src = parse_source(ls, kind, /*timed=*/true, name, line);
         e.src.cls = cls;
         e.src.node = cur_node;
@@ -558,7 +558,7 @@ Scenario Scenario::parse(std::istream& in, const std::string& name) {
         e.kind = ScenarioEvent::Kind::kStopSources;
         if (!(ls >> e.target)) fail_at(name, line, "at ... stop needs <class>");
         no_trailing();
-        if (declared.count(key(cur_node, e.target)) == 0) {
+        if (!declared(e.target)) {
           fail_at(name, line, "unknown class " + e.target);
         }
       } else {
@@ -570,6 +570,9 @@ Scenario Scenario::parse(std::istream& in, const std::string& name) {
     }
   } catch (const UnitError& e) {
     fail_at(name, line, e.what());
+  } catch (const Error& e) {
+    // A class the hierarchy refuses (the reserved name "root").
+    fail_at(name, line, e.what());
   }
 
   // ---- finalize -----------------------------------------------------------
@@ -578,37 +581,34 @@ Scenario Scenario::parse(std::istream& in, const std::string& name) {
     if (!cur_node.empty()) {
       fail_at(fname, line, "unterminated node block (missing end)");
     }
-    for (const ScenarioClass& c : sc.classes) {
-      if (c.node.empty()) {
-        fail_at(name, c.line, "class declared outside a node block");
-      }
+    if (!top.spec.classes.empty()) {
+      fail_at(name, top.spec.classes.front().line,
+              "class declared outside a node block");
     }
     for (const ScenarioEvent& e : sc.events) {
       if (e.node.empty()) {
         fail_at(name, e.line, "`at` event outside a node block");
       }
     }
-    sc.link_rate = sc.nodes.front().rate;
   } else {
-    if (sc.link_rate == 0) fail_at(fname, line, "missing link");
+    if (top.rate == 0) fail_at(fname, line, "missing link");
     if (!sc.routes.empty()) {
       fail_at(name, sc.routes.front().line,
               "route needs `node` blocks (single-link scenario)");
     }
-    ScenarioNode n;
-    n.name = "link";
-    n.rate = sc.link_rate;
-    sc.nodes.push_back(std::move(n));
-    for (ScenarioClass& c : sc.classes) c.node = "link";
+    sc.nodes.push_back(std::move(top));
     for (ScenarioSource& s : sc.sources) s.node = "link";
     for (ScenarioEvent& e : sc.events) {
       e.node = "link";
-      if (e.kind == ScenarioEvent::Kind::kAddClass) e.cls.node = "link";
       if (e.kind == ScenarioEvent::Kind::kStartSource) e.src.node = "link";
     }
   }
   if (sc.duration == 0) fail_at(fname, line, "missing duration");
-  if (sc.classes.empty()) fail_at(fname, line, "no classes");
+  if (std::all_of(sc.nodes.begin(), sc.nodes.end(), [](const ScenarioNode& n) {
+        return n.spec.classes.empty();
+      })) {
+    fail_at(fname, line, "no classes");
+  }
 
   // Route validation: every hop must name a known node carrying a static
   // declaration of the class, no node repeats, and one route per class
@@ -627,10 +627,11 @@ Scenario Scenario::parse(std::istream& in, const std::string& name) {
       if (!seen.insert(nn).second) {
         fail_at(name, r.line, "route visits node " + nn + " twice");
       }
-      if (node_names.count(nn) == 0) {
+      const auto at = node_at.find(nn);
+      if (at == node_at.end()) {
         fail_at(name, r.line, "route through unknown node " + nn);
       }
-      if (find_static(nn, r.cls) == nullptr) {
+      if (!is_static(sc.nodes[at->second], r.cls)) {
         fail_at(name, r.line,
                 i == 0 ? "class " + r.cls + " is not declared on its first "
                          "hop " + nn
@@ -675,7 +676,7 @@ Scenario Scenario::parse(std::istream& in, const std::string& name) {
               "class " + s.cls + " is declared on several nodes; add a "
               "route or move the source into a node block");
     }
-    s.node = sc.classes[own.front()].node;
+    s.node = sc.nodes[own.front()].name;
   };
   for (ScenarioSource& s : sc.sources) resolve_entry(s);
   for (ScenarioEvent& e : sc.events) {
@@ -697,41 +698,11 @@ const ScenarioNode* Scenario::find_node(const std::string& name) const {
   return nullptr;
 }
 
-namespace {
-
-HierarchySpec::ClassSpec class_spec(const ScenarioClass& c) {
-  return {c.name,   c.parent, c.cfg.rt,    c.cfg.ls,
-          c.cfg.ul, c.qlimit, c.env_burst, c.env_rate};
-}
-
-HierarchySpec spec_from(const std::vector<ScenarioClass>& classes,
-                        const std::string& node) {
-  HierarchySpec spec;
-  for (const ScenarioClass& c : classes) {
-    if (node.empty() || c.node == node) spec.add(class_spec(c));
-  }
-  return spec;
-}
-
-}  // namespace
-
-HierarchySpec Scenario::to_hierarchy_spec() const {
-  return spec_from(classes, "");
-}
-
-HierarchySpec Scenario::node_hierarchy_spec(const std::string& node) const {
-  return spec_from(classes, node);
-}
-
-std::vector<HierarchySpec> Scenario::node_hierarchy_specs() const {
-  std::unordered_map<std::string, std::size_t> at;
-  for (std::size_t k = 0; k < nodes.size(); ++k) at.emplace(nodes[k].name, k);
-  std::vector<HierarchySpec> specs(nodes.size());
-  for (const ScenarioClass& c : classes) {
-    const auto it = at.find(c.node);
-    if (it != at.end()) specs[it->second].add(class_spec(c));
-  }
-  return specs;
+const HierarchySpec& Scenario::node_hierarchy_spec(
+    const std::string& name) const {
+  static const HierarchySpec kNone;
+  const ScenarioNode* n = find_node(name);
+  return n != nullptr ? n->spec : kNone;
 }
 
 // ---------------------------------------------------------------------------
@@ -802,7 +773,6 @@ void install_source(const ScenarioSource& s, ClassId cls, Topology& topo,
 struct NodeRun {
   Topology::NodeIndex idx = 0;
   std::unique_ptr<Scheduler> sched;  // borrowed by the Topology node
-  HierarchySpec spec;           // the node's static classes
   HierarchySpec::IdMap ids;     // static name -> id
   Hfsc* hfsc = nullptr;         // non-null when the family is H-FSC
   // Current name -> id (starts as `ids`; timed creates/deletes move it).
@@ -872,17 +842,15 @@ ScenarioResult run_scenario(const Scenario& sc,
   Topology topo(ev, sc.window);
 
   ScenarioResult out;
-  std::vector<HierarchySpec> specs = sc.node_hierarchy_specs();
   std::unordered_map<std::string, std::size_t> run_of;
   for (std::size_t k = 0; k < sc.nodes.size(); ++k) {
     const ScenarioNode& n = sc.nodes[k];
     run_of.emplace(n.name, k);
     NodeRun nr;
-    nr.spec = std::move(specs[k]);
     HierarchySpec::CompileOptions copts;
     copts.audit_every = opts.audit_every;
     copts.admission = admission;
-    HierarchySpec::Compiled compiled = nr.spec.compile(kind, n.rate, copts);
+    HierarchySpec::Compiled compiled = n.spec.compile(kind, n.rate, copts);
     nr.hfsc = compiled.hfsc;
     nr.ids = std::move(compiled.ids);
     nr.sched = std::move(compiled.sched);
@@ -1029,7 +997,7 @@ ScenarioResult run_scenario(const Scenario& sc,
         if (it == view.end()) return false;  // parent rejected: cascade
         parent = it->second;
       }
-      const ClassId id = txn.add_class(parent, e.cls.cfg);
+      const ClassId id = txn.add_class(parent, e.cls.config());
       if (e.cls.qlimit != 0) txn.set_queue_limit(id, e.cls.qlimit);
       view[e.cls.name] = id;
       adds->emplace_back(e.cls.name, id);
@@ -1126,6 +1094,7 @@ ScenarioResult run_scenario(const Scenario& sc,
 
   for (std::size_t ni = 0; ni < sc.nodes.size(); ++ni) {
     NodeRun& nr = runs[ni];
+    const HierarchySpec& spec = sc.nodes[ni].spec;
     Scheduler& sched = topo.scheduler(nr.idx);
     const FlowTracker& t = topo.tracker(nr.idx);
 
@@ -1133,7 +1102,7 @@ ScenarioResult run_scenario(const Scenario& sc,
       const auto hit = nr.history.find(cname);
       if (hit == nr.history.end() || hit->second.empty()) return;  // dropped
       const std::vector<ClassId>& ids = hit->second;
-      const bool leaf = nr.spec.is_leaf(cname) ||
+      const bool leaf = spec.is_leaf(cname) ||
                         nr.ids.find(cname) == nr.ids.end();
       const bool any_data = std::any_of(ids.begin(), ids.end(),
                                         [&](ClassId id) { return t.has(id); });
@@ -1158,7 +1127,7 @@ ScenarioResult run_scenario(const Scenario& sc,
       pc.hist = delay_histogram(ms);
       out.per_class.push_back(std::move(pc));
     };
-    for (const HierarchySpec::ClassSpec& c : nr.spec.classes) report(c.name);
+    for (const HierarchySpec::ClassSpec& c : spec.classes) report(c.name);
     for (const std::string& cname : nr.at_names) report(cname);
 
     ScenarioResult::NodeStats ns;

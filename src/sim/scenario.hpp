@@ -85,7 +85,6 @@
 #include <vector>
 
 #include "config/hierarchy_spec.hpp"
-#include "core/hfsc.hpp"
 #include "util/types.hpp"
 
 namespace hfsc {
@@ -95,32 +94,19 @@ RateBps parse_rate(const std::string& tok);   // throws std::runtime_error
 TimeNs parse_time(const std::string& tok);    // throws
 Bytes parse_bytes(const std::string& tok);    // throws
 
-// One scheduling node of the topology.  Single-node files (the `link`
-// directive) parse into one implicit node named "link".
+// One scheduling node of the topology and the classes it schedules.
+// Single-node files (the `link` directive) parse into one implicit node
+// named "link".
 struct ScenarioNode {
   std::string name;
   RateBps rate = 0;
   std::size_t line = 0;  // 0 for the implicit single-node form
-};
-
-struct ScenarioClass {
-  std::string name;
-  std::string parent;  // "root" for top level
-  // Owning node ("link" for single-node scenarios).  Class names are
-  // unique per node; the same name on several nodes describes the same
-  // flow's per-hop class (wired by `route`).
-  std::string node;
-  ClassConfig cfg;
-  std::size_t qlimit = 0;
-  // Token-bucket arrival envelope (`envelope` directive); rate == 0 and
-  // burst == 0 means none was declared.
-  Bytes env_burst = 0;
-  RateBps env_rate = 0;
-  // 1-based source lines of the declaring directives (0 when the
-  // scenario was built programmatically) — diagnostic provenance for the
-  // static analyzer.
-  std::size_t line = 0;
-  std::size_t env_line = 0;
+  // The node's static classes in declaration order, with their queue
+  // limits, envelopes and declaring lines: what every family compiles
+  // and the analyzer reads.  Class names are unique per node; the same
+  // name on several nodes describes the same flow's per-hop class
+  // (wired by `route`).
+  HierarchySpec spec;
 };
 
 // Largest greedy window or tcpish max window `parse` accepts, in packets.
@@ -175,16 +161,13 @@ struct ScenarioEvent {
   Kind kind{};
   TimeNs at = 0;
   std::string node;
-  ScenarioClass cls;    // kAddClass payload
-  ScenarioSource src;   // kStartSource payload
-  std::string target;   // kDeleteClass / kStopSources class name
+  HierarchySpec::ClassSpec cls;  // kAddClass payload
+  ScenarioSource src;            // kStartSource payload
+  std::string target;            // kDeleteClass / kStopSources class name
   std::size_t line = 0;
 };
 
 struct Scenario {
-  // Rate of the single/first node — kept for single-node consumers; the
-  // authoritative per-node rates live in `nodes`.
-  RateBps link_rate = 0;
   TimeNs duration = 0;
   TimeNs window = msec(100);
   // The name handed to parse() (the path for parse_file) — diagnostic
@@ -197,12 +180,12 @@ struct Scenario {
   // are validated at compile time; timed class creations that fail the
   // feasibility check are counted as rejected instead of failing the run.
   bool admission = false;
-  // All nodes, in declaration order.  Always at least one after parse():
-  // single-node files get the implicit node {"link", link_rate}.
+  // All nodes with their classes, in declaration order.  Always at least
+  // one after parse(): a single-node file gets the implicit node "link"
+  // at its `link` rate.
   std::vector<ScenarioNode> nodes;
   // True when the file used explicit `node` blocks.
   bool multi_node = false;
-  std::vector<ScenarioClass> classes;
   std::vector<ScenarioSource> sources;
   std::vector<ScenarioRoute> routes;
   std::vector<ScenarioDeadline> deadlines;
@@ -215,17 +198,10 @@ struct Scenario {
   static Scenario parse(std::istream& in, const std::string& name = "");
   static Scenario parse_file(const std::string& path);
 
-  // The scheduler-agnostic form of the classes (config/hierarchy_spec.hpp)
-  // that every family compiles from.  The one-argument overload selects a
-  // single node's classes; the legacy zero-argument form returns the
-  // whole class list (only meaningful for single-node scenarios).
-  // node_hierarchy_specs() is node_hierarchy_spec(n.name) for every node
-  // n, in `nodes` order, from one pass over the classes.
-  HierarchySpec to_hierarchy_spec() const;
-  HierarchySpec node_hierarchy_spec(const std::string& node) const;
-  std::vector<HierarchySpec> node_hierarchy_specs() const;
-
+  // The node called `name` and its classes; null / an empty spec when
+  // there is no such node.
   const ScenarioNode* find_node(const std::string& name) const;
+  const HierarchySpec& node_hierarchy_spec(const std::string& name) const;
 };
 
 // Fixed log-spaced delay-histogram bucket edges in milliseconds (1 us

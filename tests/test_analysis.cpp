@@ -12,6 +12,7 @@
 #include "analysis/analyzer.hpp"
 #include "curve/piecewise.hpp"
 #include "sim/scenario.hpp"
+#include "util/errors.hpp"
 
 namespace hfsc {
 namespace {
@@ -61,9 +62,15 @@ TEST(Analysis, CleanScenarioHasNoFindings) {
   // The (u, d, r) = (160 B, 10 ms, 64 kb/s) guarantee bounds a conformant
   // one-packet burst by d plus one max-packet transmission time.
   EXPECT_EQ(*r.delay_bounds[0].bound,
-            msec(10) + tx_time(1500, sc.link_rate));
+            msec(10) + tx_time(1500, sc.nodes.front().rate));
   EXPECT_EQ(r.file, "mem.hfsc");
   EXPECT_EQ(r.num_classes, 2u);
+}
+
+TEST(Analysis, ScenarioWithoutNodesIsATypedError) {
+  // The classes of a Scenario built in code live in its nodes; with no
+  // node there is no link to analyze them against.
+  EXPECT_THROW((void)analyze(Scenario{}), Error);
 }
 
 TEST(Analysis, RtLinkInfeasibleNamesTheBreakingClass) {

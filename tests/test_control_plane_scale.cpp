@@ -5,7 +5,8 @@
 // minutes, which this ctest row's explicit TIMEOUT (tests/CMakeLists.txt)
 // turns into a failure, and makes doubling the class count cost about
 // four times as much, which the ratio rows catch at any speed.  The
-// last row holds rendering a many-node report to the same ratio.
+// last rows hold parsing and analyzing a many-node file, and rendering
+// a many-node report, to the same ratio.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,14 +36,14 @@ Pipeline run_pipeline(const std::string& text) {
   std::istringstream in(text);
   p.sc = Scenario::parse(in, "generated.hfsc");
   p.report = analyze(p.sc);
-  p.compiled = p.sc.to_hierarchy_spec().compile(SchedulerKind::kHfsc,
-                                                p.sc.link_rate);
+  const ScenarioNode& link = p.sc.nodes.front();
+  p.compiled = link.spec.compile(SchedulerKind::kHfsc, link.rate);
   p.run = run_scenario(p.sc);
   return p;
 }
 
 void expect_sound(const Pipeline& p, std::size_t n) {
-  EXPECT_EQ(p.sc.classes.size(), n);
+  EXPECT_EQ(p.sc.nodes.front().spec.classes.size(), n);
   EXPECT_EQ(p.report.num_classes, n);
   EXPECT_EQ(p.report.errors(), 0u);
   EXPECT_TRUE(p.report.rt_feasible);
@@ -100,6 +101,36 @@ TEST(ControlPlaneScale, DoublingTheClassesDoublesTheCost) {
     EXPECT_LT(t2 / t1, 3.0) << "N = " << kN << ": " << t1 << " s, 2N: " << t2
                             << " s";
   }
+}
+
+TEST(ControlPlaneScale, DoublingTheNodesDoublesTheParseAndAnalyzeCost) {
+  // Each node owns its classes, so a class is found by name through its
+  // own node; a lookup that scanned every node's classes reads about 4
+  // here, the per-node layout about 2.
+  constexpr std::size_t kNodes = 2'000;
+  auto parse_analyze_seconds = [](const std::string& text,
+                                  std::size_t nodes) {
+    const std::clock_t t0 = std::clock();
+    std::istringstream in(text);
+    const Scenario sc = Scenario::parse(in, "generated.hfsc");
+    const AnalysisReport report = analyze(sc);
+    const double took =
+        static_cast<double>(std::clock() - t0) / CLOCKS_PER_SEC;
+    EXPECT_EQ(sc.nodes.size(), nodes);
+    EXPECT_EQ(report.num_classes, 10 * nodes);
+    return took;
+  };
+  const std::string one = testgen::many_node_scenario(kNodes);
+  const std::string two = testgen::many_node_scenario(2 * kNodes);
+  double t1 = 1e30;
+  double t2 = 1e30;
+  for (int rep = 0; rep < 5; ++rep) {
+    t1 = std::min(t1, parse_analyze_seconds(one, kNodes));
+    t2 = std::min(t2, parse_analyze_seconds(two, 2 * kNodes));
+  }
+  RecordProperty("parse_analyze_ratio", std::to_string(t2 / t1));
+  EXPECT_LT(t2 / t1, 3.0) << kNodes << " nodes: " << t1 << " s, "
+                          << 2 * kNodes << " nodes: " << t2 << " s";
 }
 
 TEST(ControlPlaneScale, DoublingTheNodesDoublesTheRenderCost) {

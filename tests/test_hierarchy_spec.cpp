@@ -169,11 +169,12 @@ TEST(HierarchySpecHfsc, DigestIdenticalToRawApi) {
                         ServiceCurve::linear(mbps(10))});
 
   const HierarchySpec spec = fig1_spec();
-  HierarchySpec::IdMap ids;
-  std::vector<std::string> notes;
-  const std::unique_ptr<Hfsc> built = spec.build_hfsc(link, &ids, &notes);
+  HierarchySpec::Compiled compiled = spec.compile(SchedulerKind::kHfsc, link);
+  ASSERT_NE(compiled.hfsc, nullptr);
+  Hfsc* const built = compiled.hfsc;
+  const HierarchySpec::IdMap& ids = compiled.ids;
 
-  EXPECT_TRUE(notes.empty());  // H-FSC expresses the full spec
+  EXPECT_TRUE(compiled.notes.empty());  // H-FSC expresses the full spec
   ASSERT_EQ(ids.size(), 5u);
   EXPECT_EQ(ids.at("cmu"), cmu);
   EXPECT_EQ(ids.at("audio"), audio);
@@ -255,9 +256,11 @@ TEST(HierarchySpecHfsc, GoldenDigestRegression) {
 
 TEST(HierarchySpecHpfq, MapsRatesAndRecordsLossNotes) {
   const HierarchySpec spec = fig1_spec();
-  HierarchySpec::IdMap ids;
-  std::vector<std::string> notes;
-  const std::unique_ptr<HPfq> sched = spec.build_hpfq(mbps(45), &ids, &notes);
+  HierarchySpec::Compiled compiled =
+      spec.compile(SchedulerKind::kHpfq, mbps(45));
+  Scheduler* const sched = compiled.sched.get();
+  const HierarchySpec::IdMap& ids = compiled.ids;
+  const std::vector<std::string>& notes = compiled.notes;
 
   ASSERT_EQ(ids.size(), 5u);  // hierarchy preserved, interior included
   EXPECT_EQ(sched->name(), "H-PFQ");
@@ -282,9 +285,11 @@ TEST(HierarchySpecHpfq, MapsRatesAndRecordsLossNotes) {
 
 TEST(HierarchySpecCbq, UlCurveDisablesBorrowingAndClampsRate) {
   const HierarchySpec spec = fig1_spec();
-  HierarchySpec::IdMap ids;
-  std::vector<std::string> notes;
-  const std::unique_ptr<Cbq> sched = spec.build_cbq(mbps(45), &ids, &notes);
+  HierarchySpec::Compiled compiled =
+      spec.compile(SchedulerKind::kCbq, mbps(45));
+  Scheduler* const sched = compiled.sched.get();
+  const HierarchySpec::IdMap& ids = compiled.ids;
+  const std::vector<std::string>& notes = compiled.notes;
   ASSERT_EQ(ids.size(), 5u);
   const bool ul_note = std::any_of(
       notes.begin(), notes.end(), [](const std::string& n) {
@@ -306,7 +311,7 @@ TEST(HierarchySpecRateBased, PureBurstCurveIsTypedError) {
   c.rt = ServiceCurve{mbps(10), msec(5), 0};  // m2 == 0: no long-term rate
   spec.add(c);
   try {
-    spec.build_hpfq(mbps(45));
+    spec.compile(SchedulerKind::kHpfq, mbps(45));
     FAIL() << "zero long-term rate accepted";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), Errc::kMissingCurve);
@@ -321,7 +326,7 @@ TEST(HierarchySpecStrict, RejectsCurveDegradation) {
   HierarchySpec::CompileOptions opts;
   opts.strict = true;
   try {
-    spec.build_hpfq(mbps(45), nullptr, nullptr, opts);
+    spec.compile(SchedulerKind::kHpfq, mbps(45), opts);
     FAIL() << "strict mode let a lossy mapping through";
   } catch (const Error& e) {
     // audio's non-linear curve is the first loss in declaration order.
@@ -334,7 +339,7 @@ TEST(HierarchySpecStrict, RejectsFlattening) {
   HierarchySpec::CompileOptions opts;
   opts.strict = true;
   try {
-    spec.build_drr(mbps(45), nullptr, nullptr, opts);
+    spec.compile(SchedulerKind::kDrr, mbps(45), opts);
     FAIL() << "strict mode let an interior drop through";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), Errc::kInvalidArgument);
@@ -347,7 +352,7 @@ TEST(HierarchySpecStrict, ExactMappingStillCompiles) {
   const HierarchySpec spec = fig1_spec();
   HierarchySpec::CompileOptions opts;
   opts.strict = true;
-  EXPECT_NO_THROW(spec.build_hfsc(mbps(45), nullptr, nullptr, opts));
+  EXPECT_NO_THROW(spec.compile(SchedulerKind::kHfsc, mbps(45), opts));
 }
 
 // ------------------------------------------------------- flat families

@@ -55,11 +55,15 @@ class a root ls linear 10Mbps
 source cbr a 1Mbps 1000 0s 1s
 )");
   const Scenario sc = Scenario::parse(in);
-  EXPECT_EQ(sc.link_rate, mbps(10));
+  ASSERT_EQ(sc.nodes.size(), 1u);
+  EXPECT_EQ(sc.nodes[0].rate, mbps(10));
   EXPECT_EQ(sc.duration, sec(1));
-  ASSERT_EQ(sc.classes.size(), 1u);
-  EXPECT_EQ(sc.classes[0].name, "a");
-  EXPECT_EQ(sc.classes[0].cfg.ls, ServiceCurve::linear(mbps(10)));
+  const std::vector<HierarchySpec::ClassSpec>& classes =
+      sc.nodes[0].spec.classes;
+  ASSERT_EQ(classes.size(), 1u);
+  EXPECT_EQ(classes[0].name, "a");
+  EXPECT_EQ(classes[0].ls, ServiceCurve::linear(mbps(10)));
+  EXPECT_EQ(classes[0].line, 4u);
   ASSERT_EQ(sc.sources.size(), 1u);
   EXPECT_EQ(sc.sources[0].kind, ScenarioSource::Kind::kCbr);
 }
@@ -72,11 +76,11 @@ class org root ls linear 10Mbps
 class a org rt udr 160 5ms 64kbps ls linear 64kbps ul linear 1Mbps qlimit 50
 )");
   const Scenario sc = Scenario::parse(in);
-  ASSERT_EQ(sc.classes.size(), 2u);
-  const ScenarioClass& a = sc.classes[1];
+  ASSERT_EQ(sc.nodes[0].spec.classes.size(), 2u);
+  const HierarchySpec::ClassSpec& a = sc.nodes[0].spec.classes[1];
   EXPECT_EQ(a.parent, "org");
-  EXPECT_EQ(a.cfg.rt, from_udr(160, msec(5), kbps(64)));
-  EXPECT_EQ(a.cfg.ul, ServiceCurve::linear(mbps(1)));
+  EXPECT_EQ(a.rt, from_udr(160, msec(5), kbps(64)));
+  EXPECT_EQ(a.ul, ServiceCurve::linear(mbps(1)));
   EXPECT_EQ(a.qlimit, 50u);
 }
 
@@ -99,6 +103,8 @@ TEST(ScenarioParse, ErrorsCarryLineNumbers) {
                "duplicate class");
   expect_error("link 10Mbps\nduration 1s\nclass a root qlimit 5\n",
                "at least one of rt/ls");
+  expect_error("link 10Mbps\nduration 1s\nclass root root ls linear 1Mbps\n",
+               "scenario line 3: invalid argument: 'root' is reserved");
   expect_error("link 10Mbps\nduration 1s\nclass a root ls linear 1Mbps\n"
                "source cbr b 1Mbps 100 0s 1s\n",
                "unknown class");

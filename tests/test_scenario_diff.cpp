@@ -26,13 +26,14 @@ namespace {
 // before routed topologies (same compile, install and gather order),
 // plus the post-run state digest run_scenario reports.
 ScenarioResult legacy_run(const Scenario& sc, SchedulerKind kind) {
-  const HierarchySpec spec = sc.to_hierarchy_spec();
+  const ScenarioNode& link = sc.nodes.front();
+  const HierarchySpec& spec = link.spec;
   HierarchySpec::CompileOptions copts;
-  HierarchySpec::Compiled compiled = spec.compile(kind, sc.link_rate, copts);
+  HierarchySpec::Compiled compiled = spec.compile(kind, link.rate, copts);
   Scheduler& sched = *compiled.sched;
   const HierarchySpec::IdMap& ids = compiled.ids;
 
-  Simulator sim(sc.link_rate, sched, sc.window);
+  Simulator sim(link.rate, sched, sc.window);
   for (const ScenarioSource& s : sc.sources) {
     const ClassId cls = ids.at(s.cls);
     switch (s.kind) {
@@ -70,7 +71,7 @@ ScenarioResult legacy_run(const Scenario& sc, SchedulerKind kind) {
   out.scheduler = std::string(sched.name());
   out.notes = std::move(compiled.notes);
   const FlowTracker& t = sim.tracker();
-  for (const ScenarioClass& c : sc.classes) {
+  for (const HierarchySpec::ClassSpec& c : spec.classes) {
     const auto it = ids.find(c.name);
     if (it == ids.end()) continue;  // dropped by a flat mapping
     const ClassId id = it->second;

@@ -42,7 +42,7 @@ TEST(ScenarioMultiNode, ParsesNodesRoutesAndResolvesEntry) {
   EXPECT_TRUE(sc.multi_node);
   ASSERT_EQ(sc.nodes.size(), 2u);
   EXPECT_EQ(sc.nodes[0].name, "a");
-  EXPECT_EQ(sc.link_rate, mbps(10));  // first node's rate
+  EXPECT_EQ(sc.nodes[0].rate, mbps(10));
   ASSERT_EQ(sc.routes.size(), 1u);
   EXPECT_EQ(sc.routes[0].nodes, (std::vector<std::string>{"a", "b"}));
   ASSERT_EQ(sc.sources.size(), 1u);
@@ -61,8 +61,29 @@ source cbr a 1Mbps 1000 0s 1s
   EXPECT_FALSE(sc.multi_node);
   ASSERT_EQ(sc.nodes.size(), 1u);  // implicit node materialized
   EXPECT_EQ(sc.nodes[0].name, "link");
-  EXPECT_EQ(sc.classes[0].node, "link");
+  EXPECT_EQ(sc.nodes[0].rate, mbps(10));
+  ASSERT_EQ(sc.nodes[0].spec.classes.size(), 1u);
+  EXPECT_EQ(sc.nodes[0].spec.classes[0].name, "a");
   EXPECT_EQ(sc.sources[0].node, "link");
+
+  // Top-level classes and sources ahead of `link` still land on the
+  // implicit node, at the rate `link` gives it later.
+  std::istringstream early(
+      "class a root ls linear 5Mbps\n"
+      "source cbr a 1Mbps 1000 0s 1s\n"
+      "duration 1s\n"
+      "link 10Mbps\n");
+  const Scenario late_link = Scenario::parse(early, "early.hfsc");
+  ASSERT_EQ(late_link.nodes.size(), 1u);
+  EXPECT_EQ(late_link.nodes[0].name, "link");
+  EXPECT_EQ(late_link.nodes[0].rate, mbps(10));
+  ASSERT_EQ(late_link.nodes[0].spec.classes.size(), 1u);
+  EXPECT_EQ(late_link.nodes[0].spec.classes[0].line, 1u);
+  EXPECT_EQ(late_link.sources[0].node, "link");
+  const ScenarioResult r = run_scenario(late_link);
+  ASSERT_EQ(r.per_class.size(), 1u);
+  EXPECT_EQ(r.per_class[0].packets, 125u);  // 1 Mb/s of 1000 B for 1 s
+  EXPECT_TRUE(r.conserved());
 }
 
 TEST(ScenarioMultiNode, ParserRejectsBadTopologies) {
@@ -117,6 +138,22 @@ TEST(ScenarioMultiNode, ParserRejectsBadTopologies) {
   expect_parse_error("duration 1s\nnode a 10Mbps\n"
                      "  class x root ls linear 1Mbps\n",
                      "unterminated node block");
+  // A top-level class read before the first node block fails at its own
+  // line once the file turns out to be multi-node.
+  {
+    std::istringstream in("duration 1s\n"
+                          "class x root ls linear 1Mbps\n"
+                          "node a 10Mbps\n"
+                          "  class y root ls linear 1Mbps\n"
+                          "end\n");
+    try {
+      (void)Scenario::parse(in, "top.hfsc");
+      ADD_FAILURE() << "a class outside every node block parsed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(),
+                   "top.hfsc:2: class declared outside a node block");
+    }
+  }
   // Multi-node files scope class/at declarations to blocks.
   expect_parse_error(
       "duration 1s\nnode a 10Mbps\nend\nclass x root ls linear 1Mbps\n",

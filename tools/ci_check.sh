@@ -57,8 +57,9 @@
 # step of its own: 100k-class flat and 4-ary scenarios parsed, analyzed,
 # compiled and run, the cost ratio of 20k to 10k classes (under 3), 50k
 # rt leaves added under admission, a 100k-leaf checkpoint round trip,
-# and the rendering row: the cost ratio of rendering a 4k-node report
-# (to_table and to_json, 10 classes a node) to a 2k-node one (under 3).
+# and two many-node rows: the cost ratio of parsing and analyzing a
+# 4k-node file (10 classes a node) to a 2k-node one, and of rendering
+# its report (to_table and to_json), each under 3.
 # It guards the control plane against going quadratic in the class
 # count again: one scan of every class per class, anywhere on those
 # paths, turns the 100k rows into minutes and the ratio into about 4;
