@@ -19,7 +19,6 @@
 #include "core/hfsc.hpp"
 #include "sched/fifo.hpp"
 #include "sched/hpfq.hpp"
-#include "sched/pfq_sched.hpp"
 #include "sched/sced.hpp"
 #include "sched/virtual_clock.hpp"
 #include "util/rng.hpp"
@@ -83,12 +82,13 @@ void BM_Sced(benchmark::State& state) {
 }
 
 void BM_Wf2qPlus(benchmark::State& state) {
+  // Flat WF2Q+: every class directly under H-PFQ's root.
   drive(
-      state,
-      [] { return std::make_unique<PfqSched>(kLink, PfqPolicy::SEFF); },
-      [](PfqSched& s, int n) {
-        return s.add_session(kLink / static_cast<RateBps>(n));
+      state, [] { return std::make_unique<HPfq>(kLink, PfqPolicy::SEFF); },
+      [](HPfq& s, int n) {
+        return s.add_class(kRootClass, kLink / static_cast<RateBps>(n));
       });
+  state.SetLabel("WF2Q+");
 }
 
 void BM_HPfq(benchmark::State& state) {

@@ -19,7 +19,6 @@
 #include <map>
 
 #include "core/hfsc.hpp"
-#include "sched/fsc_flat.hpp"
 #include "sched/sced.hpp"
 #include "sim/simulator.hpp"
 #include "util/stats.hpp"
@@ -68,9 +67,13 @@ int main() {
   const ClassId s2 = sced.add_session(kS2);
   const Series a = run(sced, s1, s2);
 
-  FscFlat fsc;
-  const ClassId f1 = fsc.add_session(kS1);
-  const ClassId f2 = fsc.add_session(kS2);
+  // The fair flat FSC of Fig. 2(d) is H-FSC's link-sharing criterion at
+  // one level: ls-only leaves under the root.
+  Hfsc fsc(kLink);
+  const ClassId f1 =
+      fsc.add_class(kRootClass, ClassConfig::link_share_only(kS1));
+  const ClassId f2 =
+      fsc.add_class(kRootClass, ClassConfig::link_share_only(kS2));
   const Series b = run(fsc, f1, f2);
 
   Hfsc hf(kLink);

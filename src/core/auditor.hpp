@@ -27,7 +27,7 @@
 //
 // Intended uses: after-the-fact checks in tests, the every-N-operations
 // self-check hook (Hfsc::enable_self_check), and the fault-injection
-// harness (sim/fault_injector.hpp).
+// harness (tests/support/fault_injector.hpp).
 #pragma once
 
 #include <string>

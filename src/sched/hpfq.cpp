@@ -36,13 +36,11 @@ bool HPfq::subtree_backlogged(ClassId n) const {
   return node.is_leaf() ? queues_.has(n) : node.server->any_backlogged();
 }
 
-Bytes HPfq::head_len(ClassId n) {
-  Node& node = nodes_[n];
-  if (node.is_leaf()) return queues_.head(n).len;
-  // The packet an interior node exposes is the head of the child its
-  // server would pick now.
-  const std::uint32_t c = node.server->pick();
-  return head_len(node.children[c]);
+ClassId HPfq::selected_leaf(ClassId n) {
+  while (!nodes_[n].is_leaf()) {
+    n = nodes_[n].children[nodes_[n].server->pick()];
+  }
+  return n;
 }
 
 void HPfq::enqueue(TimeNs /*now*/, Packet pkt) {
@@ -79,29 +77,22 @@ void HPfq::enqueue(TimeNs /*now*/, Packet pkt) {
 std::optional<Packet> HPfq::dequeue(TimeNs /*now*/) {
   if (!nodes_[kRootClass].server->any_backlogged()) return std::nullopt;
   // Walk down the hierarchy; every node applies its own WF2Q+ selection.
-  std::vector<ClassId> path;  // interior nodes visited, root first
-  ClassId c = kRootClass;
-  while (!nodes_[c].is_leaf()) {
-    path.push_back(c);
-    const std::uint32_t idx = nodes_[c].server->pick();
-    c = nodes_[c].children[idx];
-  }
-  Packet p = queues_.pop(c);
-  // Charge every server on the path and refresh child state bottom-up so
-  // that an interior child's new exposed head is known when its parent
-  // asks for it.
-  ClassId child = c;
-  for (std::size_t i = path.size(); i-- > 0;) {
-    const ClassId parent = path[i];
-    PfqServer& srv = *nodes_[parent].server;
-    const std::uint32_t idx = nodes_[child].idx_in_parent;
+  const ClassId leaf = selected_leaf(kRootClass);
+  Packet p = queues_.pop(leaf);
+  // Charge every server from the leaf's parent up to the root, refreshing
+  // child state bottom-up so that an interior child's new exposed head is
+  // known when its parent asks for it.
+  for (ClassId child = leaf; child != kRootClass;
+       child = nodes_[child].parent) {
+    const Node& node = nodes_[child];
+    PfqServer& srv = *nodes_[node.parent].server;
     srv.charge(p.len);
     if (subtree_backlogged(child)) {
-      srv.child_next_head(idx, head_len(child));
+      srv.child_next_head(node.idx_in_parent,
+                          queues_.head(selected_leaf(child)).len);
     } else {
-      srv.child_empty(idx);
+      srv.child_empty(node.idx_in_parent);
     }
-    child = parent;
   }
   return p;
 }

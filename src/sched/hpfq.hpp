@@ -68,8 +68,9 @@ class HPfq final : public Scheduler {
     bool is_leaf() const noexcept { return server == nullptr; }
   };
 
-  // Length of the packet node `n` currently exposes to its parent.
-  Bytes head_len(ClassId n);
+  // The leaf whose head packet node `n` currently exposes to its parent:
+  // `n` itself for a leaf, else its server's pick, recursively.
+  ClassId selected_leaf(ClassId n);
   bool subtree_backlogged(ClassId n) const;
 
   PfqPolicy policy_;

@@ -16,9 +16,11 @@
 //     SFF  — smallest finish time first (SFQ / "WFQ-like")
 //     SEFF — smallest *eligible* (S <= V) finish time first  == WF2Q+
 //
-// The class holds no packets; flat Pfq and hierarchical HPfq compose it
-// with packet queues.  H-PFQ built from WF2Q+ nodes is the paper's main
-// comparison point (Sections I, IV-A, VIII).
+// The class holds no packets; HPfq composes a tree of them with packet
+// queues, and an HPfq whose classes all sit under the root is the flat
+// scheduler of the chosen policy (flat WF2Q+ under SEFF).  H-PFQ built
+// from WF2Q+ nodes is the paper's main comparison point (Sections I,
+// IV-A, VIII).
 #pragma once
 
 #include <cstdint>

@@ -45,8 +45,6 @@ enum class Errc {
   kBadJournal,          // operation journal is malformed beyond the
                         // recoverable torn-tail case (bad magic/version,
                         // undecodable record, replay divergence)
-  kBadTrace,            // trace file is malformed (typed, with the byte
-                        // offset of the first bad input)
 };
 
 constexpr const char* to_string(Errc c) noexcept {
@@ -63,7 +61,6 @@ constexpr const char* to_string(Errc c) noexcept {
     case Errc::kTxnInvalid: return "invalid transaction";
     case Errc::kBadCheckpoint: return "bad checkpoint";
     case Errc::kBadJournal: return "bad journal";
-    case Errc::kBadTrace: return "bad trace";
   }
   return "unknown error";
 }

@@ -1,5 +1,5 @@
 // Op-level fault-injection fuzzing for the hardened H-FSC scheduler
-// (sim/fault_injector.hpp + core/auditor.hpp).
+// (tests/support/fault_injector.hpp + core/auditor.hpp).
 //
 // Test 1 drives >= 100k mixed operations through a FaultInjector that
 // perturbs the clock (permanent jumps + transient regressions), injects
@@ -23,7 +23,7 @@
 #include "core/auditor.hpp"
 #include "core/hfsc.hpp"
 #include "sched/drr.hpp"
-#include "sim/fault_injector.hpp"
+#include "support/fault_injector.hpp"
 #include "util/rng.hpp"
 
 namespace hfsc {

@@ -33,9 +33,8 @@
 # (test_scenario_fuzz: a mutated shipped scenario fails at its file:line
 # or analyzes and runs), the journal framing fuzz (test_journal_fuzz:
 # a mutated journal is kBadJournal or recovers to a cut of the
-# original) and the trace-reader fuzz (test_trace_fuzz: a mutated
-# capture is kBadTrace or round-trips through write_trace).  They run in
-# every configuration; exclude them for a quick local gate with
+# original).  They run in every configuration; exclude them for a quick
+# local gate with
 #   $ CTEST_ARGS="-LE fuzz" tools/ci_check.sh release
 #
 # The Release config additionally runs the scenario-engine smoke (ctest
