@@ -1,9 +1,19 @@
 // Tests for the upper-limit service curve extension (the rate-capping
-// feature of the authors' ALTQ/NetBSD implementation; DESIGN.md S13).
+// feature of the authors' ALTQ/NetBSD implementation; DESIGN.md S13), and
+// the dequeue-order pin of a deep tree whose upper limits bind.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "core/auditor.hpp"
+#include "core/checkpoint.hpp"
 #include "core/hfsc.hpp"
 #include "sim/simulator.hpp"
+#include "util/hash.hpp"
+#include "util/rng.hpp"
 
 namespace hfsc {
 namespace {
@@ -80,6 +90,135 @@ TEST(HfscUpperLimit, IdleDoesNotBankCredit) {
   // Over (1s, 3s) the class is still held to 2 Mb/s — no credit for the
   // idle first second.
   EXPECT_NEAR(sim.tracker().rate_mbps(c, sec(1), sec(3)), 2.0, 0.15);
+}
+
+// FNV-1a-64 of the (cls, seq) dequeue order of a seeded three-level tree
+// whose upper limits bind at two levels (A at depth 1, A1 at depth 2):
+//
+//   root ── A (ul) ── A1 (ul) ── a1 (rt+ls) a2 a3 a4
+//        │        └─ A2 ─────── b1 (rt only) b2 b3 b4
+//        └─ B ─────── B1 ─────── c1 (rt+ls) c2 c3
+//                 └─ B2
+//
+// The link is modelled (one packet in flight), arrivals alternate between
+// overload and underload so backlogs rise and fall, and the run is cut by
+// the control-plane changes that move a parent's min-vt child: a Txn that
+// deletes the top active child of A1 and a child of A2 whose swap-remove
+// moves an active sibling, then an add under B1 and a change_class of an
+// active B2.  Later a checkpoint -> restore_checkpoint round trip hands
+// the run to the restored scheduler.  Every operation is audited.
+TEST(DequeueOrderPins, DeepHfscWithUpperLimits) {
+  const auto ls = [](RateBps r) {
+    return ClassConfig::link_share_only(ServiceCurve::linear(r));
+  };
+  const auto capped = [&](RateBps r, const ServiceCurve& ul) {
+    ClassConfig cfg = ls(r);
+    cfg.ul = ul;
+    return cfg;
+  };
+  std::optional<Hfsc> live(std::in_place, mbps(10));
+  Hfsc* s = &*live;
+  s->enable_self_check(1);
+  const ClassId A = s->add_class(kRootClass, capped(mbps(6),
+                                 ServiceCurve::linear(mbps(5))));
+  const ClassId B = s->add_class(kRootClass, ls(mbps(4)));
+  const ClassId A1 = s->add_class(A, capped(mbps(3),
+                                  ServiceCurve{mbps(4), msec(10), mbps(2)}));
+  const ClassId A2 = s->add_class(A, ls(mbps(3)));
+  const ClassId B1 = s->add_class(B, ls(mbps(2)));
+  const ClassId B2 = s->add_class(B, ls(mbps(2)));
+  // The test's own copy of each parent's children list, kept in the
+  // scheduler's order (append on add, swap-remove on delete).
+  std::vector<std::vector<ClassId>> kids(64);
+  std::vector<ClassId> leaves{B2};
+  kids[B].push_back(B2);
+  const auto add_leaf = [&](ClassId parent, const ClassConfig& cfg) {
+    const ClassId c = s->add_class(parent, cfg);
+    kids[parent].push_back(c);
+    leaves.push_back(c);
+    return c;
+  };
+  ClassConfig a1 = ls(mbps(1));
+  a1.rt = ServiceCurve::linear(kbps(500));
+  add_leaf(A1, a1);
+  add_leaf(A1, ls(mbps(1)));
+  add_leaf(A1, ls(mbps(2)));
+  add_leaf(A1, ls(kbps(500)));
+  add_leaf(A2, ClassConfig::real_time_only(ServiceCurve::linear(kbps(400))));
+  add_leaf(A2, ls(mbps(1)));
+  add_leaf(A2, ls(mbps(2)));
+  add_leaf(A2, ls(mbps(1)));
+  ClassConfig c1 = ls(mbps(1));
+  c1.rt = ServiceCurve{mbps(2), msec(5), kbps(500)};
+  add_leaf(B1, c1);
+  add_leaf(B1, ls(mbps(1)));
+  add_leaf(B1, ls(mbps(3)));
+
+  const auto erase_leaf = [&](ClassId parent, std::size_t i) {
+    std::vector<ClassId>& k = kids[parent];
+    const ClassId gone = k[i];
+    k[i] = k.back();
+    k.pop_back();
+    leaves.erase(std::find(leaves.begin(), leaves.end(), gone));
+    return gone;
+  };
+
+  Rng rng(0xD33B);
+  std::string order;
+  std::uint64_t seq = 0;
+  TimeNs now = 0;
+  TimeNs link_free = 0;
+  for (int step = 1; step <= 24'000; ++step) {
+    now += usec(100);
+    const double load = (step / 2000) % 2 == 0 ? 0.3 : 0.04;
+    if (rng.chance(load)) {
+      const ClassId cls = leaves[rng.uniform(0, leaves.size() - 1)];
+      const auto len = static_cast<Bytes>(rng.uniform(64, 1500));
+      s->enqueue(now, Packet{cls, len, now, seq++});
+    }
+    if (now >= link_free) {
+      if (const auto p = s->dequeue(now)) {
+        order.append(reinterpret_cast<const char*>(&p->cls), sizeof p->cls);
+        order.append(reinterpret_cast<const char*>(&p->seq), sizeof p->seq);
+        link_free = now + tx_time(p->len, mbps(10));
+      }
+    }
+    if (step == 5'500) {
+      // The active leaf of A1 with the smallest (vt, index): A1's top.
+      std::optional<std::size_t> top;
+      for (std::size_t i = 0; i < kids[A1].size(); ++i) {
+        const ClassId c = kids[A1][i];
+        if (s->active(c) &&
+            (!top || s->vtime(c) < s->vtime(kids[A1][*top]))) {
+          top = i;
+        }
+      }
+      ASSERT_TRUE(top.has_value());
+      // A child of A2 whose swap-remove moves the active last sibling.
+      ASSERT_TRUE(s->active(kids[A2].back()));
+      Hfsc::Txn txn = s->begin();
+      txn.delete_class(erase_leaf(A1, *top));
+      txn.delete_class(erase_leaf(A2, 0));
+      txn.commit();
+      ASSERT_TRUE(s->active(B2));
+      add_leaf(B1, ls(mbps(1)));
+      ClassConfig cfg = capped(mbps(3), ServiceCurve::linear(mbps(2)));
+      cfg.ls = ServiceCurve{mbps(5), msec(20), mbps(3)};
+      s->change_class(now, B2, cfg);
+    }
+    if (step == 15'000) {
+      std::string image;
+      checkpoint(*s, image);
+      Hfsc restored = restore_checkpoint(image);
+      live.reset();
+      live.emplace(std::move(restored));
+      s = &*live;
+      s->enable_self_check(1);
+    }
+  }
+  EXPECT_TRUE(audit(*s).ok());
+  EXPECT_GT(s->ls_selections(), 0u);
+  EXPECT_EQ(fnv1a64(order), 5895828138790096090ull);
 }
 
 }  // namespace
