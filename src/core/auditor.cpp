@@ -36,6 +36,11 @@ AuditReport audit(const Hfsc& s) {
         h.has_ul() != !n.cfg.ul.is_zero()) {
       fail(c, "cached curve-presence flags disagree with the config");
     }
+    // Likewise the interior/deleted bits enqueue and ls_select read
+    // instead of the Node.
+    if (h.interior() != !n.children.empty() || h.deleted() != n.deleted) {
+      fail(c, "cached interior/deleted flags disagree with the tree");
+    }
     if (c != kRootClass && !n.deleted && h.has_ul()) ++ul_count;
 
     if (n.deleted) {
@@ -122,9 +127,22 @@ AuditReport audit(const Hfsc& s) {
       } else if (n.active_children.contains(i)) {
         fail(c, "passive child still in the heap");
       }
+      if (n.active_children.contains(i) &&
+          n.active_children.tag_of(i) != child) {
+        fail(c, "heap entry's tag is not the child's class id");
+      }
     }
     if (n.active_children.size() != active_kids) {
       fail(c, "heap size does not match the number of active children");
+    }
+    // ls_select follows ls_min instead of reading the heap.
+    const ClassId top = n.active_children.empty()
+                            ? kRootClass
+                            : n.active_children.top_tag();
+    if (h.ls_min != top) {
+      fail(c, "cached ls_min (" + std::to_string(h.ls_min) +
+                  ") is not the heap's top child (" + std::to_string(top) +
+                  ")");
     }
 
     // Real-time side: eligible-set membership <=> backlogged rt leaf, and

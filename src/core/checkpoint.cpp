@@ -247,12 +247,16 @@ Hfsc restore_checkpoint(std::string_view image, std::string* ext) {
     }
   }
 
-  // Rebuild the children vectors from (parent, idx_in_parent).  Tombstoned
-  // nodes are not attached anywhere; live ones must tile their parent's
-  // vector exactly.
+  // Rebuild the children vectors from (parent, idx_in_parent), and the
+  // hot slab's interior/deleted bits with them.  Tombstoned nodes are not
+  // attached anywhere; live ones must tile their parent's vector exactly.
+  using HotClass = Hfsc::HotClass;
   for (ClassId c = 1; c < n_classes; ++c) {
-    const auto& h = s.hot_[c];
-    if (s.nodes_[c].deleted) continue;
+    auto& h = s.hot_[c];
+    if (s.nodes_[c].deleted) {
+      h.set_flag(HotClass::kDeleted, true);
+      continue;
+    }
     if (s.nodes_[h.parent].deleted) {
       in.fail_at(node_at[c], "live child under a deleted parent");
     }
@@ -262,6 +266,7 @@ Hfsc restore_checkpoint(std::string_view image, std::string* ext) {
       in.fail_at(node_at[c], "duplicate idx_in_parent");
     }
     kids[h.idx_in_parent] = c;
+    s.hot_[h.parent].set_flag(HotClass::kInterior, true);
   }
   for (ClassId c = 0; c < n_classes; ++c) {
     for (const ClassId kid : s.nodes_[c].children) {
@@ -300,11 +305,14 @@ Hfsc restore_checkpoint(std::string_view image, std::string* ext) {
 
   // Rebuild the derived structures.  Heap layout is free to differ from
   // the original's: IndexedHeap breaks key ties by id, so the dequeue
-  // sequence depends only on the (id, key) content restored here.
+  // sequence depends only on the (id, key) content restored here, and so
+  // does each parent's cached top.
   for (ClassId c = 1; c < n_classes; ++c) {
     const auto& h = s.hot_[c];
     if (s.nodes_[c].deleted || !h.active()) continue;
-    s.nodes_[h.parent].active_children.push(h.idx_in_parent, h.vt);
+    auto& heap = s.nodes_[h.parent].active_children;
+    heap.push(h.idx_in_parent, h.vt, c);
+    s.hot_[h.parent].ls_min = heap.top_tag();
   }
   for (ClassId c = 1; c < n_classes; ++c) {
     const auto& n = s.nodes_[c];

@@ -12,6 +12,11 @@ namespace {
 constexpr TimeNs avg(TimeNs a, TimeNs b) noexcept {
   return a / 2 + b / 2 + (a & b & 1);
 }
+
+// The ClassId at the top of an active-children heap; 0 when it is empty.
+ClassId top_child(const IndexedHeap<TimeNs>& heap) noexcept {
+  return heap.empty() ? kRootClass : heap.top_tag();
+}
 }  // namespace
 
 Hfsc::Hfsc(RateBps link_rate, SystemVtPolicy vt_policy)
@@ -102,7 +107,9 @@ void Hfsc::activate_ls_path(ClassId cls, TimeNs now) {
       h.fit = cc.uc.y2x(h.total);
     }
     h.set_active(true);
-    p.active_children.push(h.idx_in_parent, h.vt);
+    const ClassId before = top_child(p.active_children);
+    p.active_children.push(h.idx_in_parent, h.vt, c);
+    note_top(h.parent, p, before);
     p.vt_watermark = std::max(p.vt_watermark, h.vt);
     c = h.parent;
   }
@@ -113,7 +120,9 @@ void Hfsc::charge_total(ClassId cls, Bytes len, TimeNs /*now*/) {
   // Walk the hot slab leaf-to-root: each step reads one HotClass line and
   // (for active non-root classes) the matching curve-slab entry.  Both
   // slab bases are pinned so the compiler keeps them in registers across
-  // the y2x and heap-update calls (no mutator runs inside the walk).
+  // the y2x and heap-update calls (no mutator runs inside the walk).  The
+  // parent's ls_min is rewritten unconditionally: its line is the next
+  // one the walk reads anyway.
   HotClass* const hot = hot_.data();
   ClassCurves* const curves = curves_.data();
   for (ClassId c = cls;;) {
@@ -124,6 +133,7 @@ void Hfsc::charge_total(ClassId cls, Bytes len, TimeNs /*now*/) {
       h.vt = curves[c].vc.y2x(h.total);
       p.active_children.update(h.idx_in_parent, h.vt);
       p.vt_watermark = std::max(p.vt_watermark, h.vt);
+      hot[h.parent].ls_min = p.active_children.top_tag();
     }
     if (h.has_ul()) h.fit = curves[c].uc.y2x(h.total);
     if (c == kRootClass) break;
@@ -137,49 +147,61 @@ void Hfsc::set_passive(ClassId cls) {
     if (!h.active()) break;
     Node& p = nodes_[h.parent];
     h.set_active(false);
+    const ClassId before = p.active_children.top_tag();
     p.active_children.erase(h.idx_in_parent);
+    note_top(h.parent, p, before);
     if (!p.active_children.empty()) return;
     c = h.parent;
   }
   hot_[kRootClass].set_active(false);
 }
 
+void Hfsc::note_top(ClassId parent, const Node& p, ClassId before) noexcept {
+  const ClassId after = top_child(p.active_children);
+  if (after != before) hot_[parent].ls_min = after;
+}
+
 std::optional<ClassId> Hfsc::ls_select(TimeNs now) {
   ls_next_fit_ = kTimeInfinity;
-  if (!hot_[kRootClass].active()) return std::nullopt;
+  const HotClass* const hot = hot_.data();
+  if (!hot[kRootClass].active()) return std::nullopt;
   ClassId c = kRootClass;
   if (num_ul_ == 0) {
     // No upper-limit curve anywhere in the hierarchy: the min-vt child is
-    // always serviceable, so descend without the pop/restore machinery.
-    while (!nodes_[c].children.empty()) {
-      Node& n = nodes_[c];
-      if (n.active_children.empty()) return std::nullopt;
-      c = n.children[n.active_children.top_id()];
+    // always serviceable, so follow the cached tops.
+    while (hot[c].interior()) {
+      c = hot[c].ls_min;
+      if (c == kRootClass) return std::nullopt;
     }
     return c;
   }
-  while (!nodes_[c].children.empty()) {
-    Node& n = nodes_[c];
-    if (n.active_children.empty()) return std::nullopt;
-    // Pop upper-limit-blocked children aside until a serviceable one
-    // surfaces, then restore them.  The scratch vector is a member so the
-    // steady state allocates nothing.
-    ls_blocked_.clear();
-    std::optional<std::uint32_t> chosen;
-    while (!n.active_children.empty()) {
-      const std::uint32_t idx = n.active_children.top_id();
-      const ClassId child = n.children[idx];
-      if (!hot_[child].has_ul() || hot_[child].fit <= now) {
-        chosen = idx;
-        break;
+  while (hot[c].interior()) {
+    ClassId child = hot[c].ls_min;
+    if (child == kRootClass) return std::nullopt;
+    if (hot[child].has_ul() && hot[child].fit > now) {
+      // The cached top is upper-limit blocked: pop blocked children aside
+      // until a serviceable one surfaces, then restore them, which leaves
+      // the same top (and ls_min) in place.  The scratch vector is a
+      // member so the steady state allocates nothing.
+      IndexedHeap<TimeNs>& heap = nodes_[c].active_children;
+      ls_blocked_.clear();
+      child = kRootClass;
+      while (!heap.empty()) {
+        const ClassId top = heap.top_tag();
+        if (!hot[top].has_ul() || hot[top].fit <= now) {
+          child = top;
+          break;
+        }
+        ls_next_fit_ = std::min(ls_next_fit_, hot[top].fit);
+        ls_blocked_.push_back(top);
+        heap.pop();
       }
-      ls_next_fit_ = std::min(ls_next_fit_, hot_[child].fit);
-      ls_blocked_.emplace_back(idx, n.active_children.top_key());
-      n.active_children.pop();
+      for (const ClassId b : ls_blocked_) {
+        heap.push(hot[b].idx_in_parent, hot[b].vt, b);
+      }
+      if (child == kRootClass) return std::nullopt;
     }
-    for (const auto& [idx, key] : ls_blocked_) n.active_children.push(idx, key);
-    if (!chosen) return std::nullopt;
-    c = n.children[*chosen];
+    c = child;
   }
   return c;
 }
@@ -248,6 +270,9 @@ ClassId Hfsc::apply_unchecked(const Op& op) {
       hot_.push_back(h);
       curves_.push_back(cc);
       const ClassId id = static_cast<ClassId>(nodes_.size() - 1);
+      if (nodes_[op.parent].children.empty()) {
+        hot_[op.parent].set_flag(HotClass::kInterior, true);
+      }
       nodes_[op.parent].children.push_back(id);
       queues_.ensure(id);
       return id;
@@ -286,7 +311,9 @@ ClassId Hfsc::apply_unchecked(const Op& op) {
         if (h.active()) {
           h.vt = cc.vc.y2x(h.total);
           Node& p = nodes_[h.parent];
+          const ClassId before = p.active_children.top_tag();
           p.active_children.update(h.idx_in_parent, h.vt);
+          note_top(h.parent, p, before);
           p.vt_watermark = std::max(p.vt_watermark, h.vt);
         } else if (queues_.has(cls)) {
           activate_ls_path(cls, now);
@@ -330,12 +357,18 @@ ClassId Hfsc::apply_unchecked(const Op& op) {
         HotClass& m = hot_[moved];
         if (m.active()) {
           const TimeNs key = p.active_children.key_of(m.idx_in_parent);
+          const ClassId before = p.active_children.top_tag();
           p.active_children.erase(m.idx_in_parent);
-          p.active_children.push(idx, key);
+          p.active_children.push(idx, key, moved);
+          note_top(h.parent, p, before);
         }
         m.idx_in_parent = idx;
       }
       p.children.pop_back();
+      if (p.children.empty()) {
+        hot_[h.parent].set_flag(HotClass::kInterior, false);
+      }
+      h.set_flag(HotClass::kDeleted, true);
       n.deleted = true;
       return cls;
     }
@@ -356,8 +389,8 @@ void Hfsc::enqueue(TimeNs now, Packet pkt) {
   // (queue limit, push-out, watchdog, delete purge), so that
   //   offered == sent + dropped + rejected + backlog
   // holds with no overlap between the buckets.
-  if (pkt.cls == 0 || pkt.cls >= nodes_.size() || nodes_[pkt.cls].deleted ||
-      !nodes_[pkt.cls].children.empty()) {
+  if (pkt.cls == 0 || pkt.cls >= hot_.size() || hot_[pkt.cls].deleted() ||
+      hot_[pkt.cls].interior()) {
     ++counters_.bad_class;
     return;
   }
@@ -386,8 +419,8 @@ void Hfsc::enqueue(TimeNs now, Packet pkt) {
 }
 
 bool Hfsc::drop_tail(ClassId cls) {
-  if (cls == kRootClass || cls >= nodes_.size() || nodes_[cls].deleted ||
-      !nodes_[cls].children.empty() || !queues_.has(cls)) {
+  if (cls == kRootClass || cls >= hot_.size() || hot_[cls].deleted() ||
+      hot_[cls].interior() || !queues_.has(cls)) {
     return false;
   }
   Node& n = nodes_[cls];

@@ -356,9 +356,12 @@ class Hfsc final : public Scheduler {
   // line per class in `hot_` (indexed by dense ClassId, parallel to
   // `nodes_`), and the four runtime curves into a second parallel slab
   // `curves_`, so a serve touches a couple of predictable cache lines per
-  // class instead of chasing through a ~600-byte Node.  Everything the
-  // data path reads at most once per packet — configuration, children
-  // lists, per-parent heaps, statistics — stays in the cold Node.
+  // class instead of chasing through a ~600-byte Node.  The line also
+  // caches what the link-sharing descent and enqueue would otherwise read
+  // from the Node: the parent's min-(vt, idx) active child (`ls_min`)
+  // and whether the class has children or is deleted, so ls_select reads
+  // one line per level.  Everything else — configuration, children lists,
+  // per-parent heaps, statistics — stays in the cold Node.
   struct alignas(64) HotClass {
     TimeNs e = 0;     // eligible time of the head packet
     TimeNs d = 0;     // deadline of the head packet
@@ -368,30 +371,38 @@ class Hfsc final : public Scheduler {
     Bytes total = 0;  // w: total service received (both criteria)
     ClassId parent = kRootClass;
     std::uint32_t idx_in_parent = 0;  // dense index in parent's heap
+    // As a parent: the ClassId at the top of active_children (the
+    // (vt, idx)-minimal active child), 0 when none is active.
+    ClassId ls_min = kRootClass;
 
     // Curve-presence flags cached from cfg (refresh_flags) plus the
-    // active bit, packed into one byte so the hot path never probes the
-    // three ServiceCurve structs.  kActive: leaf = backlogged with an ls
-    // curve; interior = has an active child.
+    // active, interior and deleted bits, packed into one byte so the hot
+    // path never probes the three ServiceCurve structs or the Node.
+    // kActive: leaf = backlogged with an ls curve; interior = has an
+    // active child.  kInterior: has children.  kDeleted: tombstoned.
     static constexpr std::uint8_t kHasRt = 1;
     static constexpr std::uint8_t kHasLs = 2;
     static constexpr std::uint8_t kHasUl = 4;
     static constexpr std::uint8_t kActive = 8;
+    static constexpr std::uint8_t kInterior = 16;
+    static constexpr std::uint8_t kDeleted = 32;
     std::uint8_t flags = 0;
 
     bool has_rt() const noexcept { return (flags & kHasRt) != 0; }
     bool has_ls() const noexcept { return (flags & kHasLs) != 0; }
     bool has_ul() const noexcept { return (flags & kHasUl) != 0; }
     bool active() const noexcept { return (flags & kActive) != 0; }
-    void set_active(bool on) noexcept {
-      flags = static_cast<std::uint8_t>(on ? (flags | kActive)
-                                           : (flags & ~kActive));
+    bool interior() const noexcept { return (flags & kInterior) != 0; }
+    bool deleted() const noexcept { return (flags & kDeleted) != 0; }
+    void set_flag(std::uint8_t bit, bool on) noexcept {
+      flags = static_cast<std::uint8_t>(on ? (flags | bit) : (flags & ~bit));
     }
+    void set_active(bool on) noexcept { set_flag(kActive, on); }
     void refresh_flags(const ClassConfig& cfg) noexcept {
-      flags = static_cast<std::uint8_t>((flags & kActive) |
-                                        (cfg.rt.is_zero() ? 0 : kHasRt) |
-                                        (cfg.ls.is_zero() ? 0 : kHasLs) |
-                                        (cfg.ul.is_zero() ? 0 : kHasUl));
+      flags = static_cast<std::uint8_t>(
+          (flags & (kActive | kInterior | kDeleted)) |
+          (cfg.rt.is_zero() ? 0 : kHasRt) | (cfg.ls.is_zero() ? 0 : kHasLs) |
+          (cfg.ul.is_zero() ? 0 : kHasUl));
     }
   };
   static_assert(sizeof(HotClass) == 64,
@@ -415,8 +426,8 @@ class Hfsc final : public Scheduler {
     ClassConfig cfg;
 
     // As a parent: heap of active children keyed by vt (ids are
-    // idx_in_parent), plus the watermark used for the system virtual
-    // time (v_min + v_max)/2.
+    // idx_in_parent, tags the children's ClassIds), plus the watermark
+    // used for the system virtual time (v_min + v_max)/2.
     IndexedHeap<TimeNs> active_children;
     TimeNs vt_watermark = 0;
 
@@ -454,12 +465,17 @@ class Hfsc final : public Scheduler {
   // Leaf drained: remove from the rt set and deactivate the path as far
   // up as subtrees empty out.
   void set_passive(ClassId cls);
+  // Writes parent's top active child into its cached ls_min when `before`
+  // (the top before a heap change) no longer names it.
+  void note_top(ClassId parent, const Node& p, ClassId before) noexcept;
 
   // Link-sharing descent (Fig. 4 get_packet, else-branch): the active
   // leaf reached by repeatedly taking the smallest-vt child whose fit
   // time allows service; fails only if upper limits block every branch
-  // or no class has an ls curve active.  Records the earliest blocking
-  // fit time in ls_next_fit_ for next_wakeup().
+  // or no class has an ls curve active.  Each level reads the cached
+  // ls_min; only a level whose cached child is upper-limit blocked falls
+  // back to searching its heap.  Records the earliest blocking fit time
+  // in ls_next_fit_ for next_wakeup().
   std::optional<ClassId> ls_select(TimeNs now);
 
   Packet serve(ClassId leaf, Criterion crit, TimeNs now);
@@ -514,7 +530,7 @@ class Hfsc final : public Scheduler {
   DualHeapEligibleSet rt_requests_;
   // Scratch for ls_select: upper-limit-blocked children set aside during
   // the descent.  A member so the steady-state path never allocates.
-  std::vector<std::pair<std::uint32_t, TimeNs>> ls_blocked_;
+  std::vector<ClassId> ls_blocked_;
   // Live classes carrying an upper-limit curve; when zero, ls_select
   // skips the fit-time machinery entirely.
   std::size_t num_ul_ = 0;

@@ -16,6 +16,12 @@
 // Ids are small non-negative integers (class indices).  Ties are broken by
 // id, so (key, id) is a total order and top() never depends on the layout:
 // the pop sequence is the same as any other correct heap's.
+//
+// Each node also carries a 32-bit tag that rides along with its id and
+// takes no part in the order.  It fills what would otherwise be padding,
+// so a caller can keep a second name for each element (H-FSC stores the
+// child's ClassId beside its index in the parent) and read it at the top
+// without a side table.  Heaps that pass no tag store 0.
 #pragma once
 
 #include <cassert>
@@ -50,18 +56,29 @@ class IndexedHeap {
     return heap_.front().id;
   }
 
+  std::uint32_t top_tag() const noexcept {
+    assert(!heap_.empty());
+    return heap_.front().tag;
+  }
+
   const Key& key_of(Id id) const noexcept {
     assert(contains(id));
     return heap_[slot_[id]].key;
   }
 
-  // Inserts id with the given key.  id must not already be present.
-  void push(Id id, Key key) {
+  std::uint32_t tag_of(Id id) const noexcept {
+    assert(contains(id));
+    return heap_[slot_[id]].tag;
+  }
+
+  // Inserts id with the given key and tag.  id must not already be
+  // present.
+  void push(Id id, Key key, std::uint32_t tag = 0) {
     assert(!contains(id));
     assert(heap_.size() < kNoSlot);  // every slot must be representable
     if (id >= slot_.size()) slot_.resize(std::size_t{id} + 1, kNoSlot);
     heap_.emplace_back();  // the hole the new node rises from
-    sift_up(heap_.size() - 1, Node{std::move(key), id});
+    sift_up(heap_.size() - 1, Node{std::move(key), id, tag});
   }
 
   // Removes and returns the id with the smallest key.
@@ -78,11 +95,11 @@ class IndexedHeap {
     erase_slot(slot_[id]);
   }
 
-  // Changes the key of a present element (up or down).
+  // Changes the key of a present element (up or down); its tag stays.
   void update(Id id, Key key) {
     assert(contains(id));
     const std::size_t s = slot_[id];
-    Node n{std::move(key), id};
+    Node n{std::move(key), id, heap_[s].tag};
     if (less(n, heap_[s])) {
       sift_up(s, std::move(n));
     } else {
@@ -124,7 +141,10 @@ class IndexedHeap {
   struct Node {
     Key key;
     Id id;
+    std::uint32_t tag;
   };
+  static_assert(sizeof(Key) != 8 || sizeof(Node) == 16,
+                "with 8-byte keys the tag must fit the node's padding");
 
   static bool less(const Node& a, const Node& b) noexcept {
     if (a.key != b.key) return a.key < b.key;

@@ -106,17 +106,66 @@ TEST(IndexedHeap, DuplicateKeysPopInKeyThenIdOrder) {
   EXPECT_TRUE(h.well_formed());
 }
 
+TEST(IndexedHeap, TagFollowsItsIdThroughEveryOperation) {
+  IndexedHeap<int> h;
+  const auto tag = [](std::uint32_t id) { return 1000 + 7 * id; };
+  for (std::uint32_t id = 0; id < 12; ++id) {
+    h.push(id, static_cast<int>(10 * id + 5), tag(id));
+  }
+  EXPECT_EQ(h.top_id(), 0u);
+  EXPECT_EQ(h.top_tag(), tag(0));
+  h.update(11, 0);  // sifts up to the top
+  EXPECT_EQ(h.top_id(), 11u);
+  EXPECT_EQ(h.top_tag(), tag(11));
+  h.update(11, 1000);  // and down to the bottom
+  h.update(0, 500);
+  EXPECT_EQ(h.top_id(), 1u);
+  EXPECT_EQ(h.top_tag(), tag(1));
+  h.erase(1);  // the last node fills the erased top's slot
+  h.erase(6);  // and a middle slot
+  ASSERT_TRUE(h.well_formed());
+  for (std::uint32_t id = 0; id < 12; ++id) {
+    if (h.contains(id)) {
+      EXPECT_EQ(h.tag_of(id), tag(id)) << id;
+    }
+  }
+  std::vector<std::uint32_t> order;
+  while (!h.empty()) {
+    const std::uint32_t top_tag = h.top_tag();
+    const std::uint32_t id = h.pop();
+    EXPECT_EQ(top_tag, tag(id));
+    order.push_back(id);
+  }
+  EXPECT_EQ(order,
+            (std::vector<std::uint32_t>{2, 3, 4, 5, 7, 8, 9, 10, 0, 11}));
+}
+
+TEST(IndexedHeap, UntaggedNodesCarryZero) {
+  IndexedHeap<std::uint64_t> h;
+  h.push(3, 30);
+  h.push(1, 10);
+  h.push_or_update(2, 5);
+  h.update(1, 1);
+  EXPECT_EQ(h.top_id(), 1u);
+  EXPECT_EQ(h.top_tag(), 0u);
+  EXPECT_EQ(h.tag_of(2), 0u);
+  EXPECT_EQ(h.tag_of(3), 0u);
+}
+
 // Randomized model test against a (key, id)-ordered std::set.  The id
 // space is large enough that the heap grows past every 4-ary level
 // boundary up to 5461 nodes (sizes 1, 5, 21, 85, 341, 1365, 5461) and
 // back: the first third of the steps only pushes, updates and reads the
 // top, the rest mixes in removals until they dominate.  The structure is
-// checked after every step.
+// checked after every step.  A tagged twin takes the same operations and
+// must pop the same ids as the untagged heap, each with its own tag.
 class IndexedHeapModel : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(IndexedHeapModel, MatchesReferenceModel) {
   Rng rng(GetParam());
   IndexedHeap<std::uint64_t> h;
+  IndexedHeap<std::uint64_t> tagged;
+  const auto tag = [](std::uint32_t id) { return id * 2654435761u; };
   std::map<std::uint32_t, std::uint64_t> model;             // id -> key
   std::set<std::pair<std::uint64_t, std::uint32_t>> order;  // (key, id)
   constexpr std::uint32_t kIds = 8192;
@@ -149,8 +198,10 @@ TEST_P(IndexedHeapModel, MatchesReferenceModel) {
         const std::uint64_t k = rng.uniform(0, 1000);
         if (model.count(id)) {
           h.update(id, k);
+          tagged.update(id, k);
         } else {
           h.push(id, k);
+          tagged.push(id, k, tag(id));
         }
         set_key(id, k);
         break;
@@ -158,13 +209,16 @@ TEST_P(IndexedHeapModel, MatchesReferenceModel) {
       case 1:  // erase
         if (model.count(id)) {
           h.erase(id);
+          tagged.erase(id);
           remove(id);
         }
         break;
       case 2:  // pop
         if (!model.empty()) {
           const std::uint32_t want = order.begin()->second;
+          ASSERT_EQ(tagged.top_tag(), tag(want)) << "step " << step;
           ASSERT_EQ(h.pop(), want) << "step " << step;
+          ASSERT_EQ(tagged.pop(), want) << "step " << step;
           remove(want);
         }
         break;
@@ -172,6 +226,8 @@ TEST_P(IndexedHeapModel, MatchesReferenceModel) {
         if (!model.empty()) {
           ASSERT_EQ(h.top_id(), order.begin()->second);
           ASSERT_EQ(h.top_key(), order.begin()->first);
+          ASSERT_EQ(h.top_tag(), 0u);
+          ASSERT_EQ(tagged.top_tag(), tag(order.begin()->second));
         }
         break;
     }
@@ -179,8 +235,10 @@ TEST_P(IndexedHeapModel, MatchesReferenceModel) {
     ASSERT_EQ(h.contains(id), model.count(id) != 0);
     if (model.count(id)) {
       ASSERT_EQ(h.key_of(id), model[id]);
+      ASSERT_EQ(tagged.tag_of(id), tag(id));
     }
     ASSERT_TRUE(h.well_formed()) << "step " << step;
+    ASSERT_TRUE(tagged.well_formed()) << "step " << step;
     largest = std::max(largest, h.size());
   }
   EXPECT_GT(largest, 5461u);
