@@ -71,13 +71,14 @@ void checkpoint(const Hfsc& s, std::string& out, std::string_view ext) {
   // The node record interleaves fields from the cold Node and the hot /
   // curve slabs (core/hfsc.hpp); the emitted text is byte-identical to
   // the pre-slab format, so digests and golden checkpoints carry over.
+  // The fifth field, the retired ever_active flag, is always 0.
   put_record(out, "classes", s.nodes_.size());
   for (ClassId c = 0; c < s.nodes_.size(); ++c) {
     const auto& n = s.nodes_[c];
     const auto& h = s.hot_[c];
     const auto& cc = s.curves_[c];
-    put_record(out, "node", c, h.parent, h.idx_in_parent, h.active(),
-               n.ever_active, n.deleted, n.starved_flagged, n.queue_limit,
+    put_record(out, "node", c, h.parent, h.idx_in_parent, h.active(), 0,
+               h.deleted(), n.starved_flagged, n.queue_limit,
                h.cumul, h.e, h.d, h.total, h.vt, h.fit, n.vt_watermark,
                n.pkts_sent, n.pkts_dropped, n.bytes_dropped, n.last_progress);
     const ClassConfig& cfg = n.cfg;
@@ -209,8 +210,8 @@ Hfsc restore_checkpoint(std::string_view image, std::string* ext) {
     h.parent = in.num<ClassId>("parent");
     h.idx_in_parent = in.num<std::uint32_t>("idx_in_parent");
     h.set_active(in.flag("active"));
-    n.ever_active = in.flag("ever_active");
-    n.deleted = in.flag("deleted");
+    (void)in.flag("ever_active");  // retired; checked, then dropped
+    h.set_flag(Hfsc::HotClass::kDeleted, in.flag("deleted"));
     n.starved_flagged = in.flag("starved_flagged");
     n.queue_limit = in.num<std::size_t>("queue_limit");
     h.cumul = in.num<Bytes>("cumul");
@@ -233,8 +234,7 @@ Hfsc restore_checkpoint(std::string_view image, std::string* ext) {
     cc.vc = get_curve(in, "vc");
     cc.uc = get_curve(in, "uc");
     h.refresh_flags(n.cfg);  // cfg was read directly; re-derive the flags
-    if (c != 0 && !n.deleted && h.has_ul()) ++s.num_ul_;
-    if (c == 0 && (h.parent != kRootClass || n.deleted)) {
+    if (c == 0 && (h.parent != kRootClass || h.deleted())) {
       in.fail_at(node_at[c], "corrupt root record");
     }
     if (c != 0 && (h.parent >= n_classes || h.parent == c)) {
@@ -248,16 +248,12 @@ Hfsc restore_checkpoint(std::string_view image, std::string* ext) {
   }
 
   // Rebuild the children vectors from (parent, idx_in_parent), and the
-  // hot slab's interior/deleted bits with them.  Tombstoned nodes are not
+  // hot slab's interior bits with them.  Tombstoned nodes are not
   // attached anywhere; live ones must tile their parent's vector exactly.
-  using HotClass = Hfsc::HotClass;
   for (ClassId c = 1; c < n_classes; ++c) {
-    auto& h = s.hot_[c];
-    if (s.nodes_[c].deleted) {
-      h.set_flag(HotClass::kDeleted, true);
-      continue;
-    }
-    if (s.nodes_[h.parent].deleted) {
+    const auto& h = s.hot_[c];
+    if (h.deleted()) continue;
+    if (s.hot_[h.parent].deleted()) {
       in.fail_at(node_at[c], "live child under a deleted parent");
     }
     auto& kids = s.nodes_[h.parent].children;
@@ -266,7 +262,7 @@ Hfsc restore_checkpoint(std::string_view image, std::string* ext) {
       in.fail_at(node_at[c], "duplicate idx_in_parent");
     }
     kids[h.idx_in_parent] = c;
-    s.hot_[h.parent].set_flag(HotClass::kInterior, true);
+    s.hot_[h.parent].set_flag(Hfsc::HotClass::kInterior, true);
   }
   for (ClassId c = 0; c < n_classes; ++c) {
     for (const ClassId kid : s.nodes_[c].children) {
@@ -283,8 +279,7 @@ Hfsc restore_checkpoint(std::string_view image, std::string* ext) {
       in.fail("expected 'queue' or 'end', got " + TextReader::quoted(tok));
     }
     const auto c = in.num<ClassId>("queue class");
-    if (c == 0 || c >= n_classes || s.nodes_[c].deleted ||
-        !s.nodes_[c].children.empty()) {
+    if (c == 0 || c >= n_classes || !s.hot_[c].live_leaf()) {
       in.fail("queued packets on a non-leaf or deleted class");
     }
     const auto count = in.num<std::size_t>("queue length");
@@ -309,18 +304,14 @@ Hfsc restore_checkpoint(std::string_view image, std::string* ext) {
   // does each parent's cached top.
   for (ClassId c = 1; c < n_classes; ++c) {
     const auto& h = s.hot_[c];
-    if (s.nodes_[c].deleted || !h.active()) continue;
+    if (h.deleted() || !h.active()) continue;
     auto& heap = s.nodes_[h.parent].active_children;
     heap.push(h.idx_in_parent, h.vt, c);
     s.hot_[h.parent].ls_min = heap.top_tag();
   }
   for (ClassId c = 1; c < n_classes; ++c) {
-    const auto& n = s.nodes_[c];
     const auto& h = s.hot_[c];
-    if (n.deleted || !n.children.empty() || !h.has_rt() ||
-        !s.queues_.has(c)) {
-      continue;
-    }
+    if (!h.live_leaf() || !h.has_rt() || !s.queues_.has(c)) continue;
     s.rt_requests_.update(c, h.e, h.d, s.last_now_);
   }
   if (adm_on) {
