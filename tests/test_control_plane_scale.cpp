@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <ctime>
 #include <sstream>
 #include <string>
@@ -29,16 +30,37 @@ struct Pipeline {
   ScenarioResult run;
 };
 
+double seconds_since(std::clock_t t0) {
+  return static_cast<double>(std::clock() - t0) / CLOCKS_PER_SEC;
+}
+
+// The pipeline's stages, in order, and the processor time of each.
+constexpr std::array<const char*, 4> kStages = {"parse", "analyze",
+                                                "compile", "run"};
+using StageSeconds = std::array<double, kStages.size()>;
+
 // What hfsc_lint and hfsc_sim do with a file: parse, analyze (with the
 // portability pre-flight's seven compiles), compile for H-FSC, and run.
-Pipeline run_pipeline(const std::string& text) {
+// With `stages`, records each stage's processor time there.
+Pipeline run_pipeline(const std::string& text,
+                      StageSeconds* stages = nullptr) {
   Pipeline p;
+  std::size_t stage = 0;
+  std::clock_t t0 = std::clock();
+  const auto lap = [&] {
+    if (stages != nullptr) (*stages)[stage++] = seconds_since(t0);
+    t0 = std::clock();
+  };
   std::istringstream in(text);
   p.sc = Scenario::parse(in, "generated.hfsc");
+  lap();
   p.report = analyze(p.sc);
+  lap();
   const ScenarioNode& link = p.sc.nodes.front();
   p.compiled = link.spec.compile(SchedulerKind::kHfsc, link.rate);
+  lap();
   p.run = run_scenario(p.sc);
+  lap();
   return p;
 }
 
@@ -70,11 +92,11 @@ TEST(ControlPlaneScale, HundredThousandClassFourAryTree) {
 
 // Processor time of one pipeline: unlike wall time, it does not count
 // the time other processes (ctest -j runs suites side by side) hold the
-// CPU.
-double cpu_seconds(const std::string& text) {
+// CPU.  Each stage's share goes to `stages`.
+double cpu_seconds(const std::string& text, StageSeconds& stages) {
   const std::clock_t t0 = std::clock();
-  (void)run_pipeline(text);
-  return static_cast<double>(std::clock() - t0) / CLOCKS_PER_SEC;
+  (void)run_pipeline(text, &stages);
+  return seconds_since(t0);
 }
 
 TEST(ControlPlaneScale, DoublingTheClassesDoublesTheCost) {
@@ -82,7 +104,8 @@ TEST(ControlPlaneScale, DoublingTheClassesDoublesTheCost) {
   // a working set that outgrows the caches); a quadratic reader reads
   // about 4.  Each size keeps its fastest of several interleaved runs:
   // cache and memory contention from the rest of the host only ever
-  // adds time.
+  // adds time.  Each stage's ratio (of its own fastest runs) is recorded
+  // too, so a failure names the stage that grew.
   constexpr std::size_t kN = 10'000;
   for (const bool deep : {false, true}) {
     SCOPED_TRACE(deep ? "4-ary tree" : "flat");
@@ -92,14 +115,33 @@ TEST(ControlPlaneScale, DoublingTheClassesDoublesTheCost) {
                                  : testgen::flat_scenario(2 * kN);
     double t1 = 1e30;
     double t2 = 1e30;
+    StageSeconds s1;
+    StageSeconds s2;
+    s1.fill(1e30);
+    s2.fill(1e30);
     for (int rep = 0; rep < 5; ++rep) {
-      t1 = std::min(t1, cpu_seconds(one));
-      t2 = std::min(t2, cpu_seconds(two));
+      StageSeconds one_stages;
+      StageSeconds two_stages;
+      t1 = std::min(t1, cpu_seconds(one, one_stages));
+      t2 = std::min(t2, cpu_seconds(two, two_stages));
+      for (std::size_t i = 0; i < kStages.size(); ++i) {
+        s1[i] = std::min(s1[i], one_stages[i]);
+        s2[i] = std::min(s2[i], two_stages[i]);
+      }
     }
-    RecordProperty(deep ? "deep_ratio" : "flat_ratio",
-                   std::to_string(t2 / t1));
+    const std::string shape = deep ? "deep" : "flat";
+    RecordProperty(shape + "_ratio", std::to_string(t2 / t1));
+    std::string by_stage;
+    for (std::size_t i = 0; i < kStages.size(); ++i) {
+      // A stage too fast for the clock to resolve reads as ratio 0.
+      const double ratio = s1[i] > 0 ? s2[i] / s1[i] : 0.0;
+      RecordProperty(shape + "_" + kStages[i] + "_ratio",
+                     std::to_string(ratio));
+      by_stage += std::string(" ") + kStages[i] + " " +
+                  std::to_string(ratio);
+    }
     EXPECT_LT(t2 / t1, 3.0) << "N = " << kN << ": " << t1 << " s, 2N: " << t2
-                            << " s";
+                            << " s; by stage:" << by_stage;
   }
 }
 
