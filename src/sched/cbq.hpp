@@ -54,7 +54,6 @@ class Cbq final : public Scheduler {
   std::string_view name() const noexcept override { return "CBQ"; }
 
   // Estimator introspection (tests).
-  double avgidle_ns(ClassId cls) const { return nodes_[cls].avgidle; }
   bool underlimit(ClassId cls) const { return nodes_[cls].avgidle >= 0.0; }
   const DataPathCounters& data_path_counters() const noexcept {
     return counters_;

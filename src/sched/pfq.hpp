@@ -42,7 +42,6 @@ class PfqServer {
   // Adds a child with the given weight (bytes/s); returns its index.
   std::uint32_t add_child(RateBps weight);
 
-  std::size_t num_children() const noexcept { return children_.size(); }
   bool is_backlogged(std::uint32_t c) const { return children_[c].backlogged; }
   bool any_backlogged() const noexcept { return backlogged_ > 0; }
 

@@ -44,7 +44,6 @@ class Sced final : public Scheduler {
   std::string_view name() const noexcept override { return "SCED"; }
 
   // Introspection for tests and the Fig. 2 experiment.
-  Bytes work_of(ClassId cls) const { return sessions_.at(cls).work; }
   TimeNs head_deadline(ClassId cls) const {
     return sessions_.at(cls).head_deadline;
   }

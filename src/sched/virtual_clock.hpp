@@ -35,9 +35,6 @@ class VirtualClock final : public Scheduler {
   Bytes backlog_bytes() const noexcept override { return queues_.bytes(); }
   std::string_view name() const noexcept override { return "VirtualClock"; }
 
-  // Session virtual clock (tests observe the punishment build-up).
-  TimeNs vc_of(ClassId cls) const { return sessions_.at(cls).vc; }
-
  private:
   struct Session {
     RateBps rate = 0;

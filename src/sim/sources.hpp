@@ -162,8 +162,6 @@ class TcpishSource {
                TimeNs start, TimeNs stop = kTimeInfinity);
   void install(EventQueue& ev, Link& link);
 
-  std::size_t cwnd() const noexcept { return cwnd_; }
-
  private:
   void top_up(Link& link, TimeNs t);
 

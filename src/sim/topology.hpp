@@ -86,7 +86,6 @@ class Topology {
   std::size_t add_route(std::vector<Hop> hops);
 
   std::size_t num_nodes() const noexcept { return nodes_.size(); }
-  std::size_t num_routes() const noexcept { return routes_.size(); }
 
   // Index of the named node, or kNoNode.
   NodeIndex find(std::string_view name) const noexcept;
@@ -131,9 +130,6 @@ class Topology {
   // last-bit departure.
   const SampleSet& e2e_delay_ms(std::size_t route) const {
     return routes_.at(route).delays_ms;
-  }
-  const std::vector<Hop>& route_hops(std::size_t route) const {
-    return routes_.at(route).hops;
   }
   // Entries still awaiting their last-hop departure (in flight or
   // dropped mid-route).
