@@ -21,12 +21,16 @@
 namespace hfsc {
 namespace {
 
+// ctest names each row by the bytes of its case.  The flag is as wide as
+// the seed so that the struct has no padding: padding bytes hold whatever
+// the stack held, and the row names changed from build to build.
 struct FuzzCase {
   std::uint64_t seed;
   int num_orgs;
   int leaves_per_org;
-  bool reconfigure;
+  std::uint64_t reconfigure;  // 0 or 1
 };
+static_assert(sizeof(FuzzCase) == 24, "FuzzCase must have no padding");
 
 class HfscFuzz : public ::testing::TestWithParam<FuzzCase> {};
 
