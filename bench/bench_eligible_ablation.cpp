@@ -45,9 +45,9 @@ void BM_EligibleCalendar(benchmark::State& state) {
   isolated<CalendarEligibleSet>(state);
 }
 
-BENCHMARK(BM_EligibleDualHeap)->RangeMultiplier(4)->Range(16, 4096);
-BENCHMARK(BM_EligibleAugTree)->RangeMultiplier(4)->Range(16, 4096);
-BENCHMARK(BM_EligibleCalendar)->RangeMultiplier(4)->Range(16, 4096);
+BENCHMARK(BM_EligibleDualHeap)->RangeMultiplier(4)->Range(16, 65536);
+BENCHMARK(BM_EligibleAugTree)->RangeMultiplier(4)->Range(16, 65536);
+BENCHMARK(BM_EligibleCalendar)->RangeMultiplier(4)->Range(16, 65536);
 
 }  // namespace
 }  // namespace hfsc
