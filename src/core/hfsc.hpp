@@ -412,11 +412,15 @@ class Hfsc final : public Scheduler {
   static_assert(sizeof(HotClass) == 64,
                 "hot per-class state must stay one cache line");
 
-  // Runtime curves of one class, parallel to hot_ (see HotClass).
-  // Member order is deliberate: charge_total() reads vc (and uc when an
-  // upper limit exists) for EVERY class on the leaf-to-root walk, while
-  // dc/ec are only touched for the served rt leaf — so the per-level
-  // curves lead the struct and share its first cache lines.
+  static_assert(sizeof(RuntimeCurve) == 48,
+                "a runtime curve is its six coefficients and nothing else");
+
+  // Runtime curves of one class, parallel to hot_ (see HotClass): four
+  // 48-byte curves, 192 bytes, three cache lines.  Member order is
+  // deliberate: charge_total() reads vc (and uc when an upper limit
+  // exists) for EVERY class on the leaf-to-root walk, while dc/ec are only
+  // touched for the served rt leaf — so the per-level curves lead the
+  // struct and share its first two cache lines.
   struct ClassCurves {
     RuntimeCurve vc;  // virtual curve V
     RuntimeCurve uc;  // upper-limit curve U (extension)

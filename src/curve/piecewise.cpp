@@ -31,7 +31,6 @@ void PiecewiseLinear::normalize() {
   }
   pieces_ = std::move(out);
   eval_hint_ = 0;
-  inv_hint_ = 0;
 }
 
 PiecewiseLinear PiecewiseLinear::from_service_curve(const ServiceCurve& sc) {
@@ -59,11 +58,7 @@ Bytes PiecewiseLinear::eval(TimeNs t) const noexcept {
 
 TimeNs PiecewiseLinear::inverse(Bytes y) const noexcept {
   if (y <= pieces_.front().y) return 0;
-  // Resume from the memoized segment when the target still lies at or
-  // beyond it (the loop below only ever advances).
-  std::size_t start = inv_hint_;
-  if (start >= pieces_.size() || y <= pieces_[start].y) start = 0;
-  for (std::size_t i = start; i < pieces_.size(); ++i) {
+  for (std::size_t i = 0; i < pieces_.size(); ++i) {
     const Piece& p = pieces_[i];
     const Bytes end_val = i + 1 < pieces_.size()
                               ? pieces_[i + 1].y
@@ -79,7 +74,6 @@ TimeNs PiecewiseLinear::inverse(Bytes y) const noexcept {
       // Clamp into the piece (rounding may push just past the boundary —
       // the next piece handles the remainder exactly).
       if (i + 1 < pieces_.size() && t > pieces_[i + 1].x) continue;
-      inv_hint_ = i;
       return t;
     }
   }

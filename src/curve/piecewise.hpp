@@ -157,12 +157,12 @@ class PiecewiseLinear {
 
   std::vector<Piece> pieces_;  // sorted by x; pieces_[0].x == 0
 
-  // Active-segment memoization for eval()/inverse(): consecutive queries
-  // at monotone (or nearby) arguments resolve in O(1) instead of
-  // re-searching the piece list.  Pure caches — mutable, reset by
-  // normalize(), never observable through results.
+  // Active-segment memoization for eval(): consecutive queries at
+  // monotone (or nearby) arguments resolve in O(1) instead of
+  // re-searching the piece list, as the sum/min/dominates sweeps make
+  // them.  A pure cache — mutable, reset by normalize(), never observable
+  // through results.
   mutable std::size_t eval_hint_ = 0;
-  mutable std::size_t inv_hint_ = 0;
 };
 
 // Admission control for a link's real-time obligations (Section II's

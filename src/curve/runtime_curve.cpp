@@ -48,7 +48,6 @@ void RuntimeCurve::min_with(const ServiceCurve& s, TimeNs x0,
   dy_ = seg_x2y(cross_dx, s.m1);
   m1_ = s.m1;
   m2_ = s.m2;
-  inv_valid_ = false;  // segment geometry changed; drop the divmod cache
 }
 
 }  // namespace hfsc

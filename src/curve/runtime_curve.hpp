@@ -57,23 +57,13 @@ class RuntimeCurve {
   }
 
   // Smallest t with C(t) >= v (clamped to the anchor); kTimeInfinity when
-  // the curve never reaches v.
-  //
-  // Hot-path note: the scheduler queries each curve with monotonically
-  // non-decreasing v (cumulative service only grows between re-anchors),
-  // and in steady state the query sits on the second segment.  The
-  // division ceil(rel * 1e9 / m2) — a 128-by-64-bit divide — dominates
-  // the cost, so the active segment caches its last (quotient, remainder)
-  // pair and advances it incrementally with one 64-bit divmod per query.
-  // The cached path computes bit-identical results to the cold path.
+  // the curve never reaches v.  Closed form on each segment: a query costs
+  // one 128-by-64-bit divide and writes nothing.
   TimeNs y2x(Bytes v) const noexcept {
     if (v <= y_) return x_;
     const Bytes rel = v - y_;
-    if (rel <= dy_) {
-      const TimeNs t = seg_y2x(rel, m1_);
-      return t == kTimeInfinity ? kTimeInfinity : sat_add(x_, t);
-    }
-    return second_seg_y2x(rel - dy_);
+    if (rel <= dy_) return sat_add(x_, seg_y2x(rel, m1_));
+    return sat_add(sat_add(x_, dx_), seg_y2x(rel - dy_, m2_));
   }
 
   // Pointwise minimum with the curve S re-anchored at (x0, y0), i.e. the
@@ -93,7 +83,6 @@ class RuntimeCurve {
   void flatten_to_second_slope() noexcept {
     dx_ = 0;
     dy_ = 0;
-    inv_valid_ = false;
   }
 
   TimeNs x() const noexcept { return x_; }
@@ -104,75 +93,12 @@ class RuntimeCurve {
   RateBps m2() const noexcept { return m2_; }
 
  private:
-  // Inverse on the second segment (rel2 = v - y_ - dy_ > 0): computes
-  // ceil(rel2 * 1e9 / m2_) either incrementally from the cached divmod
-  // state or from scratch, re-seeding the cache.
-  //
-  // The fast-path admission test is branchless: all four conditions are
-  // evaluated unconditionally and folded into one well-predicted branch.
-  // The subtraction and multiplication feeding the mask may wrap when a
-  // condition is false; that is defined (unsigned) and their results are
-  // only consumed when every condition holds.
-  TimeNs second_seg_y2x(Bytes rel2) const noexcept {
-    if (m2_ == 0) return kTimeInfinity;
-    const Bytes delta = rel2 - inv_rel_;        // valid iff rel2 >= inv_rel_
-    const std::uint64_t grow = delta * kNsPerSec;  // valid iff delta small
-    const bool ok = inv_valid_ & (rel2 >= inv_rel_) &
-                    (delta <= kMaxIncrDelta) &
-                    (grow <= ~std::uint64_t{0} - inv_rem_);
-    if (__builtin_expect(ok, 1)) {
-      const std::uint64_t a = grow + inv_rem_;
-      const std::uint64_t add = a / m2_;
-      // The cold path refuses to seed the cache at quotients >= 2^62, but
-      // incremental advances can still march the cached quotient toward
-      // the top of the 64-bit range, where `inv_q_ += add` — or the + 1
-      // ceil carry in the return — would wrap and silently disagree with
-      // the cold path's saturating arithmetic (a curve with a tiny m2
-      // gets there in two queries).  Hand such advances back to the cold
-      // path, which computes the saturated result and drops the cache.
-      if (__builtin_expect(add <= ~std::uint64_t{0} - 1 - inv_q_, 1)) {
-        inv_q_ += add;
-        inv_rem_ = a % m2_;
-        inv_rel_ = rel2;
-        return sat_add(sat_add(x_, dx_), inv_q_ + (inv_rem_ != 0 ? 1 : 0));
-      }
-    }
-    // Cold path: full 128-bit divide, then seed the incremental cache
-    // (only while the quotient is far from saturation, so the cached and
-    // saturating arithmetic can never disagree).
-    const unsigned __int128 p =
-        static_cast<unsigned __int128>(rel2) * kNsPerSec;
-    const unsigned __int128 q = p / m2_;
-    if (q >= (std::uint64_t{1} << 62)) {
-      inv_valid_ = false;
-      const TimeNs t = seg_y2x(rel2, m2_);
-      return t == kTimeInfinity ? kTimeInfinity
-                                : sat_add(sat_add(x_, dx_), t);
-    }
-    inv_valid_ = true;
-    inv_rel_ = rel2;
-    inv_q_ = static_cast<std::uint64_t>(q);
-    inv_rem_ = static_cast<std::uint64_t>(p - q * m2_);
-    return sat_add(sat_add(x_, dx_), inv_q_ + (inv_rem_ != 0 ? 1 : 0));
-  }
-
-  // Largest delta with delta * 1e9 guaranteed to fit in 64 bits.
-  static constexpr Bytes kMaxIncrDelta =
-      ~std::uint64_t{0} / kNsPerSec - 1;
-
   TimeNs x_ = 0;   // anchor time
   Bytes y_ = 0;    // anchor service amount
   TimeNs dx_ = 0;  // length of the first segment
   Bytes dy_ = 0;   // rise of the first segment
   RateBps m1_ = 0;
   RateBps m2_ = 0;
-
-  // Incremental-inverse cache for the second segment (see y2x).  Mutable:
-  // pure memoization, never observable through the public interface.
-  mutable bool inv_valid_ = false;
-  mutable Bytes inv_rel_ = 0;          // last second-segment offset queried
-  mutable std::uint64_t inv_q_ = 0;    // floor(inv_rel_ * 1e9 / m2_)
-  mutable std::uint64_t inv_rem_ = 0;  // inv_rel_ * 1e9 - inv_q_ * m2_
 };
 
 }  // namespace hfsc

@@ -176,68 +176,63 @@ INSTANTIATE_TEST_SUITE_P(
         MinWithCase{ServiceCurve::linear(mbps(5)), 6},    // linear
         MinWithCase{ServiceCurve::linear(kbps(64)), 7}));
 
-// --- incremental-inverse cache vs cold path at saturation ----------------
+// --- the inverse against its saturating closed form ----------------------
 //
-// y2x's second-segment fast path advances a cached (quotient, remainder)
-// pair with 64-bit arithmetic, while the cold path computes the same
-// inverse with a saturating 128-bit divide.  The two must stay
-// bit-identical even where the quotient approaches and crosses the
-// 64-bit range — a curve with a tiny m2 gets there in a handful of
-// queries, and an unguarded `inv_q_ += add` (or the ceil's +1 carry)
-// wraps where the cold path saturates to kTimeInfinity.
-
-// Ground truth: a freshly constructed curve answers its first query via
-// the cold path (the cache starts invalid).
-TimeNs cold_y2x(const ServiceCurve& sc, Bytes v) {
-  const RuntimeCurve fresh(sc, 0, 0);
-  return fresh.y2x(v);
+// On a curve with a flat start (dx == dy == 0) the inverse is
+//     C^-1(v) = x + ceil((v - y) * 1e9 / m2),
+// saturating at kTimeInfinity.  A tiny m2 drives the quotient across the
+// top of the 64-bit range in a handful of queries, where any 64-bit
+// shortcut would wrap; the reference below computes in 128 bits.
+TimeNs closed_form_y2x(TimeNs x, Bytes y, RateBps m2, Bytes v) {
+  if (v <= y) return x;
+  const unsigned __int128 p =
+      static_cast<unsigned __int128>(v - y) * kNsPerSec;
+  const unsigned __int128 t = x + (p + m2 - 1) / m2;
+  return t >= kTimeInfinity ? kTimeInfinity : static_cast<TimeNs>(t);
 }
 
-TEST(RuntimeCurve, CachedInverseMatchesColdAcrossSaturation) {
+TEST(RuntimeCurve, InverseMatchesClosedFormAcrossSaturation) {
   for (const RateBps m2 : {RateBps{1}, RateBps{3}, RateBps{7}}) {
     const ServiceCurve sc{0, 0, m2};
-    RuntimeCurve warm(sc, 0, 0);
-    // Walk v monotonically (the scheduler's query pattern) from well
-    // inside cacheable territory, across the 2^62 re-seed refusal line,
-    // up to and past the point where the true inverse saturates to
-    // kTimeInfinity.  Mixed step sizes keep the walk hitting both the
-    // incremental fast path and every cold fallback.
+    const RuntimeCurve curve(sc, 0, 0);
+    // Walk v monotonically (the scheduler's query pattern) from below the
+    // point where the quotient reaches 2^62, up to and past the point
+    // where the true inverse saturates to kTimeInfinity, with mixed step
+    // sizes.
     const Bytes v62 = muldiv_floor(std::uint64_t{1} << 62, m2, kNsPerSec);
     const Bytes vinf = muldiv_floor(~std::uint64_t{0}, m2, kNsPerSec);
     const Bytes steps[] = {1, 3, v62 / 7, 1, 2, v62 / 3, 5, vinf / 4, 1,
                            1, vinf / 3,  7, 1, vinf / 2, 1, 3};
     Bytes v = v62 > 64 ? v62 - 64 : 1;
     for (const Bytes s : steps) {
-      ASSERT_EQ(warm.y2x(v), cold_y2x(sc, v))
-          << "cached path diverged from cold at v=" << v << " m2=" << m2;
+      ASSERT_EQ(curve.y2x(v), closed_form_y2x(0, 0, m2, v))
+          << "inverse diverged from the closed form at v=" << v
+          << " m2=" << m2;
       v = sat_add(v, s);
     }
-    // Terminal check: far past saturation both sides pin at infinity.
-    EXPECT_EQ(warm.y2x(~std::uint64_t{0} - 1), kTimeInfinity);
-    EXPECT_EQ(cold_y2x(sc, ~std::uint64_t{0} - 1), kTimeInfinity);
-    // And the warm curve recovers normal service after saturation
-    // dropped its cache (queries are allowed to keep coming).
-    EXPECT_EQ(warm.y2x(~std::uint64_t{0} - 1), kTimeInfinity);
+    // Far past saturation the inverse pins at infinity, query after query.
+    EXPECT_EQ(curve.y2x(~std::uint64_t{0} - 1), kTimeInfinity);
+    EXPECT_EQ(curve.y2x(~std::uint64_t{0} - 1), kTimeInfinity);
   }
 }
 
-TEST(RuntimeCurve, CacheSurvivesCheckpointRestoreBitIdentical) {
-  // from_parts() is the checkpoint-restore constructor: it must produce
-  // a curve whose (cold, cache-less) answers match the original warm
-  // curve's cached answers query for query — including right at the
-  // saturation boundary the cache refuses to cross.
+TEST(RuntimeCurve, RestoredCurveInverseMatchesClosedForm) {
+  // from_parts() is the checkpoint-restore constructor: the original and
+  // the restored curve must both answer with the closed form, query for
+  // query, including right at the 2^62 quotient line and past it.
   const ServiceCurve sc{0, 0, 2};
-  RuntimeCurve warm(sc, usec(5), 100);
+  const RuntimeCurve original(sc, usec(5), 100);
   const Bytes v62 = muldiv_floor(std::uint64_t{1} << 62, 2, kNsPerSec);
-  std::vector<Bytes> probes = {200,         5000,       v62 / 2,
-                               v62 - 1,     v62 + 1000, v62 * 2,
-                               v62 * 3 + 7, ~std::uint64_t{0} / 2};
-  for (const Bytes v : probes) (void)warm.y2x(v);  // warm the cache
+  const std::vector<Bytes> probes = {200,         5000,       v62 / 2,
+                                     v62 - 1,     v62 + 1000, v62 * 2,
+                                     v62 * 3 + 7, ~std::uint64_t{0} / 2};
   const RuntimeCurve restored = RuntimeCurve::from_parts(
-      warm.x(), warm.y(), warm.dx(), warm.dy(), warm.m1(), warm.m2());
+      original.x(), original.y(), original.dx(), original.dy(),
+      original.m1(), original.m2());
   for (const Bytes v : probes) {
-    ASSERT_EQ(warm.y2x(v), restored.y2x(v))
-        << "restored curve diverged at v=" << v;
+    const TimeNs want = closed_form_y2x(usec(5), 100, 2, v);
+    ASSERT_EQ(original.y2x(v), want) << "original diverged at v=" << v;
+    ASSERT_EQ(restored.y2x(v), want) << "restored diverged at v=" << v;
   }
 }
 
