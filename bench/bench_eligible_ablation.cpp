@@ -1,8 +1,7 @@
-// Experiment E10 — Section V data-structure ablation: the dual-heap
-// ("calendar queue + deadline heap", the set H-FSC uses), the augmented
-// balanced tree (ref. [16]) and the literal calendar queue, as raw
-// update / query cycles on the structures with synthetic (e, d)
-// requests.  H-FSC itself runs only the dual heap, so the end-to-end cost
+// Experiment E10 — Section V data-structure ablation: the dual heap
+// ("calendar queue + deadline heap", the set H-FSC uses) and the
+// augmented balanced tree (ref. [16]), as raw update / query cycles on
+// the structures with synthetic (e, d) requests.  H-FSC itself runs only the dual heap, so the end-to-end cost
 // of a dequeue is measured by bench_overhead and perfbench/.
 #include <benchmark/benchmark.h>
 
@@ -41,13 +40,9 @@ void BM_EligibleDualHeap(benchmark::State& state) {
 void BM_EligibleAugTree(benchmark::State& state) {
   isolated<AugTreeEligibleSet>(state);
 }
-void BM_EligibleCalendar(benchmark::State& state) {
-  isolated<CalendarEligibleSet>(state);
-}
 
 BENCHMARK(BM_EligibleDualHeap)->RangeMultiplier(4)->Range(16, 65536);
 BENCHMARK(BM_EligibleAugTree)->RangeMultiplier(4)->Range(16, 65536);
-BENCHMARK(BM_EligibleCalendar)->RangeMultiplier(4)->Range(16, 65536);
 
 }  // namespace
 }  // namespace hfsc

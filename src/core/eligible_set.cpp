@@ -260,97 +260,4 @@ TimeNs AugTreeEligibleSet::next_eligible_time() const {
   return n->e <= seen_now_ ? 0 : n->e;
 }
 
-// ---------------------------------------------------------------- Calendar
-
-CalendarEligibleSet::CalendarEligibleSet(TimeNs bucket_width,
-                                         std::size_t num_buckets)
-    : width_(bucket_width), buckets_(num_buckets) {
-  assert(bucket_width > 0 && num_buckets > 0);
-}
-
-bool CalendarEligibleSet::contains(ClassId cls) const {
-  return cls < req_.size() && req_[cls].present;
-}
-
-void CalendarEligibleSet::update(ClassId cls, TimeNs e, TimeNs d, TimeNs now) {
-  erase(cls);
-  if (cls >= req_.size()) req_.resize(cls + 1);
-  Request& r = req_[cls];
-  r.e = e;
-  r.d = d;
-  r.present = true;
-  ++size_;
-  if (e <= now) {
-    r.in_ready = true;
-    ready_.push(cls, d);
-  } else {
-    r.in_ready = false;
-    r.bucket = bucket_of(e);
-    buckets_[r.bucket].push_back(Entry{cls, e});
-  }
-}
-
-void CalendarEligibleSet::erase(ClassId cls) {
-  if (!contains(cls)) return;
-  Request& r = req_[cls];
-  if (r.in_ready) {
-    ready_.erase(cls);
-  } else {
-    auto& b = buckets_[r.bucket];
-    const auto it =
-        std::find_if(b.begin(), b.end(),
-                     [cls](const Entry& en) { return en.cls == cls; });
-    assert(it != b.end());
-    *it = b.back();
-    b.pop_back();
-  }
-  r.present = false;
-  --size_;
-}
-
-void CalendarEligibleSet::migrate(TimeNs now) {
-  if (now <= migrated_until_) return;
-  // Scan each calendar bucket covering (migrated_until_, now] — at most
-  // one full revolution.
-  const std::size_t n = buckets_.size();
-  std::size_t first = static_cast<std::size_t>(migrated_until_ / width_);
-  std::size_t last = static_cast<std::size_t>(now / width_);
-  if (last - first >= n) first = last - (n - 1);  // cap at one revolution
-  for (std::size_t day_slot = first; day_slot <= last; ++day_slot) {
-    auto& b = buckets_[day_slot % n];
-    for (std::size_t i = 0; i < b.size();) {
-      // The exact-time re-check is what makes day rollover safe: an entry
-      // whose eligible time lies a full revolution (or more) ahead shares
-      // this bucket but fails e <= now and stays pending.
-      if (b[i].e <= now) {
-        const ClassId cls = b[i].cls;
-        Request& r = req_[cls];
-        r.in_ready = true;
-        ready_.push(cls, r.d);
-        b[i] = b.back();
-        b.pop_back();
-      } else {
-        ++i;  // a future-revolution entry sharing the bucket
-      }
-    }
-  }
-  migrated_until_ = now;
-}
-
-std::optional<ClassId> CalendarEligibleSet::min_deadline_eligible(TimeNs now) {
-  migrate(now);
-  if (ready_.empty()) return std::nullopt;
-  return ready_.top_id();
-}
-
-TimeNs CalendarEligibleSet::next_eligible_time() const {
-  if (!ready_.empty()) return 0;
-  if (size_ == 0) return kTimeInfinity;
-  TimeNs best = kTimeInfinity;
-  for (const auto& b : buckets_) {
-    for (const Entry& en : b) best = std::min(best, en.e);
-  }
-  return best;
-}
-
 }  // namespace hfsc

@@ -1,9 +1,8 @@
-// Differential fuzz across the three eligible-set structures of Section V.
+// Differential fuzz across the two eligible-set structures of Section V.
 //
-// H-FSC runs the dual heap; the augmented tree and the calendar queue are
-// reference structures, and the E10 ablation
-// (bench/bench_eligible_ablation.cpp) only compares like with like if all
-// three are observably identical:
+// H-FSC runs the dual heap; the augmented tree is the reference
+// structure, and the E10 ablation (bench/bench_eligible_ablation.cpp)
+// only compares like with like if both are observably identical:
 // same winner from min_deadline_eligible() — *including* exact deadline
 // ties, which must break toward the smallest ClassId — and the same
 // next_eligible_time() under the shared contract (0 once eligible, min
@@ -11,7 +10,7 @@
 //
 // Unlike tests/test_eligible_set.cpp's equivalence fuzz (which only
 // compares the winning deadline *value*), this one drives identical
-// update/erase/query sequences through all three and asserts the
+// update/erase/query sequences through both and asserts the
 // returned ClassId matches exactly.  Deadlines are quantized to a coarse
 // grid so exact ties happen constantly rather than almost never.
 #include <gtest/gtest.h>
@@ -31,7 +30,6 @@ TEST_P(EligibleAblationFuzz, AllKindsReturnIdenticalClassIds) {
   Rng rng(GetParam());
   DualHeapEligibleSet dual;
   AugTreeEligibleSet tree;
-  CalendarEligibleSet cal;
   struct Req {
     TimeNs e, d;
   };
@@ -48,14 +46,12 @@ TEST_P(EligibleAblationFuzz, AllKindsReturnIdenticalClassIds) {
         const TimeNs d = e + msec(rng.uniform(1, 6));
         dual.update(cls, e, d, now);
         tree.update(cls, e, d, now);
-        cal.update(cls, e, d, now);
         model[cls] = {e, d};
         break;
       }
       case 1:
         dual.erase(cls);
         tree.erase(cls);
-        cal.erase(cls);
         model.erase(cls);
         break;
       case 2: {
@@ -69,10 +65,8 @@ TEST_P(EligibleAblationFuzz, AllKindsReturnIdenticalClassIds) {
         }
         const auto got_dual = dual.min_deadline_eligible(now);
         const auto got_tree = tree.min_deadline_eligible(now);
-        const auto got_cal = cal.min_deadline_eligible(now);
         ASSERT_EQ(got_dual, want) << "dual_heap diverges at step " << step;
         ASSERT_EQ(got_tree, want) << "aug_tree diverges at step " << step;
-        ASSERT_EQ(got_cal, want) << "calendar diverges at step " << step;
 
         // Wakeup-hint contract, cross-checked against the model.
         TimeNs want_next = kTimeInfinity;
@@ -81,16 +75,13 @@ TEST_P(EligibleAblationFuzz, AllKindsReturnIdenticalClassIds) {
         }
         ASSERT_EQ(dual.next_eligible_time(), want_next) << "step " << step;
         ASSERT_EQ(tree.next_eligible_time(), want_next) << "step " << step;
-        ASSERT_EQ(cal.next_eligible_time(), want_next) << "step " << step;
         break;
       }
     }
     ASSERT_EQ(dual.contains(cls), model.count(cls) != 0);
     ASSERT_EQ(tree.contains(cls), model.count(cls) != 0);
-    ASSERT_EQ(cal.contains(cls), model.count(cls) != 0);
     ASSERT_EQ(dual.empty(), model.empty());
     ASSERT_EQ(tree.empty(), model.empty());
-    ASSERT_EQ(cal.empty(), model.empty());
   }
 }
 

@@ -1,4 +1,4 @@
-// Tests for the three real-time request structures of Section V, including
+// Tests for the two real-time request structures of Section V, including
 // a randomized cross-check between them and a brute-force model.
 #include <gtest/gtest.h>
 
@@ -14,8 +14,7 @@ namespace {
 template <class Set>
 class EligibleSetTest : public ::testing::Test {};
 
-using SetTypes = ::testing::Types<DualHeapEligibleSet, AugTreeEligibleSet,
-                                  CalendarEligibleSet>;
+using SetTypes = ::testing::Types<DualHeapEligibleSet, AugTreeEligibleSet>;
 
 TYPED_TEST_SUITE(EligibleSetTest, SetTypes);
 
@@ -80,7 +79,7 @@ TYPED_TEST(EligibleSetTest, NextEligibleTime) {
 
 TYPED_TEST(EligibleSetTest, NextEligibleTimeContract) {
   TypeParam set;
-  // Shared contract across all three implementations: kTimeInfinity when
+  // Shared contract across both implementations: kTimeInfinity when
   // empty, the minimum pending eligible time while nothing is eligible,
   // and exactly 0 as soon as some member is eligible at the latest `now`
   // the set has observed.
@@ -105,7 +104,7 @@ TYPED_TEST(EligibleSetTest, NextEligibleTimeContract) {
 
 TYPED_TEST(EligibleSetTest, DeadlineTiesBreakBySmallestClassId) {
   TypeParam set;
-  // All three implementations must resolve exact deadline ties the same
+  // Both implementations must resolve exact deadline ties the same
   // way (smallest ClassId) so the scheduler's packet order is identical
   // under the eligible-set ablation.  Insert in descending id order to
   // catch structures that keep first-inserted on top.
@@ -132,14 +131,11 @@ TYPED_TEST(EligibleSetTest, DeadlineTiesBreakBySmallestClassId) {
 
 TYPED_TEST(EligibleSetTest, FarFutureEligibleTimeIsNotServedEarly) {
   TypeParam set;
-  // Regression for the calendar-queue day rollover (run against every
-  // structure): an eligible time many full calendar revolutions ahead hashes
-  // into a bucket the scan passes long before the request matures.  The
-  // request must stay invisible until its exact eligible time.
-  // Calendar geometry: 256 buckets x 100us = 25.6ms per revolution.
-  const TimeNs far_e = msec(100);  // ~4 revolutions ahead of t=0
+  // An eligible time far ahead of the clock, swept past in many small
+  // steps (each one a wheel advance that re-files the straddling slot),
+  // must stay invisible until its exact eligible time.
+  const TimeNs far_e = msec(100);
   set.update(1, far_e, far_e + msec(1), 0);
-  // Sweep the clock through several full revolutions in sub-day steps.
   for (TimeNs t = 0; t < far_e; t += msec(4)) {
     EXPECT_FALSE(set.min_deadline_eligible(t).has_value())
         << "served " << t << " ns early";
@@ -153,22 +149,23 @@ TYPED_TEST(EligibleSetTest, FarFutureEligibleTimeIsNotServedEarly) {
 
 TYPED_TEST(EligibleSetTest, FarFutureBucketCollisionKeepsNearRequestVisible) {
   TypeParam set;
-  // Two requests whose eligible times land in the SAME calendar bucket,
-  // a whole number of revolutions apart (1ms and 1ms + 4 * 25.6ms).  The
-  // near one must surface on time; the far one must not ride along.
+  // Two requests whose eligible times lie a whole number of 25.6ms apart
+  // (1ms and 1ms + 4 * 25.6ms, the keys a fixed-width calendar of
+  // 256 x 100us buckets would file together).  The near one must surface
+  // on time; the far one must not ride along.
   const TimeNs near_e = msec(1);
   const TimeNs far_e = near_e + 4 * usec(100) * 256;
   set.update(2, far_e, far_e + usec(10), 0);  // smaller deadline overall
   set.update(3, near_e, msec(200), 0);
   auto got = set.min_deadline_eligible(msec(2));
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, 3u) << "future-revolution entry promoted a day early";
+  EXPECT_EQ(*got, 3u) << "far entry promoted with the near one";
   got = set.min_deadline_eligible(far_e);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, 2u);  // now mature, and its deadline is the smaller
 }
 
-// Randomized equivalence: all three structures and a brute-force model must
+// Randomized equivalence: both structures and a brute-force model must
 // agree on the *deadline value* of the winner at every query (class ids
 // may differ when deadlines tie exactly).
 class EligibleSetFuzz : public ::testing::TestWithParam<std::uint64_t> {};
@@ -177,7 +174,6 @@ TEST_P(EligibleSetFuzz, StructuresAgreeWithBruteForce) {
   Rng rng(GetParam());
   DualHeapEligibleSet dual;
   AugTreeEligibleSet tree;
-  CalendarEligibleSet cal;
   struct Req {
     TimeNs e, d;
   };
@@ -192,14 +188,12 @@ TEST_P(EligibleSetFuzz, StructuresAgreeWithBruteForce) {
         const TimeNs d = e + rng.uniform(usec(10), msec(30));
         dual.update(cls, e, d, now);
         tree.update(cls, e, d, now);
-        cal.update(cls, e, d, now);
         model[cls] = {e, d};
         break;
       }
       case 1:
         dual.erase(cls);
         tree.erase(cls);
-        cal.erase(cls);
         model.erase(cls);
         break;
       case 2: {
@@ -210,24 +204,19 @@ TEST_P(EligibleSetFuzz, StructuresAgreeWithBruteForce) {
         }
         const auto got_dual = dual.min_deadline_eligible(now);
         const auto got_tree = tree.min_deadline_eligible(now);
-        const auto got_cal = cal.min_deadline_eligible(now);
         ASSERT_EQ(got_dual.has_value(), want.has_value()) << "step " << step;
         ASSERT_EQ(got_tree.has_value(), want.has_value()) << "step " << step;
-        ASSERT_EQ(got_cal.has_value(), want.has_value()) << "step " << step;
         if (want) {
           ASSERT_EQ(model[*got_dual].d, *want) << "step " << step;
           ASSERT_EQ(model[*got_tree].d, *want) << "step " << step;
-          ASSERT_EQ(model[*got_cal].d, *want) << "step " << step;
         }
         break;
       }
     }
     ASSERT_EQ(dual.empty(), model.empty());
     ASSERT_EQ(tree.empty(), model.empty());
-    ASSERT_EQ(cal.empty(), model.empty());
     ASSERT_EQ(dual.contains(cls), model.count(cls) != 0);
     ASSERT_EQ(tree.contains(cls), model.count(cls) != 0);
-    ASSERT_EQ(cal.contains(cls), model.count(cls) != 0);
   }
 }
 

@@ -25,7 +25,7 @@
 #
 # The randomized long-running suites carry the ctest label "fuzz"
 # (tests/CMakeLists.txt) — fault injection, transaction atomicity,
-# RuntimeHost batched-versus-single drain equivalence, agreement of the three
+# RuntimeHost batched-versus-single drain equivalence, agreement of the two
 # Section V eligible-set structures, the min-plus curve-operator fuzz
 # (test_curve_minplus_fuzz), the analyzer-vs-simulator topology fuzz
 # (test_analysis_topology_fuzz: measured delay/backlog never exceed the
