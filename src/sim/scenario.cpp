@@ -743,14 +743,11 @@ void install_source(const ScenarioSource& s, ClassId cls, Topology& topo,
       topo.add_source<PoissonSource>(n, cls, s.rate, s.pkt_len, s.start,
                                      s.stop, s.seed);
       break;
-    case ScenarioSource::Kind::kOnOff:
-      topo.add_source<OnOffSource>(n, cls, s.rate, s.pkt_len, s.mean_on,
-                                   s.mean_off, s.start, s.stop, s.seed);
-      break;
+    case ScenarioSource::Kind::kOnOff:  // alpha 0: exponential periods
     case ScenarioSource::Kind::kPareto:
-      topo.add_source<ParetoBurstSource>(n, cls, s.rate, s.pkt_len, s.mean_on,
-                                         s.mean_off, s.alpha, s.start, s.stop,
-                                         s.seed);
+      topo.add_source<OnOffSource>(n, cls, s.rate, s.pkt_len, s.mean_on,
+                                   s.mean_off, s.alpha, s.start, s.stop,
+                                   s.seed);
       break;
     case ScenarioSource::Kind::kGreedy:
       topo.add_source<GreedySource>(n, cls, s.pkt_len, s.window, s.start,

@@ -127,7 +127,7 @@ struct ScenarioSource {
   std::uint64_t seed = 0;
   TimeNs mean_on = 0;
   TimeNs mean_off = 0;
-  double alpha = 0;        // pareto shape
+  double alpha = 0;        // pareto shape; 0 for onoff
   std::size_t window = 0;  // greedy / tcpish, 1..kMaxSourceWindow
   double fps = 0;          // video
   Bytes mean_frame = 0;

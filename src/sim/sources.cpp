@@ -51,14 +51,30 @@ void PoissonSource::emit(EventQueue& ev, Link& link, TimeNs t) {
 OnOffSource::OnOffSource(ClassId cls, RateBps peak_rate, Bytes pkt_len,
                          TimeNs mean_on, TimeNs mean_off, TimeNs start,
                          TimeNs stop, std::uint64_t seed)
+    : OnOffSource(cls, peak_rate, pkt_len, mean_on, mean_off, 0.0, start,
+                  stop, seed) {}
+
+OnOffSource::OnOffSource(ClassId cls, RateBps peak_rate, Bytes pkt_len,
+                         TimeNs mean_on, TimeNs mean_off, double alpha,
+                         TimeNs start, TimeNs stop, std::uint64_t seed)
     : cls_(cls), pkt_len_(pkt_len), interval_(seg_y2x(pkt_len, peak_rate)),
       mean_on_(static_cast<double>(mean_on)),
-      mean_off_(static_cast<double>(mean_off)), start_(start), stop_(stop),
-      rng_(seed) {}
+      mean_off_(static_cast<double>(mean_off)), alpha_(alpha), start_(start),
+      stop_(stop), rng_(seed) {
+  assert(alpha_ == 0.0 || alpha_ > 1.0);
+}
+
+TimeNs OnOffSource::draw(double mean) noexcept {
+  if (alpha_ == 0.0) return static_cast<TimeNs>(rng_.exponential(mean));
+  // Pareto(alpha, xm) has mean alpha*xm/(alpha-1); invert for xm so the
+  // configured mean is kept while the tail stays power-law.
+  const double xm = mean * (alpha_ - 1.0) / alpha_;
+  return static_cast<TimeNs>(rng_.pareto(alpha_, xm));
+}
 
 void OnOffSource::install(EventQueue& ev, Link& link) {
   ev.schedule(start_, [this, &ev, &link](TimeNs t) {
-    on_until_ = t + static_cast<TimeNs>(rng_.exponential(mean_on_));
+    on_until_ = t + draw(mean_on_);
     emit(ev, link, t);
   });
 }
@@ -67,9 +83,9 @@ void OnOffSource::emit(EventQueue& ev, Link& link, TimeNs t) {
   if (t >= stop_) return;
   if (t >= on_until_) {
     // Off period, then a fresh on period.
-    const TimeNs wake = t + 1 + static_cast<TimeNs>(rng_.exponential(mean_off_));
+    const TimeNs wake = t + 1 + draw(mean_off_);
     ev.schedule(wake, [this, &ev, &link](TimeNs t2) {
-      on_until_ = t2 + static_cast<TimeNs>(rng_.exponential(mean_on_));
+      on_until_ = t2 + draw(mean_on_);
       emit(ev, link, t2);
     });
     return;
@@ -134,49 +150,6 @@ void VideoSource::emit_frame(EventQueue& ev, Link& link, TimeNs t) {
   }
   ev.schedule(t + frame_interval_,
               [this, &ev, &link](TimeNs t2) { emit_frame(ev, link, t2); });
-}
-
-// -------------------------------------------------------- Pareto burst
-
-ParetoBurstSource::ParetoBurstSource(ClassId cls, RateBps peak_rate,
-                                     Bytes pkt_len, TimeNs mean_on,
-                                     TimeNs mean_off, double alpha,
-                                     TimeNs start, TimeNs stop,
-                                     std::uint64_t seed)
-    : cls_(cls), pkt_len_(pkt_len), interval_(seg_y2x(pkt_len, peak_rate)),
-      mean_on_(static_cast<double>(mean_on)),
-      mean_off_(static_cast<double>(mean_off)), alpha_(alpha), start_(start),
-      stop_(stop), rng_(seed) {
-  assert(alpha_ > 1.0 && pkt_len_ > 0);
-}
-
-TimeNs ParetoBurstSource::draw(double mean) noexcept {
-  // Pareto(alpha, xm) has mean alpha*xm/(alpha-1); invert for xm so the
-  // configured mean is kept while the tail stays power-law.
-  const double xm = mean * (alpha_ - 1.0) / alpha_;
-  return static_cast<TimeNs>(rng_.pareto(alpha_, xm));
-}
-
-void ParetoBurstSource::install(EventQueue& ev, Link& link) {
-  ev.schedule(start_, [this, &ev, &link](TimeNs t) {
-    on_until_ = t + draw(mean_on_);
-    emit(ev, link, t);
-  });
-}
-
-void ParetoBurstSource::emit(EventQueue& ev, Link& link, TimeNs t) {
-  if (t >= stop_) return;
-  if (t >= on_until_) {
-    const TimeNs wake = t + 1 + draw(mean_off_);
-    ev.schedule(wake, [this, &ev, &link](TimeNs t2) {
-      on_until_ = t2 + draw(mean_on_);
-      emit(ev, link, t2);
-    });
-    return;
-  }
-  link.on_arrival(t, Packet{cls_, pkt_len_, t, seq_++});
-  ev.schedule(t + interval_,
-              [this, &ev, &link](TimeNs t2) { emit(ev, link, t2); });
 }
 
 // -------------------------------------------------------------- Tcpish

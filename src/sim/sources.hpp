@@ -55,15 +55,23 @@ class PoissonSource {
   std::uint64_t seq_ = 0;
 };
 
-// Exponential on-off source: CBR at `peak_rate` during on periods
-// (mean `mean_on`), silent during off periods (mean `mean_off`).
+// On-off source: CBR at `peak_rate` during on periods (mean `mean_on`),
+// silent during off periods (mean `mean_off`).  Both period lengths are
+// exponential, or, with the `alpha` constructor, Pareto of shape alpha
+// (heavy tails — the self-similar burst structure measured in real
+// traffic).  The Pareto scale keeps the requested means:
+// xm = mean * (alpha - 1) / alpha (alpha > 1).
 class OnOffSource {
  public:
   OnOffSource(ClassId cls, RateBps peak_rate, Bytes pkt_len, TimeNs mean_on,
               TimeNs mean_off, TimeNs start, TimeNs stop, std::uint64_t seed);
+  OnOffSource(ClassId cls, RateBps peak_rate, Bytes pkt_len, TimeNs mean_on,
+              TimeNs mean_off, double alpha, TimeNs start, TimeNs stop,
+              std::uint64_t seed);
   void install(EventQueue& ev, Link& link);
 
  private:
+  TimeNs draw(double mean) noexcept;
   void emit(EventQueue& ev, Link& link, TimeNs t);
 
   ClassId cls_;
@@ -71,6 +79,7 @@ class OnOffSource {
   TimeNs interval_;
   double mean_on_;
   double mean_off_;
+  double alpha_;  // 0: exponential periods
   TimeNs start_;
   TimeNs stop_;
   Rng rng_;
@@ -116,36 +125,6 @@ class VideoSource {
   TimeNs start_;
   TimeNs stop_;
   Rng rng_;
-  std::uint64_t seq_ = 0;
-};
-
-// Pareto-burst on-off source: CBR at `peak_rate` during on periods,
-// silent during off periods, with both period lengths drawn from a
-// Pareto distribution of shape `alpha` (heavy tails — the self-similar
-// burst structure measured in real traffic, unlike OnOffSource's
-// exponential periods).  The Pareto scale is chosen so the periods keep
-// the requested means: xm = mean * (alpha - 1) / alpha (alpha > 1).
-class ParetoBurstSource {
- public:
-  ParetoBurstSource(ClassId cls, RateBps peak_rate, Bytes pkt_len,
-                    TimeNs mean_on, TimeNs mean_off, double alpha,
-                    TimeNs start, TimeNs stop, std::uint64_t seed);
-  void install(EventQueue& ev, Link& link);
-
- private:
-  TimeNs draw(double mean) noexcept;
-  void emit(EventQueue& ev, Link& link, TimeNs t);
-
-  ClassId cls_;
-  Bytes pkt_len_;
-  TimeNs interval_;
-  double mean_on_;
-  double mean_off_;
-  double alpha_;
-  TimeNs start_;
-  TimeNs stop_;
-  Rng rng_;
-  TimeNs on_until_ = 0;
   std::uint64_t seq_ = 0;
 };
 

@@ -56,9 +56,8 @@ ScenarioResult legacy_run(const Scenario& sc, SchedulerKind kind) {
                              s.start, s.stop, s.seed);
         break;
       case ScenarioSource::Kind::kPareto:
-        sim.add<ParetoBurstSource>(cls, s.rate, s.pkt_len, s.mean_on,
-                                   s.mean_off, s.alpha, s.start, s.stop,
-                                   s.seed);
+        sim.add<OnOffSource>(cls, s.rate, s.pkt_len, s.mean_on, s.mean_off,
+                             s.alpha, s.start, s.stop, s.seed);
         break;
       case ScenarioSource::Kind::kTcpish:
         sim.add<TcpishSource>(cls, s.pkt_len, s.window, s.start, s.stop);
