@@ -416,14 +416,13 @@ void check_delay_bounds(Ctx& ctx) {
 }
 
 // (d) Scheduler-family portability pre-flight: which families accept the
-// spec losslessly (strict mode), which degrade it (and how), which
+// spec losslessly (no loss note), which degrade it (and how), which
 // cannot express it at all.
 void check_portability(Ctx& ctx) {
   for (const SchedulerKind kind : all_scheduler_kinds()) {
     PortabilityEntry e;
     e.kind = kind;
-    // Strict mode throws at exactly the losses the default mode records
-    // as notes, so one default compile gives the whole verdict.
+    // Every loss is a note, so one compile gives the whole verdict.
     try {
       e.notes = ctx.spec.compile(kind, ctx.link_rate, {}).notes;
       e.lossless = e.notes.empty();

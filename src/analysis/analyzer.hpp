@@ -113,11 +113,11 @@ struct FlowBudget {
 };
 
 // Which of the scheduler families the spec compiles to losslessly
-// (hierarchy_spec's strict-mode loss taxonomy, statically evaluated).
+// (hierarchy_spec's loss notes, statically evaluated).
 struct PortabilityEntry {
   SchedulerKind kind{};
   bool compiles = true;   // false: even the lossy mapping has no target
-  bool lossless = false;  // strict-mode compile accepts the spec as-is
+  bool lossless = false;  // the compile records no loss note
   std::vector<std::string> notes;  // mapping losses (or the fatal error)
 };
 

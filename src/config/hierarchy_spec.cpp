@@ -51,40 +51,33 @@ using ClassSpec = HierarchySpec::ClassSpec;
 using Compiled = HierarchySpec::Compiled;
 using CompileOptions = HierarchySpec::CompileOptions;
 
-// Records a lossy mapping (default), or rejects it in strict mode.
-void lose(std::vector<std::string>& notes, bool strict, Errc errc,
-          const std::string& msg) {
-  if (strict) throw Error(errc, msg);
-  notes.push_back(msg);
-}
-
 // The losses every rate-based family shares: curves collapsed to one
 // long-term rate and queue limits dropped.  Returns the rate.
 RateBps rate_based_losses(const ClassSpec& c, std::string_view family,
-                          std::vector<std::string>& notes, bool strict) {
+                          std::vector<std::string>& notes) {
   const RateBps r = c.share_rate();
   ensure(r > 0, Errc::kMissingCurve,
          "class '" + c.name + "': no long-term rate (m2 == 0) to map onto " +
              std::string(family));
   const ServiceCurve& src = !c.ls.is_zero() ? c.ls : c.rt;
   if (!src.is_linear()) {
-    lose(notes, strict, Errc::kUnsupportedCurve,
-         "class '" + c.name + "': non-linear " +
-             (!c.ls.is_zero() ? "ls" : "rt") +
-             " curve degraded to its long-term rate under " +
-             std::string(family));
+    notes.push_back(
+        "class '" + c.name + "': non-linear " +
+            (!c.ls.is_zero() ? "ls" : "rt") +
+            " curve degraded to its long-term rate under " +
+            std::string(family));
   }
   if (c.qlimit != 0) {
-    lose(notes, strict, Errc::kInvalidArgument,
-         "class '" + c.name + "': queue limit dropped (" +
-             std::string(family) + " queues are unlimited)");
+    notes.push_back(
+        "class '" + c.name + "': queue limit dropped (" +
+            std::string(family) + " queues are unlimited)");
   }
   return r;
 }
 
 void note_hfsc_only_options(const CompileOptions& opts, std::string_view family,
                             std::vector<std::string>& notes) {
-  // Run options, not spec losses: never a strict-mode error.
+  // Run options, not spec losses.
   if (opts.audit_every != 0) {
     notes.push_back(std::string("invariant audit ignored (") +
                     std::string(family) + " has no auditor)");
@@ -112,8 +105,7 @@ ClassId parent_id(const ClassSpec& c, const Compiled& out) {
 // the server.  Returns the leaves in declaration order.
 std::vector<const ClassSpec*> flatten(const HierarchySpec& spec,
                                       std::string_view family,
-                                      std::vector<std::string>& notes,
-                                      bool strict) {
+                                      std::vector<std::string>& notes) {
   const HierarchySpec::Index& idx = spec.index();
   std::vector<const ClassSpec*> leaves;
   for (std::size_t i = 0; i < spec.classes.size(); ++i) {
@@ -121,9 +113,9 @@ std::vector<const ClassSpec*> flatten(const HierarchySpec& spec,
     if (idx.is_leaf(i)) {
       leaves.push_back(&c);
     } else {
-      lose(notes, strict, Errc::kInvalidArgument,
-           "class '" + c.name + "': interior class dropped (" +
-               std::string(family) + " is flat)");
+      notes.push_back(
+          "class '" + c.name + "': interior class dropped (" +
+              std::string(family) + " is flat)");
     }
   }
   return leaves;
@@ -156,11 +148,11 @@ void compile_hpfq(const HierarchySpec& spec, RateBps link_rate,
   note_hfsc_only_options(opts, "H-PFQ", out.notes);
   auto sched = std::make_unique<HPfq>(link_rate);
   for (const ClassSpec& c : spec.classes) {
-    const RateBps r = rate_based_losses(c, "H-PFQ", out.notes, opts.strict);
+    const RateBps r = rate_based_losses(c, "H-PFQ", out.notes);
     if (!c.ul.is_zero()) {
-      lose(out.notes, opts.strict, Errc::kInvalidArgument,
-           "class '" + c.name +
-               "': ul curve dropped (H-PFQ is work-conserving)");
+      out.notes.push_back(
+          "class '" + c.name +
+              "': ul curve dropped (H-PFQ is work-conserving)");
     }
     try {
       out.ids[c.name] = sched->add_class(parent_id(c, out), r);
@@ -176,7 +168,7 @@ void compile_cbq(const HierarchySpec& spec, RateBps link_rate,
   note_hfsc_only_options(opts, "CBQ", out.notes);
   auto sched = std::make_unique<Cbq>(link_rate);
   for (const ClassSpec& c : spec.classes) {
-    RateBps r = rate_based_losses(c, "CBQ", out.notes, opts.strict);
+    RateBps r = rate_based_losses(c, "CBQ", out.notes);
     bool borrow = true;
     if (!c.ul.is_zero()) {
       // CBQ's only cap is the estimator at the allocated rate: clamp the
@@ -185,10 +177,10 @@ void compile_cbq(const HierarchySpec& spec, RateBps link_rate,
       r = std::min(r, c.ul.rate());
       ensure(r > 0, Errc::kMissingCurve,
              "class '" + c.name + "': ul long-term rate is zero under CBQ");
-      lose(out.notes, opts.strict, Errc::kUnsupportedCurve,
-           "class '" + c.name +
-               "': ul curve became borrow=off with the allocation clamped "
-               "to the ul rate under CBQ");
+      out.notes.push_back(
+          "class '" + c.name +
+              "': ul curve became borrow=off with the allocation clamped "
+              "to the ul rate under CBQ");
     }
     try {
       out.ids[c.name] = sched->add_class(parent_id(c, out), r, borrow);
@@ -203,12 +195,12 @@ void compile_drr(const HierarchySpec& spec, RateBps link_rate,
                  const CompileOptions& opts, Compiled& out) {
   note_hfsc_only_options(opts, "DRR", out.notes);
   auto sched = std::make_unique<Drr>();
-  for (const ClassSpec* c : flatten(spec, "DRR", out.notes, opts.strict)) {
-    const RateBps r = rate_based_losses(*c, "DRR", out.notes, opts.strict);
+  for (const ClassSpec* c : flatten(spec, "DRR", out.notes)) {
+    const RateBps r = rate_based_losses(*c, "DRR", out.notes);
     if (!c->ul.is_zero()) {
-      lose(out.notes, opts.strict, Errc::kInvalidArgument,
-           "class '" + c->name + "': ul curve dropped (DRR is "
-           "work-conserving)");
+      out.notes.push_back(
+          "class '" + c->name + "': ul curve dropped (DRR is "
+          "work-conserving)");
     }
     // A round serves ~one MTU-sized quantum per unit of link share; 8
     // full-size packets at an even split, never below one byte so a tiny
@@ -225,18 +217,18 @@ void compile_sced(const HierarchySpec& spec, const CompileOptions& opts,
                   Compiled& out) {
   note_hfsc_only_options(opts, "SCED", out.notes);
   auto sched = std::make_unique<Sced>();
-  for (const ClassSpec* c : flatten(spec, "SCED", out.notes, opts.strict)) {
+  for (const ClassSpec* c : flatten(spec, "SCED", out.notes)) {
     // SCED keeps the full (possibly non-linear) guarantee: rt, else ls.
     const ServiceCurve& sc = !c->rt.is_zero() ? c->rt : c->ls;
     if (!c->ul.is_zero()) {
-      lose(out.notes, opts.strict, Errc::kInvalidArgument,
-           "class '" + c->name + "': ul curve dropped (SCED is "
-           "work-conserving)");
+      out.notes.push_back(
+          "class '" + c->name + "': ul curve dropped (SCED is "
+          "work-conserving)");
     }
     if (c->qlimit != 0) {
-      lose(out.notes, opts.strict, Errc::kInvalidArgument,
-           "class '" + c->name + "': queue limit dropped (SCED queues are "
-           "unlimited)");
+      out.notes.push_back(
+          "class '" + c->name + "': queue limit dropped (SCED queues are "
+          "unlimited)");
     }
     out.ids[c->name] = sched->add_session(sc);
   }
@@ -247,14 +239,12 @@ void compile_vclock(const HierarchySpec& spec, const CompileOptions& opts,
                     Compiled& out) {
   note_hfsc_only_options(opts, "VirtualClock", out.notes);
   auto sched = std::make_unique<VirtualClock>();
-  for (const ClassSpec* c :
-       flatten(spec, "VirtualClock", out.notes, opts.strict)) {
-    const RateBps r =
-        rate_based_losses(*c, "VirtualClock", out.notes, opts.strict);
+  for (const ClassSpec* c : flatten(spec, "VirtualClock", out.notes)) {
+    const RateBps r = rate_based_losses(*c, "VirtualClock", out.notes);
     if (!c->ul.is_zero()) {
-      lose(out.notes, opts.strict, Errc::kInvalidArgument,
-           "class '" + c->name + "': ul curve dropped (VirtualClock is "
-           "work-conserving)");
+      out.notes.push_back(
+          "class '" + c->name + "': ul curve dropped (VirtualClock is "
+          "work-conserving)");
     }
     out.ids[c->name] = sched->add_session(r);
   }
@@ -264,8 +254,8 @@ void compile_vclock(const HierarchySpec& spec, const CompileOptions& opts,
 void compile_fifo(const HierarchySpec& spec, const CompileOptions& opts,
                   Compiled& out) {
   note_hfsc_only_options(opts, "FIFO", out.notes);
-  lose(out.notes, opts.strict, Errc::kInvalidArgument,
-       "all class guarantees collapsed into one shared FIFO queue");
+  out.notes.push_back(
+      "all class guarantees collapsed into one shared FIFO queue");
   // FIFO ignores the class id on the wire, but synthetic ids on the
   // leaves keep per-class arrival statistics meaningful downstream.
   const HierarchySpec::Index& idx = spec.index();

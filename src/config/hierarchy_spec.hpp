@@ -11,8 +11,7 @@
 //
 // Mapping rules (full matrix in docs/SCHEDULERS.md).  Compilation is
 // deliberately lossy where a family is less expressive, and every loss is
-// either recorded as a human-readable note (default) or rejected with a
-// typed Error (CompileOptions::strict):
+// recorded as a human-readable note:
 //
 //   * H-FSC  — exact: rt/ls/ul curves, queue limits.
 //   * H-PFQ  — one guaranteed rate per class: the ls curve's long-term
@@ -74,11 +73,6 @@ std::optional<SchedulerKind> parse_scheduler_kind(std::string_view token);
 const std::vector<SchedulerKind>& all_scheduler_kinds();
 
 struct HierarchyCompileOptions {
-  // Reject every lossy mapping with a typed Error instead of recording
-  // a note: Error{kUnsupportedCurve} for curve degradations,
-  // Error{kInvalidArgument} for dropped features (ul, qlimit, flattened
-  // interior classes).
-  bool strict = false;
   // H-FSC-only knobs, applied before any class is added so the
   // compiled scheduler is call-for-call identical to one configured by
   // hand; other families record a note when they are set.
@@ -177,9 +171,9 @@ struct HierarchySpec {
   };
 
   // Compiles the spec for one family.  Throws hfsc::Error on spec-level
-  // misuse or strict-mode losses, and std::runtime_error wrapping the
-  // offending class name ("class 'x': …") when the underlying scheduler
-  // rejects a mutation (e.g. admission control).
+  // misuse, and std::runtime_error wrapping the offending class name
+  // ("class 'x': …") when the underlying scheduler rejects a mutation
+  // (e.g. admission control).
   Compiled compile(SchedulerKind kind, RateBps link_rate,
                    const CompileOptions& opts = {}) const;
 

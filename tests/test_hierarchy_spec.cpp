@@ -1,6 +1,6 @@
 // Tests for the scheduler-agnostic hierarchy layer
 // (config/hierarchy_spec.hpp): spec validation, the per-family compilers
-// and their documented lossy-mapping rules, strict mode, and the
+// and their documented lossy-mapping rules, and the
 // guarantee that a spec-compiled Hfsc is bit-identical to one built by
 // hand through the raw API.
 #include <gtest/gtest.h>
@@ -317,42 +317,6 @@ TEST(HierarchySpecRateBased, PureBurstCurveIsTypedError) {
     EXPECT_EQ(e.code(), Errc::kMissingCurve);
     EXPECT_NE(std::string(e.what()).find("'burst'"), std::string::npos);
   }
-}
-
-// ----------------------------------------------------------- strict mode
-
-TEST(HierarchySpecStrict, RejectsCurveDegradation) {
-  const HierarchySpec spec = fig1_spec();
-  HierarchySpec::CompileOptions opts;
-  opts.strict = true;
-  try {
-    spec.compile(SchedulerKind::kHpfq, mbps(45), opts);
-    FAIL() << "strict mode let a lossy mapping through";
-  } catch (const Error& e) {
-    // audio's non-linear curve is the first loss in declaration order.
-    EXPECT_EQ(e.code(), Errc::kUnsupportedCurve);
-  }
-}
-
-TEST(HierarchySpecStrict, RejectsFlattening) {
-  const HierarchySpec spec = fig1_spec();
-  HierarchySpec::CompileOptions opts;
-  opts.strict = true;
-  try {
-    spec.compile(SchedulerKind::kDrr, mbps(45), opts);
-    FAIL() << "strict mode let an interior drop through";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), Errc::kInvalidArgument);
-    EXPECT_NE(std::string(e.what()).find("interior class dropped"),
-              std::string::npos);
-  }
-}
-
-TEST(HierarchySpecStrict, ExactMappingStillCompiles) {
-  const HierarchySpec spec = fig1_spec();
-  HierarchySpec::CompileOptions opts;
-  opts.strict = true;
-  EXPECT_NO_THROW(spec.compile(SchedulerKind::kHfsc, mbps(45), opts));
 }
 
 // ------------------------------------------------------- flat families
