@@ -150,6 +150,14 @@ AuditReport audit(const Hfsc& s) {
                              : "stale entry in the eligible set");
     }
     if (should_request) {
+      // The set must hold the request as hot_ caches it: a key left stale
+      // by a missed update would order the class wrongly.
+      if (const auto held = s.rt_requests_.held(c)) {
+        if (held->d != h.d) fail(c, "eligible set holds a stale deadline");
+        if (held->e != 0 && held->e != h.e) {
+          fail(c, "eligible set holds a stale eligible time");
+        }
+      }
       if (h.e != cc.ec.y2x(h.cumul)) {
         fail(c, "cached eligible time disagrees with E^-1(c)");
       }
