@@ -1,4 +1,4 @@
-// Static hierarchy/spec analyzer (tools/hfsc_lint, hfsc_sim --analyze).
+// Static hierarchy/spec analyzer (tools/hfsc_lint).
 //
 // The paper's guarantees are properties of the *configuration*: the
 // real-time curves are honourable iff their sum stays below the link

@@ -1,40 +1,31 @@
-// Real-time request structures for H-FSC (paper Section V).
+// The real-time request structure of H-FSC (paper Section V).
 //
 // The real-time criterion needs, at each dequeue:
 //     among classes with eligible time e <= now, the minimum deadline d.
 //
-// The paper proposes two implementations, both O(log n).  Two concrete
-// classes with the same member functions are provided.  Hfsc holds a
-// DualHeapEligibleSet by value; the other is the Section V reference
-// structure that the tests check it against and the E10 bench measures:
+// The paper proposes two O(log n) structures.  DualHeapEligibleSet is
+// the one H-FSC runs, held by value in Hfsc: the paper's "calendar queue
+// for keeping track of the eligible times in conjunction with a heap for
+// maintaining the requests' deadlines".  Ready requests (e <= now) sit in
+// an indexed heap keyed by d.  Pending ones sit in a hierarchical 64-way
+// wheel keyed by their exact e: level l reads the 6-bit digit l of e, and
+// a request is filed at the level of the highest digit where e differs
+// from the clock.  Inserting a pending request, re-keying it and erasing
+// it are O(1) (a re-keyed or erased request leaves a dead entry behind,
+// dropped when its slot drains).  Advancing the clock drains every slot
+// wholly at or before it into the ready heap and re-files the one slot it
+// falls in onto lower levels, so each request is moved at most once per
+// level: O(1) per request for the wheel's 11 levels.  The wheel is the
+// calendar queue with no bucket width to tune.  update, erase and the
+// query are defined inline in this header so they inline into Hfsc's
+// dequeue loop; the clock advance and the wakeup hint are in
+// eligible_set.cpp.
 //
-//  * DualHeapEligibleSet — the one H-FSC uses: the paper's "calendar
-//    queue for keeping track of the eligible times in conjunction with a
-//    heap for maintaining the requests' deadlines".  Ready requests
-//    (e <= now) sit in an indexed heap keyed by d.  Pending ones sit in
-//    a hierarchical 64-way wheel keyed by their exact e: level l reads
-//    the 6-bit digit l of e, and a request is filed at the level of the
-//    highest digit where e differs from the clock.  Inserting a pending
-//    request, re-keying it and erasing it are O(1) (a re-keyed or erased
-//    request leaves a dead entry behind, dropped when its slot drains).
-//    Advancing the clock drains every slot wholly at or before it into
-//    the ready heap and re-files the one slot it falls in onto lower
-//    levels, so each request is moved at most once per level: O(1) per
-//    request for the wheel's 11 levels.  The wheel is the calendar
-//    queue with no bucket width to tune.  update, erase and the query are
-//    defined inline in this header so they inline into Hfsc's dequeue
-//    loop; the clock advance and the wakeup hint are in eligible_set.cpp.
+// The paper's other structure, the augmented tree of ref. [16], is a
+// reference kept beside the tests that check this one against it
+// (tests/support/aug_tree_eligible_set.hpp).
 //
-//  * AugTreeEligibleSet — "an augmented binary tree data structure as the
-//    one described in [16]": a balanced search tree ordered by e where
-//    every node also stores the minimum d (and the smallest class id
-//    achieving it) in its subtree; the query walks the e <= now prefix in
-//    O(log n) without any state migration.  Nodes come from an internal
-//    pool (chunked arena + free list), so steady-state update/erase
-//    cycles never touch the allocator.
-//
-// Shared contract (both classes provide update, erase, contains, empty,
-// min_deadline_eligible and next_eligible_time):
+// Contract:
 //
 //  * update(cls, e, d, now) inserts or updates the (e, d) request of cls.
 //
@@ -44,8 +35,8 @@
 //
 //  * min_deadline_eligible(now) returns the class with the smallest
 //    deadline among those with e <= now.  Deadline ties break toward the
-//    smallest ClassId in both implementations, so they produce
-//    identical sequences for identical inputs (pinned by
+//    smallest ClassId, so the sequence of winners is a function of the
+//    inputs alone (the augmented tree returns the same one, pinned by
 //    tests/test_eligible_ablation_fuzz.cpp).
 //
 //  * next_eligible_time() returns the earliest time at which
@@ -56,7 +47,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -217,47 +207,6 @@ class DualHeapEligibleSet {
   std::vector<Request> req_;  // ClassId -> request
   std::size_t pending_ = 0;   // pending requests
   std::size_t filed_ = 0;     // wheel entries, live or dead
-};
-
-class AugTreeEligibleSet {
- public:
-  AugTreeEligibleSet();
-  ~AugTreeEligibleSet();
-
-  void update(ClassId cls, TimeNs e, TimeNs d, TimeNs now);
-  void erase(ClassId cls);
-  bool contains(ClassId cls) const;
-  bool empty() const;
-  std::optional<ClassId> min_deadline_eligible(TimeNs now);
-  TimeNs next_eligible_time() const;
-
- private:
-  struct Node;
-
-  Node* alloc_node();
-  void free_node(Node* n) noexcept;
-
-  // Treap ordered by (e, cls) with subtree (min deadline, min class id
-  // achieving it) augmentation.
-  Node* root_ = nullptr;
-  std::vector<Node*> node_of_;  // ClassId -> node (null if absent)
-  std::uint64_t rng_state_ = 0x9E3779B97F4A7C15ULL;
-  // Latest `now` observed; makes next_eligible_time() report "already
-  // eligible" exactly like the migrating implementations do.
-  TimeNs seen_now_ = 0;
-
-  // Node pool: chunked arena plus an intrusive free list (reusing the
-  // `left` pointer), so update/erase churn is allocation-free after
-  // warmup.
-  static constexpr std::size_t kPoolChunk = 256;
-  std::vector<std::unique_ptr<Node[]>> pool_;
-  Node* free_list_ = nullptr;
-
-  std::uint64_t next_priority();
-  static void pull(Node* n);
-  static Node* merge(Node* a, Node* b);
-  // Splits by key (e, cls): left gets keys < (e, cls), right the rest.
-  static void split(Node* n, TimeNs e, ClassId cls, Node** l, Node** r);
 };
 
 }  // namespace hfsc

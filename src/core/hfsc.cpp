@@ -485,17 +485,9 @@ bool Hfsc::try_enable_admission_control(RateBps link_rate) {
 void Hfsc::enable_admission_control(RateBps link_rate) {
   if (try_enable_admission_control(link_rate)) return;
   ++admission_rejections_;
-  // Cold path: name the first curve, in class-id order, that overflows.
-  AdmissionControl scan(link_rate);
-  ServiceCurve offending{};
-  for (ClassId c = 1; c < nodes_.size(); ++c) {
-    const Node& n = nodes_[c];
-    if (!hot_[c].live_leaf() || !hot_[c].has_rt()) continue;
-    if (!scan.admit(n.cfg.rt)) {
-      offending = n.cfg.rt;
-      break;
-    }
-  }
+  const ClassId c = first_misfit(nullptr, link_rate);
+  const ServiceCurve offending =
+      c != kRootClass ? nodes_[c].cfg.rt : ServiceCurve{};
   throw Error(Errc::kAdmissionRejected,
               "existing real-time curves already exceed the link curve "
               "(offending curve " +

@@ -512,6 +512,10 @@ class Hfsc final : public Scheduler {
   // `batch` (a Txn's final shadow; null for a direct op) picks the
   // message.  Requires admission to be enabled.
   void admit(const AdmissionDelta& d, const Shadow* batch);
+  // Cold path of a refused admission: the first class, in id order, whose
+  // rt curve overflows when the rt leaves of `v` (the live tree when null)
+  // are admitted one at a time in id order; kRootClass when all fit.
+  ClassId first_misfit(const Shadow* v, RateBps link_rate) const;
   // Applies an op that passed check(); validates nothing.
   ClassId apply_unchecked(const Op& op);
 
@@ -550,7 +554,7 @@ class Hfsc final : public Scheduler {
   std::uint64_t self_checks_run_ = 0;
   bool in_self_check_ = false;
 
-  // Admission / transaction / watchdog state (this PR's robustness layer).
+  // Admission / transaction / watchdog state.
   std::unique_ptr<AdmissionControl> admission_;
   std::uint64_t admission_rejections_ = 0;
   TimeNs starvation_horizon_ = 0;  // 0 = watchdog off

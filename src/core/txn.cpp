@@ -186,21 +186,29 @@ void Hfsc::admit(const AdmissionDelta& d, const Shadow* batch) {
                     "% already reserved); lower the curve, delete another "
                     "real-time class, or raise the admission link rate");
   }
-  // Cold path: name the first class, in id order, whose rt curve
-  // overflows the final state's aggregate.
-  AdmissionControl scan(admission_->link_rate());
-  for (ClassId c = 1; c < batch->size(); ++c) {
-    const Shadow::SNode sn = batch->get(c);
-    if (!sn.rt_leaf() || scan.admit(sn.cfg.rt)) continue;
+  const ClassId c = first_misfit(batch, admission_->link_rate());
+  if (c != kRootClass) {
     throw Error(Errc::kAdmissionRejected,
                 "committing this batch would put real-time curve " +
-                    to_string(sn.cfg.rt) + " (class " + std::to_string(c) +
+                    to_string(batch->get(c).cfg.rt) + " (class " +
+                    std::to_string(c) +
                     ") above the link curve; shrink the batch's rt "
                     "curves or raise the admission link rate");
   }
   throw Error(Errc::kAdmissionRejected,
               "committing this batch would put the real-time curves above "
               "the link curve");
+}
+
+ClassId Hfsc::first_misfit(const Shadow* v, RateBps link_rate) const {
+  const Shadow live(*this);
+  if (v == nullptr) v = &live;
+  AdmissionControl scan(link_rate);
+  for (ClassId c = 1; c < v->size(); ++c) {
+    const Shadow::SNode sn = v->get(c);
+    if (sn.rt_leaf() && !scan.admit(sn.cfg.rt)) return c;
+  }
+  return kRootClass;
 }
 
 ClassId Hfsc::apply(const Op& op) {

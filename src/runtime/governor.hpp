@@ -163,7 +163,6 @@ class OverloadGovernor {
     out.swap(events_);
     return out;
   }
-  std::uint64_t transitions() const noexcept { return transitions_; }
   std::uint64_t push_outs() const noexcept { return push_outs_; }
   void count_push_out() noexcept { ++push_outs_; }
 
@@ -178,10 +177,7 @@ class OverloadGovernor {
   void restore(std::string_view blob);
 
  private:
-  void emit(GovEvent e) {
-    ++transitions_;
-    events_.push_back(e);
-  }
+  void emit(GovEvent e) { events_.push_back(e); }
   // The ladder level the raw signals ask for, before hysteresis.
   int target_level(const GovSignals& sig) const noexcept;
 
@@ -196,7 +192,6 @@ class OverloadGovernor {
   std::map<ClassId, ClassConfig> clamped_;
   std::map<ClassId, std::size_t> quarantined_;
   std::vector<GovEvent> events_;
-  std::uint64_t transitions_ = 0;
   std::uint64_t push_outs_ = 0;
 };
 

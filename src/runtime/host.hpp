@@ -158,7 +158,6 @@ class RuntimeHost {
   const OverloadGovernor& governor() const noexcept { return gov_; }
   int gov_level() const noexcept { return gov_.level(); }
   std::vector<GovEvent> drain_events() { return gov_.drain_events(); }
-  const RuntimeOptions& options() const noexcept { return opts_; }
 
  private:
   struct RecoverTag {};

@@ -1,6 +1,7 @@
 #include "runtime/journal.hpp"
 
 #include <cstring>
+#include <optional>
 
 #include "util/hash.hpp"
 
@@ -20,6 +21,31 @@ T get(const char* p) {
   T v;
   std::memcpy(&v, p, sizeof(T));
   return v;
+}
+
+// One record of an image as its header describes it: nullopt when the
+// header or the payload runs past the end of the image.  The checksum is
+// read, not checked.
+struct RawRecord {
+  std::uint64_t seq;
+  std::uint64_t sum;
+  std::string_view payload;
+
+  std::size_t size() const noexcept {
+    return Journal::kRecordOverhead + payload.size();
+  }
+};
+
+std::optional<RawRecord> read_record(std::string_view image,
+                                     std::size_t off) {
+  if (image.size() - off < Journal::kRecordOverhead) return std::nullopt;
+  const char* p = image.data() + off;
+  const auto len = get<std::uint32_t>(p);
+  if (image.size() - off - Journal::kRecordOverhead < len) {
+    return std::nullopt;
+  }
+  return RawRecord{get<std::uint64_t>(p + 4), get<std::uint64_t>(p + 12),
+                   std::string_view(p + Journal::kRecordOverhead, len)};
 }
 
 }  // namespace
@@ -57,24 +83,19 @@ Journal Journal::parse(std::string_view image) {
   // this point is, by the append protocol, a torn or bit-flipped tail:
   // truncate there and keep everything before it.
   while (off < image.size()) {
-    if (image.size() - off < kRecordOverhead) break;
-    const char* p = image.data() + off;
-    const auto len = get<std::uint32_t>(p);
-    const auto seq = get<std::uint64_t>(p + 4);
-    const auto sum = get<std::uint64_t>(p + 12);
-    if (image.size() - off - kRecordOverhead < len) break;  // torn payload
-    const std::string_view payload(p + kRecordOverhead, len);
-    if (fnv1a64(payload) != sum) break;      // bit-flipped tail
-    if (seq != j.next_seq_ && !j.records_.empty()) break;  // out of order
-    if (j.records_.empty()) {
+    const std::optional<RawRecord> r = read_record(image, off);
+    if (!r) break;                              // torn record
+    if (fnv1a64(r->payload) != r->sum) break;   // bit-flipped tail
+    if (r->seq != j.next_seq_ && !j.offsets_.empty()) break;  // out of order
+    if (j.offsets_.empty()) {
       // A compacted journal legally starts at any sequence number, but
       // it must still be a positive one.
-      if (seq == 0) break;
-      j.next_seq_ = seq;
+      if (r->seq == 0) break;
+      j.next_seq_ = r->seq;
     }
-    j.records_.push_back(JournalRecord{seq, std::string(payload)});
-    j.next_seq_ = seq + 1;
-    off += kRecordOverhead + len;
+    j.offsets_.push_back(off);
+    j.next_seq_ = r->seq + 1;
+    off += r->size();
   }
   j.truncated_bytes_ = image.size() - off;
   j.image_.assign(image.data(), off);
@@ -84,29 +105,30 @@ Journal Journal::parse(std::string_view image) {
 
 std::uint64_t Journal::append(std::string_view payload) {
   const std::uint64_t seq = next_seq_++;
+  offsets_.push_back(image_.size());
   put<std::uint32_t>(image_, static_cast<std::uint32_t>(payload.size()));
   put<std::uint64_t>(image_, seq);
   put<std::uint64_t>(image_, fnv1a64(payload));
   image_.append(payload.data(), payload.size());
-  records_.push_back(JournalRecord{seq, std::string(payload)});
   return seq;
 }
 
 void Journal::compact(std::uint64_t up_to) {
-  std::vector<JournalRecord> kept;
-  for (auto& r : records_) {
-    if (r.seq > up_to) kept.push_back(std::move(r));
+  // Records sit in seq order, so the ones with seq <= up_to lead.  Each
+  // kept record slides down, whole, over the bytes before it: the covered
+  // prefix goes, and so do the bytes a torn append left in the image.
+  std::size_t to = kHeaderBytes;
+  std::size_t kept = 0;
+  for (const std::size_t off : offsets_) {
+    const RawRecord r = *read_record(image_, off);
+    if (r.seq <= up_to) continue;
+    const std::size_t n = r.size();
+    std::memmove(image_.data() + to, image_.data() + off, n);
+    offsets_[kept++] = to;
+    to += n;
   }
-  records_ = std::move(kept);
-  image_.clear();
-  image_.append(kMagic, sizeof(kMagic));
-  put<std::uint32_t>(image_, kVersion);
-  for (const auto& r : records_) {
-    put<std::uint32_t>(image_, static_cast<std::uint32_t>(r.payload.size()));
-    put<std::uint64_t>(image_, r.seq);
-    put<std::uint64_t>(image_, fnv1a64(r.payload));
-    image_.append(r.payload);
-  }
+  offsets_.resize(kept);
+  image_.resize(to);
   // next_seq_ is unchanged: compaction forgets history, not time.
   // Compaction models write-new-file + fsync + rename: atomic, and the
   // replacement image is durable the moment it exists.
@@ -114,8 +136,9 @@ void Journal::compact(std::uint64_t up_to) {
 }
 
 void Journal::tear_tail(std::size_t n) {
-  if (records_.empty() || n == 0) return;
-  std::size_t last_size = kRecordOverhead + records_.back().payload.size();
+  if (offsets_.empty() || n == 0) return;
+  const RawRecord last = *read_record(image_, offsets_.back());
+  std::size_t last_size = last.size();
   // A synced record cannot be torn — the fsync already returned.  Only
   // the unsynced suffix of the newest record is at risk.
   if (image_.size() - last_size < synced_bytes_) {
@@ -125,14 +148,17 @@ void Journal::tear_tail(std::size_t n) {
   if (n > last_size) n = last_size;
   image_.resize(image_.size() - n);
   if (image_.size() <= synced_bytes_) synced_bytes_ = image_.size();
-  next_seq_ = records_.back().seq;  // the torn record never happened
-  records_.pop_back();
+  next_seq_ = last.seq;  // the torn record never happened
+  offsets_.pop_back();
 }
 
 std::vector<JournalRecord> Journal::records_after(std::uint64_t after) const {
   std::vector<JournalRecord> out;
-  for (const auto& r : records_) {
-    if (r.seq > after) out.push_back(r);
+  for (const std::size_t off : offsets_) {
+    const RawRecord r = *read_record(image_, off);
+    if (r.seq > after) {
+      out.push_back(JournalRecord{r.seq, std::string(r.payload)});
+    }
   }
   return out;
 }

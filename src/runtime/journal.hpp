@@ -79,7 +79,7 @@ class Journal {
   std::uint64_t append(std::string_view payload);
 
   // Drops every record with seq <= up_to (they are covered by a
-  // checkpoint); rewrites the image.
+  // checkpoint) from the image; the kept records move as they are.
   void compact(std::uint64_t up_to);
 
   // Records with seq > after, oldest first.
@@ -87,8 +87,9 @@ class Journal {
 
   // Chaos-harness hook: simulates a torn write by chopping up to `n`
   // bytes off the image's tail, clamped to the newest record so earlier
-  // records stay intact.  The newest record is dropped from the record
-  // list — exactly what parse() of the torn image will reconstruct.
+  // records stay intact.  The newest record leaves num_records() and
+  // records_after() — exactly what parse() of the torn image will
+  // reconstruct.
   // Bytes a completed sync() promised are never torn: a tear stops at
   // the durable watermark.
   void tear_tail(std::size_t n);
@@ -104,7 +105,7 @@ class Journal {
   }
 
   const std::string& image() const noexcept { return image_; }
-  std::size_t num_records() const noexcept { return records_.size(); }
+  std::size_t num_records() const noexcept { return offsets_.size(); }
   // Sequence number of the newest record (0 = none yet).
   std::uint64_t last_seq() const noexcept { return next_seq_ - 1; }
   // Bytes dropped from a torn tail by parse() (0 for a clean image).
@@ -119,8 +120,10 @@ class Journal {
   static constexpr std::size_t kRecordOverhead = 4 + 8 + 8;
 
  private:
-  std::vector<JournalRecord> records_;
+  // The serialized image holds each record once; offsets_[i] is where
+  // the i-th record (oldest first) starts in it.
   std::string image_;
+  std::vector<std::size_t> offsets_;
   std::uint64_t next_seq_ = 1;
   std::size_t truncated_bytes_ = 0;
   // Durable watermark.  A fresh journal's header counts as synced (the

@@ -7,16 +7,17 @@ namespace hfsc {
 ClassId Sced::add_session(const ServiceCurve& sc) {
   assert(sc.is_supported());
   if (sessions_.empty()) sessions_.emplace_back();  // burn id 0
-  sessions_.push_back(Session{sc, RuntimeCurve{}, 0, 0, false});
+  sessions_.push_back(Session{sc, RuntimeCurve{}, 0, false});
   const ClassId id = static_cast<ClassId>(sessions_.size() - 1);
   queues_.ensure(id);
   return id;
 }
 
 void Sced::set_head_deadline(ClassId cls) {
-  Session& s = sessions_[cls];
-  s.head_deadline = s.dc.y2x(sat_add(s.work, queues_.head(cls).len));
-  by_deadline_.push_or_update(cls, s.head_deadline);
+  const Session& s = sessions_[cls];
+  const TimeNs head_deadline =
+      s.dc.y2x(sat_add(s.work, queues_.head(cls).len));
+  by_deadline_.push_or_update(cls, head_deadline);
 }
 
 void Sced::enqueue(TimeNs now, Packet pkt) {

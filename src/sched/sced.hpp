@@ -43,17 +43,11 @@ class Sced final : public Scheduler {
   Bytes backlog_bytes() const noexcept override { return queues_.bytes(); }
   std::string_view name() const noexcept override { return "SCED"; }
 
-  // Introspection for tests and the Fig. 2 experiment.
-  TimeNs head_deadline(ClassId cls) const {
-    return sessions_.at(cls).head_deadline;
-  }
-
  private:
   struct Session {
     ServiceCurve sc;
     RuntimeCurve dc;          // deadline curve D_i
     Bytes work = 0;           // w_i: total service received
-    TimeNs head_deadline = 0;
     bool ever_active = false;
   };
 

@@ -20,7 +20,6 @@ class EventQueue {
 
   TimeNs now() const noexcept { return now_; }
   bool empty() const noexcept { return q_.empty(); }
-  std::size_t pending() const noexcept { return q_.size(); }
 
   // Schedules `fn` at absolute time t (>= now).
   void schedule(TimeNs t, Handler fn) {

@@ -23,14 +23,12 @@ class FlowTracker {
       f.bytes += p.len;
       f.delay_ns.add(static_cast<double>(t - p.arrival));
       f.throughput.add(t, p.len);
-      f.last_departure = t;
     });
   }
 
   bool has(ClassId cls) const { return flows_.count(cls) != 0; }
   std::uint64_t packets(ClassId cls) const { return get(cls).packets; }
   Bytes bytes(ClassId cls) const { return get(cls).bytes; }
-  TimeNs last_departure(ClassId cls) const { return get(cls).last_departure; }
 
   // Delay statistics in milliseconds.
   double mean_delay_ms(ClassId cls) const {
@@ -54,16 +52,11 @@ class FlowTracker {
     return get(cls).throughput.rate_over(t0, t1) * 8.0 / 1e6;
   }
 
-  const WindowedThroughput& series(ClassId cls) const {
-    return get(cls).throughput;
-  }
-
  private:
   struct Flow {
     explicit Flow(TimeNs window) : throughput(window) {}
     std::uint64_t packets = 0;
     Bytes bytes = 0;
-    TimeNs last_departure = 0;
     SampleSet delay_ns;
     WindowedThroughput throughput;
   };

@@ -85,8 +85,6 @@ class Topology {
   // another route.  Returns the route index.
   std::size_t add_route(std::vector<Hop> hops);
 
-  std::size_t num_nodes() const noexcept { return nodes_.size(); }
-
   // Index of the named node, or kNoNode.
   NodeIndex find(std::string_view name) const noexcept;
 

@@ -1,5 +1,5 @@
-// Measurement helpers: running scalar statistics, exact-percentile samples,
-// and time-windowed throughput series.  These implement the "measurement"
+// Measurement helpers: exact-percentile samples and time-windowed
+// throughput series.  These implement the "measurement"
 // substrate (S12 in DESIGN.md) used to regenerate the paper's figures.
 #pragma once
 
@@ -11,27 +11,6 @@
 #include "util/types.hpp"
 
 namespace hfsc {
-
-// Streaming mean/min/max/variance (Welford).
-class RunningStats {
- public:
-  void add(double x) noexcept;
-  std::size_t count() const noexcept { return n_; }
-  double mean() const noexcept { return n_ ? mean_ : 0.0; }
-  double variance() const noexcept;
-  double stddev() const noexcept;
-  double min() const noexcept { return n_ ? min_ : 0.0; }
-  double max() const noexcept { return n_ ? max_ : 0.0; }
-  double sum() const noexcept { return sum_; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
 
 // Stores every sample; supports exact quantiles.  Fine at simulation scale
 // (millions of packets).

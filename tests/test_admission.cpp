@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/auditor.hpp"
+#include "core/checkpoint.hpp"
 #include "core/hfsc.hpp"
 #include "curve/piecewise.hpp"
 #include "util/rng.hpp"
@@ -122,6 +123,76 @@ TEST(AdmissionGate, EnableValidatesTheExistingHierarchy) {
   s.disable_admission_control();
   EXPECT_FALSE(s.admission_enabled());
   EXPECT_DOUBLE_EQ(s.admission_utilization(), 0.0);
+}
+
+// A refused enable names the first rt curve, in class-id order, that
+// overflows the link when the live rt leaves are admitted in id order.
+// Interior, deleted and link-share-only classes are skipped.
+TEST(AdmissionGate, EnableRefusalNamesTheFirstMisfitInIdOrder) {
+  Hfsc s(mbps(10));
+  const ClassId org = s.add_class(
+      kRootClass, ClassConfig::link_share_only(ServiceCurve::linear(mbps(10))));
+  // Interior: its rt curve is inert.
+  const ClassId dept =
+      s.add_class(org, ClassConfig::both(ServiceCurve::linear(mbps(9))));
+  s.add_class(dept, ClassConfig::both(ServiceCurve::linear(mbps(4))));
+  const ClassId gone =
+      s.add_class(org, ClassConfig::both(ServiceCurve::linear(mbps(8))));
+  s.delete_class(gone);
+  s.add_class(org, ClassConfig::link_share_only(ServiceCurve::linear(mbps(9))));
+  s.add_class(org, ClassConfig::both(ServiceCurve::linear(mbps(5))));
+  s.add_class(org, ClassConfig::both(ServiceCurve{mbps(3), msec(2), mbps(2)}));
+  s.add_class(org, ClassConfig::both(ServiceCurve::linear(mbps(1))));
+  try {
+    s.enable_admission_control();
+    FAIL() << "the leaf guarantees exceed the 10 Mb/s link";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), Errc::kAdmissionRejected);
+    EXPECT_STREQ(e.what(),
+                 "admission rejected: existing real-time curves already "
+                 "exceed the link curve (offending curve [m1=3.00Mb/s "
+                 "d=2.000ms m2=2.00Mb/s]); admission control left "
+                 "unchanged");
+  }
+  EXPECT_FALSE(s.admission_enabled());
+  EXPECT_EQ(s.admission_rejections(), 1u);
+}
+
+// A refused batch names the first class, in id order, whose rt curve
+// overflows the final state's aggregate, not the last curve staged.
+TEST(AdmissionGate, BatchRefusalNamesTheFirstMisfitInIdOrder) {
+  Hfsc s(mbps(10));
+  const ClassId org = s.add_class(
+      kRootClass, ClassConfig::link_share_only(ServiceCurve::linear(mbps(10))));
+  const ClassId a =
+      s.add_class(org, ClassConfig::both(ServiceCurve::linear(mbps(4))));
+  const ClassId e =
+      s.add_class(org, ClassConfig::both(ServiceCurve::linear(mbps(1))));
+  s.enable_admission_control();
+  const std::uint64_t digest = state_digest(s);
+
+  Hfsc::Txn txn = s.begin();
+  txn.change_class(0, a, ClassConfig::both(ServiceCurve::linear(mbps(6))));
+  txn.add_class(org, ClassConfig::both(ServiceCurve::linear(mbps(3))));
+  const ClassId misfit = txn.add_class(
+      org, ClassConfig::both(ServiceCurve{mbps(3), msec(1), mbps(2)}));
+  txn.add_class(org, ClassConfig::both(ServiceCurve::linear(kbps(500))));
+  txn.delete_class(e);
+  try {
+    txn.commit();
+    FAIL() << "the batch's leaf guarantees exceed the 10 Mb/s link";
+  } catch (const Error& err) {
+    EXPECT_EQ(err.code(), Errc::kAdmissionRejected);
+    EXPECT_EQ(misfit, 5u);
+    EXPECT_STREQ(err.what(),
+                 "admission rejected: committing this batch would put "
+                 "real-time curve [m1=3.00Mb/s d=1.000ms m2=2.00Mb/s] "
+                 "(class 5) above the link curve; shrink the batch's rt "
+                 "curves or raise the admission link rate");
+  }
+  EXPECT_TRUE(txn.open());
+  EXPECT_EQ(state_digest(s), digest);
+  EXPECT_EQ(s.admission_rejections(), 1u);
 }
 
 TEST(AdmissionGate, OnlyLeafRtCurvesCount) {

@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "core/eligible_set.hpp"
+#include "support/aug_tree_eligible_set.hpp"
 #include "util/rng.hpp"
 
 namespace hfsc {

@@ -94,6 +94,60 @@ TEST(Journal, BadMagicOrVersionIsTyped) {
   }
 }
 
+// Compaction drops the covered records and keeps the others' bytes as
+// they were: after compact(k) the image is the header plus the
+// pre-compaction image from record k+1 on, and it parses back to the
+// same records.
+TEST(Journal, CompactionKeepsTheSurvivingRecordBytes) {
+  const std::vector<std::string> payloads = {
+      "txn 1", "", std::string("\0binary\xff", 8), "gov 2\nabc", "r4",
+      std::string(300, 'x')};
+  Journal full;
+  std::vector<std::size_t> starts;  // where record seq i + 1 starts
+  for (const std::string& p : payloads) {
+    starts.push_back(full.image().size());
+    full.append(p);
+  }
+  starts.push_back(full.image().size());
+  const std::string before = full.image();
+  for (std::uint64_t k = 0; k <= payloads.size(); ++k) {
+    Journal j = Journal::parse(before);
+    j.compact(k);
+    EXPECT_EQ(j.image(), before.substr(0, Journal::kHeaderBytes) +
+                             before.substr(starts[k]))
+        << "k=" << k;
+    EXPECT_EQ(j.num_records(), payloads.size() - k);
+    EXPECT_EQ(j.last_seq(), payloads.size());
+    EXPECT_EQ(j.synced_bytes(), j.image().size());
+    const Journal back = Journal::parse(j.image());
+    EXPECT_EQ(back.truncated_bytes(), 0u);
+    const std::vector<JournalRecord> got = back.records_after(0);
+    ASSERT_EQ(got.size(), payloads.size() - k);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].seq, k + i + 1);
+      EXPECT_EQ(got[i].payload, payloads[k + i]);
+    }
+  }
+}
+
+// The bytes a torn append leaves at the tail do not survive compaction.
+TEST(Journal, CompactionDropsATornTail) {
+  Journal j;
+  for (const char* p : {"one", "two", "three", "four"}) j.append(p);
+  const std::string whole = j.image();
+  const std::size_t fourth = whole.size() - Journal::kRecordOverhead - 4;
+  j.tear_tail(5);
+  ASSERT_EQ(j.image().size(), whole.size() - 5);
+  ASSERT_EQ(j.num_records(), 3u);
+  j.compact(1);
+  const std::size_t second =
+      Journal::kHeaderBytes + Journal::kRecordOverhead + 3;
+  EXPECT_EQ(j.image(), whole.substr(0, Journal::kHeaderBytes) +
+                           whole.substr(second, fourth - second));
+  EXPECT_EQ(Journal::parse(j.image()).truncated_bytes(), 0u);
+  EXPECT_EQ(j.records_after(0).back().payload, "three");
+}
+
 TEST(Journal, CompactionKeepsSequenceNumbers) {
   Journal j;
   for (int i = 0; i < 5; ++i) {

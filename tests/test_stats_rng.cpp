@@ -3,7 +3,6 @@
 
 #include <unistd.h>
 
-#include <cmath>
 #include <fstream>
 #include <stdexcept>
 
@@ -54,24 +53,6 @@ TEST(Rng, ExponentialMeanConverges) {
 TEST(Rng, ParetoAboveScale) {
   Rng r(4);
   for (int i = 0; i < 1000; ++i) ASSERT_GE(r.pareto(2.0, 10.0), 10.0);
-}
-
-TEST(RunningStats, BasicMoments) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_NEAR(s.stddev(), std::sqrt(32.0 / 7.0), 1e-12);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStats, EmptyIsZero) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
 }
 
 TEST(SampleSet, QuantilesExact) {

@@ -74,10 +74,11 @@
 #   $ HFSC_PERF_GATE=1 tools/ci_check.sh release
 #
 # The `tidy` stage runs clang-tidy (.clang-tidy at the repo root, with
-# WarningsAsErrors) over src/ tools/ bench/ against a compile_commands
-# database.  clang-tidy is not part of the baked toolchain everywhere, so
-# the stage degrades to an explicit SKIP when the binary is absent
-# instead of failing CI on the missing tool.
+# WarningsAsErrors) over src/ tools/ bench/, plus the one tests/support/
+# file a bench builds (the augmented-tree eligible set), against a
+# compile_commands database.  clang-tidy is not part of the baked
+# toolchain everywhere, so the stage degrades to an explicit SKIP when
+# the binary is absent instead of failing CI on the missing tool.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -106,11 +107,15 @@ run_tidy() {
   echo "=== clang-tidy: configure (compile_commands) ==="
   cmake -B "${build_dir}" -S "${repo}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
-  echo "=== clang-tidy: src/ tools/ bench/ ==="
+  echo "=== clang-tidy: src/ tools/ bench/ and the E10 reference tree ==="
   # .clang-tidy sets WarningsAsErrors: '*', so any finding fails the
-  # stage; xargs -P parallelizes across translation units.
-  find "${repo}/src" "${repo}/tools" "${repo}/bench" -name '*.cpp' -print0 |
-    xargs -0 -n 4 -P "${jobs}" clang-tidy -p "${build_dir}" --quiet
+  # stage; xargs -P parallelizes across translation units.  The
+  # augmented-tree eligible set lives in tests/support/ but builds into
+  # bench_eligible_ablation, so it is linted with the benches.
+  {
+    find "${repo}/src" "${repo}/tools" "${repo}/bench" -name '*.cpp' -print0
+    printf '%s\0' "${repo}/tests/support/aug_tree_eligible_set.cpp"
+  } | xargs -0 -n 4 -P "${jobs}" clang-tidy -p "${build_dir}" --quiet
   echo "=== clang-tidy: clean ==="
 }
 

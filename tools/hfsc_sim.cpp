@@ -3,7 +3,6 @@
 //   $ hfsc_sim [--audit[=N]] [--admission] [--checkpoint=FILE]
 //              [--scheduler=KIND] [--json] scenario.hfsc
 //   $ hfsc_sim --compare=KIND[,KIND...] [--json] scenario.hfsc
-//   $ hfsc_sim --analyze [--json] scenario.hfsc
 //   $ hfsc_sim --restore=FILE
 //
 // --audit enables the runtime invariant auditor (core/auditor.hpp) every
@@ -14,16 +13,10 @@
 // prints a summary instead of running a scenario.  Parse and scheduler
 // errors exit with code 1 and a one-line message.
 //
-// --analyze runs the static hierarchy analyzer (analysis/analyzer.hpp)
-// over the scenario instead of simulating it: rt admissibility, Theorem 2
-// delay bounds from `envelope` directives, route-composed end-to-end
-// budgets against `deadline` directives, curve-shape lints and the
-// family portability pre-flight (tools/hfsc_lint is the multi-file
-// front-end, with --sarif).  With --json the analyzer report is emitted
-// as "hfsc-lint-report-v2" JSON.  Exits 0 when clean, 1 on
-// errors/warnings.  A plain --json run of a routed scenario also calls
-// the analyzer to attach each route's static delay bound ("bound_ms")
-// beside the measured percentiles.
+// The static hierarchy analyzer (analysis/analyzer.hpp) has its own
+// front-end, tools/hfsc_lint.  A --json run of a routed scenario calls
+// it to attach each route's static delay bound ("bound_ms") beside the
+// measured percentiles.
 //
 // --scheduler runs the same hierarchy under another family (hfsc, hpfq,
 // cbq, drr, sced, vclock, fifo), overriding the file's `scheduler`
@@ -67,11 +60,10 @@ int usage(const char* argv0) {
                "usage: %s [--audit[=N]] [--admission] [--checkpoint=FILE] "
                "[--scheduler=KIND] [--json] <scenario-file>\n"
                "       %s --compare=KIND[,KIND...] [--json] <scenario-file>\n"
-               "       %s --analyze <scenario-file>\n"
                "       %s --restore=FILE [--scheduler=KIND]\n"
                "       %s --chaos[=EPISODES] [--seed=N] [--soak[=SECONDS]]\n"
                "KIND: hfsc | hpfq | cbq | drr | sced | vclock | fifo\n",
-               argv0, argv0, argv0, argv0, argv0);
+               argv0, argv0, argv0, argv0);
   return 2;
 }
 
@@ -138,7 +130,6 @@ int restore_summary(const std::string& file,
 int main(int argc, char** argv) {
   std::size_t audit_every = 0;
   bool admission = false;
-  bool analyze = false;
   bool json = false;
   bool chaos = false;
   hfsc::ChaosConfig chaos_cfg;
@@ -157,8 +148,6 @@ int main(int argc, char** argv) {
       audit_every = static_cast<std::size_t>(*n);
     } else if (std::strcmp(arg, "--admission") == 0) {
       admission = true;
-    } else if (std::strcmp(arg, "--analyze") == 0) {
-      analyze = true;
     } else if (std::strcmp(arg, "--json") == 0) {
       json = true;
     } else if (std::strcmp(arg, "--chaos") == 0) {
@@ -204,7 +193,7 @@ int main(int argc, char** argv) {
 
   try {
     if (chaos || chaos_cfg.soak) {
-      if (path != nullptr || admission || analyze || json ||
+      if (path != nullptr || admission || json ||
           audit_every != 0 || !checkpoint_path.empty() ||
           !restore_path.empty() || scheduler || !compare.empty()) {
         return usage(argv[0]);
@@ -221,20 +210,6 @@ int main(int argc, char** argv) {
       return restore_summary(restore_path, scheduler);
     }
     if (path == nullptr) return usage(argv[0]);
-    if (analyze) {
-      if (admission || audit_every != 0 || !checkpoint_path.empty() ||
-          scheduler || !compare.empty()) {
-        return usage(argv[0]);
-      }
-      const hfsc::Scenario sc = hfsc::Scenario::parse_file(path);
-      const hfsc::AnalysisReport report = hfsc::analyze(sc);
-      if (json) {
-        std::printf("%s\n", report.to_json().c_str());
-      } else {
-        std::printf("%s", report.to_text().c_str());
-      }
-      return report.clean() ? 0 : 1;
-    }
     if (!checkpoint_path.empty() &&
         (!compare.empty() ||
          (scheduler && *scheduler != hfsc::SchedulerKind::kHfsc))) {
